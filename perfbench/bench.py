@@ -9,8 +9,8 @@ one call into a public entry point of ``gapsvt``:
 
 A run times its set-up in fresh interpreters, runs one warm-up cycle so that
 caches fill, then whole timed cycles until ``--seconds`` have passed (at
-least three).  Every cycle repeats the same inputs, so every count must
-repeat exactly.
+least three), then the workload's untimed checks.  Every cycle repeats the
+same inputs, so every count must repeat exactly.
 
 Each block is timed by its fastest cycle.  On the shared two-core reference
 machine the same block varies by up to 1.7x from cycle to cycle and a run's
@@ -23,11 +23,14 @@ moved by up to 38% between runs where throughput moved by 20%.
 
 With tracing on, odd cycles run with the hooks of ``tracer.gapsvt_hooks``
 installed and even ones without, so one run gives both the per-layer split
-and the tracing overhead.
+and the tracing overhead.  Every per-layer metric is measured on every
+workload; ``meta.json`` predicts which of them are 0 where, and the run
+prints whether that prediction holds.
 """
 
 from __future__ import annotations
 
+import fnmatch
 import gc
 import json
 import math
@@ -38,7 +41,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -59,10 +62,11 @@ from gapsvt import (
     tv_distance,
     verifier,
 )
-from tracer import Tracer, gapsvt_hooks, layer_breakdown
+from tracer import Tracer, gapsvt_hooks
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 MIN_CYCLES = 3
+SETUP_REPS = 5
 
 
 @dataclass
@@ -125,7 +129,7 @@ class TrialsWorkload:
         trials = next(iter(reports.values())).trials
         return Outcome(not failing, trials, counts, f"failing suites {failing}" if failing else "")
 
-    def drills(self):
+    def untimed_checks(self):
         """Each injected alignment corruption is caught, and its witness
         replays from its serialized inputs alone."""
         out = []
@@ -176,7 +180,7 @@ class EnumWorkload:
         counts = {"verifier.enum_grid_points": points, "verifier.enum_outputs": report.checks_run}
         return Outcome(ok, points, counts, f"verdict {report.verdict}, truncation {report.truncation_loss}")
 
-    def drills(self):
+    def untimed_checks(self):
         return []
 
 
@@ -201,6 +205,9 @@ def tv_bound(ref: OutputDistribution, samples: int, failure_prob: float = 1e-9) 
     mean = 0.5 * sum(math.sqrt(p * (1.0 - p) / samples) for p in ref.masses.values())
     mean += ref.truncation_loss
     return mean + math.sqrt(math.log(1.0 / failure_prob) / (2.0 * samples))
+
+
+PRODUCTION_CHUNK = 1 << 20  # mc_output_dist's default chunk, used by criterion 5
 
 
 class McDlapWorkload:
@@ -242,14 +249,24 @@ class McDlapWorkload:
                 out.append(Block(f"{mechanism}#{stream}", call, lambda dist, ref=ref: self._check(dist, ref)))
         return out
 
-    def _check(self, dist, ref):
+    def _check(self, dist, ref, samples=CHUNK):
         tv = tv_distance(ref, dist)
-        bound = tv_bound(ref, self.CHUNK)
+        bound = tv_bound(ref, samples)
         counts = {"verifier.mc_outputs": len(dist.masses)}
-        return Outcome(tv <= bound, self.CHUNK, counts, f"TV {tv:.3e} vs bound {bound:.3e}")
+        return Outcome(tv <= bound, samples, counts, f"TV {tv:.3e} vs bound {bound:.3e}")
 
-    def drills(self):
-        return []
+    def untimed_checks(self):
+        """One call per instance at the production chunk of criterion 5, so
+        that ``peak_rss_mb`` sees the kernel and keying arrays of a full
+        chunk; its TV distance is checked like a block's."""
+        out = []
+        for i, ((mechanism, w), ref) in enumerate(zip(self.CASES, self.refs)):
+            dist = verifier.mc_output_dist(
+                mechanism, w, Side.D, PRODUCTION_CHUNK, seed=(self.seed, i, self.STREAMS), kind=NoiseKind.DLAP
+            )
+            outcome = self._check(dist, ref, PRODUCTION_CHUNK)
+            out.append((outcome.ok, f"{mechanism} at {PRODUCTION_CHUNK} samples: {outcome.detail}"))
+        return out
 
 
 class McLaplaceWorkload:
@@ -309,8 +326,20 @@ class McLaplaceWorkload:
         ok = all(a[1] >= sigma for key in dist.meta["counts"] for a in key if a != "bot" and a[0] == "first")
         return self._outcome(dist, ok, "first-branch gap below sigma")
 
-    def drills(self):
-        return []
+    # One untimed chunk of this size, so that ``peak_rss_mb`` sees the kernel
+    # arrays and the per-row keys of a large chunk.  Not the production
+    # 2^20: nearly every real-valued sample is an output of its own, so the
+    # counts grow with the samples: 2^20 of them take about 600 MB and 9 s on
+    # the two-core reference machine.
+    PROBE_SAMPLES = 1 << 18
+
+    def untimed_checks(self):
+        dist = verifier.mc_output_dist(
+            SVT_GAP, self.W_SVT, Side.D, self.PROBE_SAMPLES, seed=(self.seed, 0, self.STREAMS),
+            kind=NoiseKind.LAPLACE, chunk=self.PROBE_SAMPLES,
+        )
+        ok = all(a[1] >= 0 for key in dist.meta["counts"] for a in key if a != "bot")
+        return [(ok, f"svt-gap at {self.PROBE_SAMPLES} samples released no negative gap")]
 
 
 WORKLOADS = {cls.name: cls for cls in (TrialsWorkload, EnumWorkload, McDlapWorkload, McLaplaceWorkload)}
@@ -340,14 +369,9 @@ class CycleRecord:
     summary: object = None  # tracer.SpanSummary of a traced cycle
 
 
-@contextmanager
-def _no_span(name, layer):
-    yield
-
-
 def run_cycle(blocks, checks: Checks, tracer: Tracer | None = None) -> CycleRecord:
     times, works, counts = [], [], Counter()
-    span = tracer.span if tracer is not None else _no_span
+    span = tracer.span if tracer is not None else lambda name, layer: nullcontext()
     gc.collect()  # every cycle starts from the same collector state
     with tracer.installed() if tracer is not None else nullcontext():
         start = time.perf_counter()
@@ -404,7 +428,7 @@ class Result:
     info: list  # human-readable lines
 
 
-def run(name, seed, seconds, trace, root, setup_reps=3, cycles=None) -> Result:
+def run(name, seed, seconds, trace, root, setup_reps=SETUP_REPS, cycles=None) -> Result:
     if seed < 0:
         raise ValueError("seed must be >= 0")
     cls = WORKLOADS[name]
@@ -427,7 +451,7 @@ def run(name, seed, seconds, trace, root, setup_reps=3, cycles=None) -> Result:
     n = len(records)
     for i, rec in enumerate(records):
         checks.record(rec.counts == warm.counts, f"cycle {i} counts differ from the warm-up cycle's")
-    for ok, what in workload.drills():
+    for ok, what in workload.untimed_checks():
         checks.record(ok, what)
 
     plain = [r for r in records if r.summary is None]
@@ -452,7 +476,7 @@ def run(name, seed, seconds, trace, root, setup_reps=3, cycles=None) -> Result:
         counts["core.draw_tape_calls"] = first.calls["core.draw_tape"]
         counts["mechanisms.run_calls"] = first.calls["mechanisms.run"]
         traced_per_s = sum(warm.works) / sum(best_times(traced))
-        per_layer = layer_metrics(name, traced, counts, traced_per_s / work_per_s)
+        per_layer = layer_metrics(traced, counts, traced_per_s / work_per_s)
 
     failed = len(checks.failures)
     info = [
@@ -470,6 +494,9 @@ def run(name, seed, seconds, trace, root, setup_reps=3, cycles=None) -> Result:
             best_s = sum(best[b] for b in idx)
             median_s = sum(statistics.median(r.times[b] for r in plain) for b in idx)
             info.append(f"trial_us.{mechanism} = {best_s * 1e6 / trials!r} us best, {median_s * 1e6 / trials!r} us median")
+    if per_layer:
+        violations = no_work_violations(name, per_layer)
+        info.append(f"no-work prediction of meta.json: {'nonzero ' + ', '.join(violations) if violations else 'holds'}")
     info += [f"count {k} = {v}" for k, v in sorted(counts.items())]
     info += [f"check failed: {what}" for what in checks.failures[:20]]
     return Result(end_to_end, per_layer, counts, checks.attempted, checks.failures, info)
@@ -489,112 +516,121 @@ END_TO_END = ("setup_s", "work_per_s", "peak_rss_mb")
 # Per-layer metrics of a traced run
 
 
+def _us_per_unit(ns, n):
+    """Microseconds per unit of work: per trial, grid point or sample."""
+    return ns / 1e3 / n["bench.cycle_work"]
+
+
+def _ratio(a, b):
+    return a / b if b else 0.0
+
+
 def _per_layer_table():
-    """(name, unit, workloads it applies to, value from a Ctx).  On other
-    workloads the metric is 0: the layer does no such work there."""
-    T, E, MD, ML = "trials", "enum", "mc-dlap", "mc-laplace"
-    MC = (MD, ML)
-    ALL = (T, E, MD, ML)
+    """(name, unit, value of one traced cycle).  Every metric is computed
+    from the spans and counts of every workload; a layer that does no such
+    work reports 0 because no span or count of it was recorded.  The value
+    is a function of the cycle's ``SpanSummary`` ``s``, its counts ``n``
+    (hook counts, block counts and ``bench.cycle_work``) and its wall time."""
+
+    def incl_us(name):
+        return lambda s, n, wall: _us_per_unit(s.inclusive_ns[name], n)
+
+    def incl_s(name):
+        return lambda s, n, wall: s.inclusive_ns[name] / 1e9
+
+    def self_s(*names):
+        return lambda s, n, wall: sum(s.self_ns[x] for x in names) / 1e9
+
+    def self_us(*names):
+        return lambda s, n, wall: _us_per_unit(sum(s.self_ns[x] for x in names), n)
+
+    def layer_s(layer):
+        return lambda s, n, wall: s.layer_self_ns[layer] / 1e9
+
+    def count(name):
+        return lambda s, n, wall: n[name]
+
+    def countability_hit_ratio(s, n, wall):
+        """Structural trials whose second tape gave the same index sets (so
+        the shift was rebuilt and compared), over structural trials."""
+        attempts = s.pair_calls[("verifier.structural_trial", "core.draw_tape")]
+        shifts = s.pair_calls[("verifier.structural_trial", "alignments.shift")]
+        return _ratio(shifts - attempts, attempts)
+
     return [
-        ("core.draw_tape_us", "us/trial", (T,), lambda c: c.per_trial(c.inclusive("core.draw_tape"))),
-        ("core.draw_tape_calls", "count/cycle", (T,), lambda c: c.calls("core.draw_tape")),
-        ("core.check_workload_calls", "count/cycle", ALL, lambda c: c.count("core.check_workload_calls")),
-        ("mechanisms.run_us", "us/trial", (T,), lambda c: c.per_trial(c.inclusive("mechanisms.run"))),
-        ("mechanisms.run_calls", "count/trial", (T,), lambda c: c.calls("mechanisms.run") / c.work),
-        ("alignments.align_us", "us/trial", (T,), lambda c: c.per_trial(c.inclusive("alignments.align"))),
-        ("alignments.cost_us", "us/trial", (T,), lambda c: c.per_trial(c.inclusive("alignments.cost"))),
-        ("alignments.closed_form_us", "us/trial", (T,), lambda c: c.per_trial(c.inclusive("alignments.closed_form"))),
-        ("alignments.shift_us", "us/trial", (T,), lambda c: c.per_trial(c.inclusive("alignments.shift"))),
-        ("alignments.index_sets_us", "us/trial", (T,), lambda c: c.per_trial(c.inclusive("alignments.index_sets"))),
-        ("verifier.trial_rng_us", "us/trial", (T,), lambda c: c.per_trial(c.inclusive("verifier.trial_rng"))),
-        ("verifier.generate_us", "us/trial", (T,), lambda c: c.per_trial(c.inclusive("verifier.generate_workload"))),
-        ("verifier.trial_self_us", "us/trial", (T,), lambda c: c.per_trial(c.layer_self("verifier"))),
-        ("verifier.checks_run.align", "count/cycle", (T,), lambda c: c.count("verifier.checks_run.align")),
-        ("verifier.checks_run.cost", "count/cycle", (T,), lambda c: c.count("verifier.checks_run.cost")),
-        ("verifier.checks_run.structural", "count/cycle", (T,), lambda c: c.count("verifier.checks_run.structural")),
-        ("verifier.countability_hit_ratio", "ratio", (T,), lambda c: c.countability_hit_ratio()),
-        ("vectorized.kernel_s", "s/cycle", (E,) + MC, lambda c: c.inclusive("vectorized.kernel")),
-        ("vectorized.kernel_calls", "count/cycle", (E,) + MC, lambda c: c.count("vectorized.kernel_calls")),
-        ("vectorized.kernel_rows", "count/cycle", (E,) + MC, lambda c: c.count("vectorized.kernel_rows")),
-        ("vectorized.kernel_max_rows", "rows", (E,) + MC, lambda c: c.count("vectorized.kernel_max_rows")),
-        ("vectorized.kernel_bytes_computed", "B/cycle", (E,) + MC, lambda c: c.count("vectorized.kernel_bytes_computed")),
-        ("vectorized.encode_s", "s/cycle", (E, MD), lambda c: c.inclusive("vectorized.encode")),
-        ("vectorized.decode_calls", "count/cycle", (E, MD), lambda c: c.count("vectorized.decode_calls")),
-        ("vectorized.canonical_rows_s", "s/cycle", (ML,), lambda c: c.inclusive("vectorized.canonical_rows")),
-        ("verifier.enum_self_s", "s/cycle", (E,), lambda c: c.span_self("verifier.enumerate_output_dist")),
-        ("verifier.enum_grid_points", "count/cycle", (E,), lambda c: c.count("verifier.enum_grid_points")),
-        ("verifier.enum_outputs", "count/cycle", (E,), lambda c: c.count("verifier.enum_outputs")),
+        ("core.draw_tape_us", "us/unit", incl_us("core.draw_tape")),
+        ("core.draw_tape_calls", "count/cycle", lambda s, n, wall: s.calls["core.draw_tape"]),
+        ("core.check_workload_calls", "count/cycle", count("core.check_workload_calls")),
+        ("mechanisms.run_us", "us/unit", incl_us("mechanisms.run")),
+        ("mechanisms.run_calls", "count/unit", lambda s, n, wall: s.calls["mechanisms.run"] / n["bench.cycle_work"]),
+        ("alignments.align_us", "us/unit", incl_us("alignments.align")),
+        ("alignments.cost_us", "us/unit", incl_us("alignments.cost")),
+        ("alignments.closed_form_us", "us/unit", incl_us("alignments.closed_form")),
+        ("alignments.shift_us", "us/unit", incl_us("alignments.shift")),
+        ("alignments.index_sets_us", "us/unit", incl_us("alignments.index_sets")),
+        ("verifier.trial_rng_us", "us/unit", incl_us("verifier.trial_rng")),
+        ("verifier.generate_us", "us/unit", incl_us("verifier.generate_workload")),
+        ("verifier.trial_self_us", "us/unit", self_us("verifier.run_trial_suites", "verifier.structural_trial")),
+        ("verifier.checks_run.align", "count/cycle", count("verifier.checks_run.align")),
+        ("verifier.checks_run.cost", "count/cycle", count("verifier.checks_run.cost")),
+        ("verifier.checks_run.structural", "count/cycle", count("verifier.checks_run.structural")),
+        ("verifier.countability_hit_ratio", "ratio", countability_hit_ratio),
+        ("vectorized.kernel_s", "s/cycle", incl_s("vectorized.kernel")),
+        ("vectorized.kernel_calls", "count/cycle", count("vectorized.kernel_calls")),
+        ("vectorized.kernel_rows", "count/cycle", count("vectorized.kernel_rows")),
+        ("vectorized.kernel_max_rows", "rows", count("vectorized.kernel_max_rows")),
+        ("vectorized.kernel_bytes_computed", "B/cycle", count("vectorized.kernel_bytes_computed")),
+        ("vectorized.encode_s", "s/cycle", incl_s("vectorized.encode")),
+        ("vectorized.decode_calls", "count/cycle", count("vectorized.decode_calls")),
+        ("vectorized.canonical_rows_s", "s/cycle", incl_s("vectorized.canonical_rows")),
+        ("verifier.enum_self_s", "s/cycle", self_s("verifier.enumerate_output_dist")),
+        ("verifier.enum_grid_points", "count/cycle", count("verifier.enum_grid_points")),
+        ("verifier.enum_outputs", "count/cycle", count("verifier.enum_outputs")),
         (
             "verifier.enum_points_per_output",
             "ratio",
-            (E,),
-            lambda c: c.count("verifier.enum_grid_points") / c.count("verifier.enum_outputs"),
+            lambda s, n, wall: _ratio(n["verifier.enum_grid_points"], n["verifier.enum_outputs"]),
         ),
-        ("verifier.loss_s", "s/cycle", (E,), lambda c: c.inclusive("verifier.max_privacy_loss")),
-        ("verifier.mc_draw_s", "s/cycle", MC, lambda c: c.inclusive("verifier.draw_block")),
-        ("verifier.mc_self_s", "s/cycle", MC, lambda c: c.span_self("verifier.mc_output_dist")),
-        ("verifier.mc_outputs", "count/cycle", MC, lambda c: c.count("verifier.mc_outputs")),
-        ("core.self_s", "s/cycle", (T,), lambda c: c.layer_self("core")),
-        ("mechanisms.self_s", "s/cycle", (T,), lambda c: c.layer_self("mechanisms")),
-        ("alignments.self_s", "s/cycle", (T,), lambda c: c.layer_self("alignments")),
-        ("vectorized.self_s", "s/cycle", (E,) + MC, lambda c: c.layer_self("vectorized")),
-        ("verifier.self_s", "s/cycle", ALL, lambda c: c.layer_self("verifier")),
-        ("bench.self_s", "s/cycle", ALL, lambda c: c.layer_self("bench")),
-        ("bench.cycle_work", "count/cycle", ALL, lambda c: c.work),
-        ("trace.wall_s", "s/cycle", ALL, lambda c: c.wall),
-        ("trace.accounted_frac", "ratio", ALL, lambda c: sum(c.layers.values()) / c.wall),
+        ("verifier.loss_s", "s/cycle", incl_s("verifier.max_privacy_loss")),
+        ("verifier.mc_draw_s", "s/cycle", incl_s("verifier.draw_block")),
+        ("verifier.mc_self_s", "s/cycle", self_s("verifier.mc_output_dist")),
+        ("verifier.mc_outputs", "count/cycle", count("verifier.mc_outputs")),
+        ("core.self_s", "s/cycle", layer_s("core")),
+        ("mechanisms.self_s", "s/cycle", layer_s("mechanisms")),
+        ("alignments.self_s", "s/cycle", layer_s("alignments")),
+        ("vectorized.self_s", "s/cycle", layer_s("vectorized")),
+        ("verifier.self_s", "s/cycle", layer_s("verifier")),
+        ("bench.self_s", "s/cycle", layer_s("bench")),
+        ("bench.cycle_work", "count/cycle", count("bench.cycle_work")),
+        ("trace.wall_s", "s/cycle", lambda s, n, wall: wall),
+        ("trace.accounted_frac", "ratio", lambda s, n, wall: sum(s.layer_self_ns.values()) / 1e9 / wall),
     ]
 
 
 PER_LAYER = _per_layer_table()
 PER_LAYER_NAMES = tuple(row[0] for row in PER_LAYER) + ("trace.overhead_frac",)
+TIME_UNITS = ("us/unit", "s/cycle")
 
 
-class Ctx:
-    """Accessors over one traced cycle."""
-
-    def __init__(self, record: CycleRecord, counts: dict):
-        self.s = record.summary
-        self.wall = record.wall
-        self.layers = layer_breakdown(self.s)
-        self.counts = {**counts, **self.s.counts}
-        self.work = counts["bench.cycle_work"]
-
-    def inclusive(self, name):
-        return self.s.inclusive_ns[name] / 1e9
-
-    def span_self(self, name):
-        return self.s.self_ns[name] / 1e9
-
-    def layer_self(self, layer):
-        return self.layers[layer]
-
-    def calls(self, name):
-        return self.s.calls[name]
-
-    def count(self, name):
-        return self.counts.get(name, 0)
-
-    def per_trial(self, seconds):
-        return seconds * 1e6 / self.work
-
-    def countability_hit_ratio(self):
-        """Structural trials whose second tape gave the same index sets (so
-        the shift was rebuilt and compared), over structural trials."""
-        attempts = self.s.pair_calls[("verifier.structural_trial", "core.draw_tape")]
-        shifts = self.s.pair_calls[("verifier.structural_trial", "alignments.shift")]
-        return (shifts - attempts) / attempts
-
-
-def layer_metrics(name: str, traced: list, counts: dict, traced_share: float) -> dict:
+def layer_metrics(traced: list, counts: dict, traced_share: float) -> dict:
     out = {}
-    ctxs = [Ctx(r, counts) for r in traced]
-    for metric, unit, applies, fn in PER_LAYER:
-        if name not in applies:
-            out[metric] = (0, unit)
-            continue
-        values = [fn(c) for c in ctxs]
+    for metric, unit, fn in PER_LAYER:
+        values = [fn(r.summary, Counter({**counts, **r.summary.counts}), r.wall) for r in traced]
         # times: the fastest traced cycle, as for the blocks; counts repeat
-        out[metric] = (min(values) if unit in ("us/trial", "s/cycle") else statistics.median_low(values), unit)
+        out[metric] = (min(values) if unit in TIME_UNITS else statistics.median_low(values), unit)
     out["trace.overhead_frac"] = (1.0 - traced_share, "ratio")
     return out
+
+
+def no_work_prediction(name: str) -> list:
+    """The per-layer metric patterns ``meta.json`` predicts to be 0 on a
+    workload: layers that do no such work there."""
+    with open(os.path.join(HERE, "meta.json")) as fh:
+        return json.load(fh)["workloads"][name]["no_work"]
+
+
+def no_work_violations(name: str, per_layer: dict) -> list:
+    """Per-layer metrics that the no-work prediction covers but that
+    measured nonzero."""
+    patterns = no_work_prediction(name)
+    return [m for m, (v, _) in per_layer.items() if v != 0 and any(fnmatch.fnmatchcase(m, p) for p in patterns)]

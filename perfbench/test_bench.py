@@ -3,10 +3,11 @@
     python3 -m pytest perfbench/test_bench.py -q
 
 Every count the benchmark records must repeat exactly for a given seed, in
-the untraced and in the traced run, and the metric names must match
-BENCHMARK.json.
+the untraced and in the traced run; the no-work prediction of meta.json must
+hold; and the metric names must match BENCHMARK.json.
 """
 
+import fnmatch
 import json
 import os
 
@@ -57,6 +58,16 @@ def test_counts_repeat_exactly(workload):
         assert traced[0][name] > 0, name
 
 
+@pytest.mark.parametrize("workload", sorted(bench.WORKLOADS))
+def test_no_work_prediction_holds(workload):
+    """Every metric meta.json predicts to be 0 on a workload is measured
+    there and is 0; each pattern of the prediction names some metric."""
+    patterns = bench.no_work_prediction(workload)
+    for pattern in patterns:
+        assert fnmatch.filter(bench.PER_LAYER_NAMES, pattern), pattern
+    assert bench.no_work_violations(workload, _run(workload, True).per_layer) == []
+
+
 def test_traced_run_reports_every_per_layer_metric():
     result = _run("mc-dlap", True)
     assert set(result.per_layer) == set(bench.PER_LAYER_NAMES)
@@ -68,7 +79,7 @@ def test_metric_names_match_benchmark_json():
         spec = json.load(fh)
     assert [m["name"] for m in spec["end_to_end"]] == list(bench.END_TO_END)
     assert [m["name"] for m in spec["per_layer"]] == list(bench.PER_LAYER_NAMES)
-    units = {name: unit for name, unit, _, _ in bench.PER_LAYER}
+    units = {name: unit for name, unit, _ in bench.PER_LAYER}
     units["trace.overhead_frac"] = "ratio"
     assert {m["name"]: m["unit"] for m in spec["per_layer"]} == units
     assert sorted(w["name"] for w in spec["workloads"]) == sorted(bench.WORKLOADS)

@@ -170,10 +170,3 @@ def gapsvt_hooks():
         (V, "canonical_rows", "vectorized.canonical_rows", "vectorized", None),
     ]
 
-
-LAYERS = ("core", "mechanisms", "alignments", "vectorized", "verifier", "bench")
-
-
-def layer_breakdown(summary: SpanSummary) -> dict:
-    """Self time per layer in seconds (``bench`` is the benchmark's own code)."""
-    return {layer: summary.layer_self_ns[layer] / 1e9 for layer in LAYERS}
