@@ -12,14 +12,20 @@ caches fill, then whole timed cycles until ``--seconds`` have passed (at
 least three), then the workload's untimed checks.  Every cycle repeats the
 same inputs, so every count must repeat exactly.
 
-Each block is timed by its fastest cycle.  On the shared two-core reference
-machine the same block varies by up to 1.7x from cycle to cycle and a run's
-median by about 25% from run to run, through load outside the process, while
-the best of many repeats moves by about 10%.  Throughput is the work of a
-cycle over the sum of the blocks' best times.  The median and tail of the
-best times over the blocks of a cycle, i.e. over inputs, are printed as
-``block_ms_p50`` and ``block_ms_tail`` but are not end-to-end metrics: they
-moved by up to 38% between runs where throughput moved by 20%.
+The end-to-end throughput ``work_per_ref`` is measured against a fixed
+calibration routine, ``reference``, that runs between groups of blocks in
+every cycle.  On the shared two-core reference machine load outside the
+process slows all code by up to 1.7x for minutes at a time, so raw
+throughput moved by up to 21% between sets of runs taken minutes apart,
+while ``work_per_ref`` moved by at most 9%.  ``work_per_ref`` is the work of
+a cycle over its median cost in reference runs, over the untraced cycles:
+per cycle, the sum over its groups of each group's time over the mean of
+the two reference runs around it.  ``setup_s`` is scaled the same way, see
+``time_setup``.  The raw figures are printed beside them: ``setup_wall_s``;
+throughput as work over the sum of each block's fastest time, named
+``trials_per_s``, ``grid_points_per_s`` or ``samples_per_s``; and the median
+and tail of the blocks' fastest times as ``block_ms_p50`` and
+``block_ms_tail``.
 
 With tracing on, odd cycles run with the hooks of ``tracer.gapsvt_hooks``
 installed and even ones without, so one run gives both the per-layer split
@@ -93,6 +99,7 @@ class TrialsWorkload:
 
     name = "trials"
     work_unit = "trials"
+    GROUP = 23  # blocks between reference runs: one round of the mix
     # acceptance fixture ratio svt-gap : adaptive-gap : svt = 10 : 10 : 3
     MIX = ((SVT_GAP, 10), (ADAPTIVE_GAP, 10), (SVT_CLASSIC, 3))
     ROUNDS = 4
@@ -148,6 +155,7 @@ class EnumWorkload:
 
     name = "enum"
     work_unit = "grid points"
+    GROUP = 1
     # (mechanism, index into default_enumeration_instances)
     SUBSET = (
         (SVT_CLASSIC, 1),  # n=2, 5.4 M points, 3 outputs
@@ -216,6 +224,7 @@ class McDlapWorkload:
 
     name = "mc-dlap"
     work_unit = "samples"
+    GROUP = 3  # one noise stream of the three instances
     CHUNK = 1 << 15
     STREAMS = 4  # chunks per instance and cycle, each from its own noise stream
     CASES = (
@@ -276,6 +285,7 @@ class McLaplaceWorkload:
 
     name = "mc-laplace"
     work_unit = "samples"
+    GROUP = 3  # one noise stream: svt-gap, svt and adaptive-gap
     CHUNK = 1 << 13
     STREAMS = 4  # chunks per mechanism and cycle, each from its own noise stream
     SIGMA = 2.0
@@ -360,6 +370,55 @@ class Checks:
             self.failures.append(what)
 
 
+_REF_RNG = np.random.default_rng(0)
+_REF_LARGE = _REF_RNG.random(1 << 19)  # 4 MiB, beyond the 4 MiB L2 with its temporaries
+_REF_SMALL = _REF_RNG.random(1 << 12)
+_REF_INTS = _REF_RNG.integers(0, 4096, 1 << 14)
+
+
+class _RefPoint:
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+
+
+def reference() -> None:
+    """The calibration routine ``work_per_ref`` is measured in: about 12 ms
+    on the reference machine of the kinds of work the program does, each a
+    few ms: an interpreted loop with dict stores, object and tuple creation,
+    numpy arithmetic on small (cache-resident) and large arrays, and a
+    sort-based ``np.unique``.  It is fixed and calls nothing of gapsvt."""
+    table, acc = {}, 0
+    for i in range(20000):
+        acc += i * i
+        table[i & 255] = acc
+    rows = []
+    for i in range(3000):
+        p = _RefPoint(i, (i, i + 1))
+        rows.append((p.a, p.b[1], str(i)[:1]))
+    sorted(rows[:1000])
+    x = _REF_SMALL
+    for _ in range(60):
+        ((x * 1.5 + 2.0) * x).sum()
+        np.exp(x)
+    x = _REF_LARGE
+    float(((x * 1.5 + 2.0) * x).sum() + np.exp(x[: 1 << 17]).sum())
+    np.unique(_REF_INTS)
+
+
+def timed_reference() -> float:
+    t0 = time.perf_counter()
+    reference()
+    return time.perf_counter() - t0
+
+
+# Nominal seconds of one reference run: ``setup_s`` is set-up time at the
+# host speed where a reference run takes this long (8-14 ms on the
+# reference machine, depending on load outside the process).
+REF_S = 0.010
+
+
 @dataclass
 class CycleRecord:
     times: list  # seconds per block
@@ -367,31 +426,51 @@ class CycleRecord:
     counts: Counter
     wall: float
     summary: object = None  # tracer.SpanSummary of a traced cycle
+    ref_times: list = None  # seconds per reference run
+    cost_in_refs: float = None  # sum over groups of their time over the mean of the reference runs around them
 
 
-def run_cycle(blocks, checks: Checks, tracer: Tracer | None = None) -> CycleRecord:
-    times, works, counts = [], [], Counter()
+def run_cycle(blocks, checks: Checks, tracer: Tracer | None = None, group: int = 0) -> CycleRecord:
+    """One pass over the blocks.  With ``group``, ``reference`` runs before
+    the first block and after every ``group`` blocks (and the last), traced
+    or not, so that traced and untraced cycles compare; its runs are outside
+    ``wall`` and outside every span."""
+    times, works, counts, refs = [], [], Counter(), []
     span = tracer.span if tracer is not None else lambda name, layer: nullcontext()
+    calibrate = group > 0
     gc.collect()  # every cycle starts from the same collector state
     with tracer.installed() if tracer is not None else nullcontext():
-        start = time.perf_counter()
-        for block in blocks:
+        wall = 0.0
+        for i, block in enumerate(blocks):
+            if calibrate and i % group == 0:
+                refs.append(timed_reference())
             t0 = time.perf_counter()
             result = block.call()
             times.append(time.perf_counter() - t0)
             with span("bench.check", "bench"):
                 outcome = block.check(result)
+            wall += time.perf_counter() - t0
             checks.record(outcome.ok, f"{block.label}: {outcome.detail}")
             works.append(outcome.work)
             counts.update(outcome.counts)
-        wall = time.perf_counter() - start
-    return CycleRecord(times, works, counts, wall, tracer.drain() if tracer is not None else None)
+        cost = None
+        if calibrate:
+            refs.append(timed_reference())
+            cost = sum(
+                sum(times[g * group : (g + 1) * group]) / ((refs[g] + refs[g + 1]) / 2) for g in range(len(refs) - 1)
+            )
+    return CycleRecord(times, works, counts, wall, tracer.drain() if tracer is not None else None, refs, cost)
 
 
 def time_setup(name: str, seed: int, root: str, reps: int):
-    """Wall time of import plus set-up, each in a fresh interpreter."""
+    """Wall time of import plus set-up, each in a fresh interpreter, and the
+    same at nominal host speed: scaled by ``REF_S`` over the mean of the
+    reference runs just before and after it.  Set-up time follows the host's
+    speed as the blocks do; raw, its set medians moved by up to 29%."""
     cmd = [sys.executable, os.path.join(HERE, "prepare.py"), name, str(seed)]
-    times, prepared = [], None
+    times, scaled, prepared = [], [], None
+    reference()  # untimed: the first run pays for cold caches
+    ref = timed_reference()
     for _ in range(reps):
         t0 = time.perf_counter()
         proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=170)
@@ -399,7 +478,10 @@ def time_setup(name: str, seed: int, root: str, reps: int):
         if proc.returncode != 0:
             raise RuntimeError(f"set-up of {name} failed:\n{proc.stderr}")
         prepared = json.loads(proc.stdout.strip().splitlines()[-1])
-    return times, prepared
+        ref_after = timed_reference()
+        scaled.append(times[-1] * REF_S / ((ref + ref_after) / 2))
+        ref = ref_after
+    return times, scaled, prepared
 
 
 def best_times(records) -> list:
@@ -432,7 +514,7 @@ def run(name, seed, seconds, trace, root, setup_reps=SETUP_REPS, cycles=None) ->
     if seed < 0:
         raise ValueError("seed must be >= 0")
     cls = WORKLOADS[name]
-    setup_times, prepared = time_setup(name, seed, root, setup_reps)
+    setup_times, setup_scaled, prepared = time_setup(name, seed, root, setup_reps)
     workload = cls(seed, prepared)
     blocks = workload.blocks()
     checks = Checks()
@@ -447,7 +529,7 @@ def run(name, seed, seconds, trace, root, setup_reps=SETUP_REPS, cycles=None) ->
     records = []
     start = time.perf_counter()
     while len(records) < n_min or (cycles is None and time.perf_counter() - start < seconds):
-        records.append(run_cycle(blocks, checks, tracer if trace and len(records) % 2 else None))
+        records.append(run_cycle(blocks, checks, tracer if trace and len(records) % 2 else None, cls.GROUP))
     n = len(records)
     for i, rec in enumerate(records):
         checks.record(rec.counts == warm.counts, f"cycle {i} counts differ from the warm-up cycle's")
@@ -459,9 +541,11 @@ def run(name, seed, seconds, trace, root, setup_reps=SETUP_REPS, cycles=None) ->
     best = best_times(plain)
     tail_s, tail_pct = tail(best)
     work_per_s = sum(warm.works) / sum(best)
+    cost_in_refs = statistics.median(r.cost_in_refs for r in plain)
+    ref_ms = statistics.median(t for r in plain for t in r.ref_times) * 1e3
     end_to_end = {
-        "setup_s": (statistics.median(setup_times), "s"),
-        "work_per_s": (work_per_s, "1/s"),
+        "setup_s": (statistics.median(setup_scaled), "s"),
+        "work_per_ref": (sum(warm.works) / cost_in_refs, "1/ref"),
         "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "MB"),
     }
     counts = dict(warm.counts)
@@ -482,7 +566,9 @@ def run(name, seed, seconds, trace, root, setup_reps=SETUP_REPS, cycles=None) ->
     info = [
         f"workload {name}: seed {seed}, {len(blocks)} blocks per cycle of {counts['bench.cycle_work']} "
         f"{cls.work_unit}, 1 warm-up + {n} timed cycles ({len(traced)} traced), set-up x{len(setup_times)}",
-        f"{THROUGHPUT_ALIAS[name]} = {work_per_s!r} 1/s",
+        f"setup_wall_s = {statistics.median(setup_times)!r} s (raw, see setup_s)",
+        f"{THROUGHPUT_ALIAS[name]} = {work_per_s!r} 1/s (raw, see work_per_ref)",
+        f"reference_ms = {ref_ms!r} ms, median of {sum(len(r.ref_times) for r in plain)} reference runs",
         f"block_ms_p50 = {statistics.median(best) * 1e3!r} ms, block_ms_tail = {tail_s * 1e3!r} ms "
         f"(p{tail_pct:.4g}) over {len(best)} blocks, each the best of {len(plain)} cycles",
         f"failed_frac = {failed / checks.attempted!r} ({failed} of {checks.attempted} checks)",
@@ -509,7 +595,7 @@ THROUGHPUT_ALIAS = {
     "mc-laplace": "samples_per_s",
 }
 
-END_TO_END = ("setup_s", "work_per_s", "peak_rss_mb")
+END_TO_END = ("setup_s", "work_per_ref", "peak_rss_mb")
 
 
 # ---------------------------------------------------------------------------
