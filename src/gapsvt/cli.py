@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Sequence
@@ -119,6 +120,25 @@ def load_tape_file(path: str, layout: TapeLayout, n_queries: int) -> NoiseTape:
     return NoiseTape(data["threshold"], per, layout)
 
 
+def _dumps(obj, **kwargs) -> str:
+    """Strict JSON: a non-finite number is a data error, never ``Infinity``."""
+    try:
+        return json.dumps(obj, allow_nan=False, **kwargs)
+    except ValueError:
+        raise GapSvtError("the result holds a non-finite number; the workload values are too large for float arithmetic")
+
+
+def _finite_floats(x):
+    """``x`` with every non-finite float replaced by its name, e.g. ``"inf"``."""
+    if isinstance(x, float) and not math.isfinite(x):
+        return str(x)
+    if isinstance(x, dict):
+        return {k: _finite_floats(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite_floats(v) for v in x]
+    return x
+
+
 def _answer_json(mechanism: str, answer) -> dict:
     if not answer.top:
         return {"bot": True, "gap": 0} if mechanism == ADAPTIVE_GAP else {"bot": True}
@@ -170,7 +190,7 @@ def cmd_run(args) -> int:
                 ],
             }
         if args.format == "json":
-            print(json.dumps(record, separators=(",", ":")))
+            print(_dumps(record, separators=(",", ":")))
         else:
             trace = " ".join(_answer_text(a) for a in result.output)
             print(f"run seed={record_seed} side={side.value}: {trace}")
@@ -250,12 +270,20 @@ def cmd_verify(args) -> int:
         payload = reports[0].to_json_dict()
     else:
         payload = {"verdict": verdict, "suites": [r.to_json_dict() for r in reports]}
-    print(json.dumps(payload, indent=2, default=str))
+    # a report may hold an infinite log ratio; it is a verdict, not a data error
+    print(_dumps(_finite_floats(payload), indent=2, default=str))
     return 0 if verdict == "pass" else 1
 
 
 def _default_seed() -> int:
     return int(os.environ.get("GAPSVT_SEED", "0"))
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -270,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--workload", required=True, help="path to a workload JSON file")
     p_run.add_argument("--side", choices=("d", "dprime"), default="d")
     p_run.add_argument("--seed", type=int, default=_default_seed())
-    p_run.add_argument("--runs", type=int, default=1)
+    p_run.add_argument("--runs", type=_positive_int, default=1)
     p_run.add_argument("--format", choices=("json", "text"), default="json")
     p_run.add_argument("--tape", help=argparse.SUPPRESS)  # inject explicit noise values
     p_run.set_defaults(func=cmd_run)
@@ -302,7 +330,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GapSvtError, OSError, ValueError) as e:
+    except (GapSvtError, OSError, ValueError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -22,7 +22,6 @@ from .errors import (
     LayoutMismatch,
     NonPositiveBudget,
     SensitivityViolation,
-    TapeExhausted,
 )
 
 
@@ -119,24 +118,60 @@ class Workload:
         )
 
 
+def _finite(x) -> bool:
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _non_finite_field(w: Workload) -> str | None:
+    """Name of the first number of ``w`` that is not a finite float, if any."""
+    for name in ("threshold", "epsilon", "sigma"):
+        x = getattr(w, name)
+        if x is not None and not _finite(x):
+            return name
+    for i, p in enumerate(w.pairs):
+        for j, x in enumerate((p.value_d, p.value_dprime)):
+            if not _finite(x):
+                return f"pairs[{i}][{j}]"
+    return None
+
+
 def check_workload(w: Workload) -> Workload:
     """Gate every consumer of a workload behind the structural invariants.
 
     Raises the first violation found; returns the workload unchanged when it
-    is valid so call sites can chain on it.
+    is valid so call sites can chain on it.  Every number must be a finite
+    float: NaN, infinities and ints beyond the float range are rejected with
+    the field named.
     """
     if len(w.pairs) == 0:
         raise EmptyWorkload("workload has no query pairs")
+    isfinite = math.isfinite
+    bad_pair = None
+    try:
+        finite = isfinite(w.threshold) and isfinite(w.epsilon) and (w.sigma is None or isfinite(w.sigma))
+        for i, p in enumerate(w.pairs):
+            a, b = p.value_d, p.value_dprime
+            if not (abs(a - b) <= 1 and isfinite(a) and isfinite(b)):
+                bad_pair = i
+                break
+    except OverflowError:
+        finite = False
+    if not finite or bad_pair is not None:
+        field = _non_finite_field(w)
+        if field is not None:
+            raise DomainError(f"field {field!r} must be a finite number")
     if not w.epsilon > 0:
         raise NonPositiveBudget(f"epsilon must be positive, got {w.epsilon}")
     if w.k < 1:
         raise NonPositiveBudget(f"k must be >= 1, got {w.k}")
     if w.sigma is not None and w.sigma < 0:
         raise NonPositiveBudget(f"sigma must be >= 0, got {w.sigma}")
-    for i, p in enumerate(w.pairs):
-        delta = p.value_d - p.value_dprime
-        if not abs(delta) <= 1:
-            raise SensitivityViolation(i, delta)
+    if bad_pair is not None:
+        p = w.pairs[bad_pair]
+        raise SensitivityViolation(bad_pair, p.value_d - p.value_dprime)
     return w
 
 
@@ -263,9 +298,6 @@ class NoiseTape:
     def __len__(self) -> int:
         return len(self.per_query)
 
-    def cursor(self) -> "TapeCursor":
-        return TapeCursor(self)
-
     def flat(self) -> tuple[float, ...]:
         """Tape coordinates in consumption order (threshold first)."""
         if self.layout is TapeLayout.SINGLE:
@@ -274,39 +306,6 @@ class NoiseTape:
         for a, b in self.per_query:
             out.extend((a, b))
         return tuple(out)
-
-
-class TapeCursor:
-    """Sequential reader over a tape that counts consumed scalar draws."""
-
-    def __init__(self, tape: NoiseTape):
-        self._tape = tape
-        self._index = 0
-        self.consumed = 0  # scalar draws read so far, threshold included
-
-    def take_threshold(self) -> float:
-        self.consumed += 1
-        return self._tape.threshold_noise
-
-    def take_single(self) -> float:
-        if self._tape.layout is not TapeLayout.SINGLE:
-            raise LayoutMismatch("single draw requested from a paired tape")
-        if self._index >= len(self._tape.per_query):
-            raise TapeExhausted(f"tape has only {len(self._tape.per_query)} per-query entries")
-        value = self._tape.per_query[self._index]
-        self._index += 1
-        self.consumed += 1
-        return value
-
-    def take_pair(self) -> tuple[float, float]:
-        if self._tape.layout is not TapeLayout.PAIRED:
-            raise LayoutMismatch("paired draw requested from a single-layout tape")
-        if self._index >= len(self._tape.per_query):
-            raise TapeExhausted(f"tape has only {len(self._tape.per_query)} per-query entries")
-        first, second = self._tape.per_query[self._index]
-        self._index += 1
-        self.consumed += 2
-        return first, second
 
 
 # ---------------------------------------------------------------------------

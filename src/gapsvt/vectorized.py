@@ -13,7 +13,10 @@ Per-tape answers are encoded positionally: 0 = not emitted (run had ended),
 1 = below threshold, and for positive answers ``branch_code + 4 * gap``
 where branch_code is 2 for plain/first and 3 for second.  Integer workloads
 with integer tapes make the gap exact, so encoded rows are exact output
-identifiers.
+identifiers.  ``int_row_keys`` folds each encoded row into one exact int64
+key for a chunk: the columns are packed in a mixed radix of their spans, and
+the running key is replaced by its dense rank whenever the next column would
+overflow int64, so equal keys mean equal rows for every input.
 """
 
 from __future__ import annotations
@@ -133,6 +136,42 @@ def encode_int_rows(mechanism: str, status: np.ndarray, gaps: np.ndarray) -> np.
         top = status >= STATUS_TOP
         codes = np.where(top, codes + 4 * gi, codes)
     return codes
+
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _dense_rank(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """Order-preserving dense rank of a 1-D array and the number of ranks."""
+    uniq, inverse = np.unique(a, return_inverse=True)
+    return inverse.astype(np.int64, copy=False), len(uniq)
+
+
+def int_row_keys(codes: np.ndarray) -> np.ndarray:
+    """One int64 key per row of a 2-D integer array, equal exactly for equal
+    rows and ordered like the rows lexicographically.
+
+    Columns are packed left to right, each shifted to start at 0 and
+    multiplied in by its span ``max - min + 1``.  When that product would
+    pass int64, the running key is first replaced by its dense rank, which
+    is below the row count; a column whose own span is still too large is
+    ranked too.  Both ranks keep the order, so the key stays exact."""
+    codes = np.asarray(codes, dtype=np.int64)
+    rows, cols = codes.shape
+    key = np.zeros(rows, dtype=np.int64)
+    radix = 1  # every key lies in [0, radix)
+    for j in range(cols):
+        col = codes[:, j]
+        lo = int(col.min())
+        span = int(col.max()) - lo + 1
+        if radix * span > _INT64_MAX:
+            key, radix = _dense_rank(key)
+            if radix * span > _INT64_MAX:
+                col, span = _dense_rank(col)
+                lo = 0
+        key = key * span + (col - lo)
+        radix *= span
+    return key
 
 
 def decode_row(mechanism: str, row) -> tuple:

@@ -66,7 +66,7 @@ from .mechanisms import (
     svt_gap_run,
     tape_layout_for,
 )
-from .vectorized import canonical_rows, decode_row, encode_int_rows, run_status_gaps
+from .vectorized import canonical_rows, decode_row, encode_int_rows, int_row_keys, run_status_gaps
 
 GAP_TOL = 1e-9  # per-gap equality tolerance for real-valued workloads
 COST_TOL = 1e-12
@@ -808,6 +808,13 @@ def mc_output_dist(
 ) -> OutputDistribution:
     """Empirical output distribution from vectorized sampling.
 
+    Samples run through the array kernels ``chunk`` rows at a time.  Integer
+    outputs (discrete noise on an integer workload) are keyed per chunk by
+    one exact int64 per row (``int_row_keys``, which rank-compresses the
+    running key before it could overflow); one representative row per key
+    is decoded to the canonical output.  Real-valued outputs are keyed row
+    by row with gaps rounded to ``gap_ndigits``.
+
     ``scale_epsilon_factor`` is a self-test hook: it rescales the noise as
     if the budget were ``factor * epsilon`` while everything else (including
     the adaptive guard) still believes in ``epsilon``, which breaks the
@@ -839,9 +846,8 @@ def mc_output_dist(
             status, gaps = run_status_gaps(mechanism, w, side, budget, eta0, etaq)
         if int_outputs:
             codes = encode_int_rows(mechanism, status, gaps)
-            uniq, inverse = np.unique(codes, axis=0, return_inverse=True)
-            tallies = np.bincount(inverse)
-            for row, c in zip(uniq, tallies.tolist()):
+            _, first, tallies = np.unique(int_row_keys(codes), return_index=True, return_counts=True)
+            for row, c in zip(codes[first].tolist(), tallies.tolist()):
                 counts[decode_row(mechanism, row)] += c
         else:
             for key in canonical_rows(mechanism, status, gaps, gap_ndigits):

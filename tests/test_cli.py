@@ -1,9 +1,12 @@
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gapsvt.cli import emit_workload, load_workload_dict, main
 from gapsvt.core import Side, Workload
+from gapsvt.errors import GapSvtError
 from gapsvt.mechanisms import run_sampled
 
 
@@ -21,9 +24,21 @@ GOLDEN = {"pairs": [[5, 4], [3, 3], [7, 7]], "threshold": 4, "k": 2, "epsilon": 
 
 
 def run_cli(capsys, argv):
-    code = main(argv)
+    try:
+        code = main(argv)
+    except SystemExit as e:  # argparse usage errors
+        code = e.code
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def strict_json_lines(out: str) -> list:
+    """Every stdout line parsed as strict JSON (no NaN or Infinity)."""
+    return [json.loads(line, parse_constant=_reject_constant) for line in out.splitlines()]
 
 
 class TestRunCommand:
@@ -169,6 +184,121 @@ class TestWorkloadFileValidation:
                    "sigma": 1.5, "noise": "dlap"}
         w2, kind2 = load_workload_dict(payload)
         assert emit_workload(w2, kind2) == payload
+
+
+class TestInputGate:
+    """Non-finite numbers are data errors (exit 2) naming the field, and
+    stdout never carries a NaN or an Infinity."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("epsilon", float("inf")),
+            ("epsilon", float("nan")),
+            ("threshold", float("nan")),
+            ("threshold", float("-inf")),
+            ("sigma", float("nan")),
+            ("pairs", [[5, 4], [float("inf"), float("inf")]]),
+            ("pairs", [[float("nan"), 1]]),
+            ("threshold", 10**400),
+        ],
+    )
+    def test_non_finite_field_exits_2(self, capsys, workload_file, field, value):
+        payload = {**GOLDEN, "sigma": 2, field: value}
+        code, out, err = run_cli(
+            capsys, ["run", "--mechanism", "adaptive-gap", "--workload", workload_file(payload)]
+        )
+        assert code == 2
+        assert out == ""
+        assert field in err and "finite" in err
+
+    def test_overflowing_gap_is_a_data_error_not_infinity(self, capsys, workload_file):
+        payload = {**GOLDEN, "pairs": [[1e308, 1e308]], "threshold": -1e308}
+        code, out, err = run_cli(
+            capsys, ["run", "--mechanism", "svt-gap", "--workload", workload_file(payload), "--seed", "1"]
+        )
+        assert code == 2
+        assert "Infinity" not in out and out == ""
+        assert "non-finite" in err
+
+    @pytest.mark.parametrize("runs", ["0", "-3"])
+    def test_runs_below_one_is_a_usage_error(self, capsys, workload_file, runs):
+        code, out, err = run_cli(
+            capsys,
+            ["run", "--mechanism", "svt-gap", "--workload", workload_file(GOLDEN), "--runs", runs],
+        )
+        assert code == 2
+        assert out == ""
+        assert "--runs" in err
+
+    @pytest.mark.parametrize("epsilon", ["inf", "nan"])
+    def test_budget_rejects_unusable_epsilon(self, capsys, epsilon):
+        code, out, err = run_cli(capsys, ["budget", "--epsilon", epsilon, "--k", "1", "--mechanism", "adaptive-gap"])
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+
+    def test_infinite_log_ratio_keeps_the_verdict_and_strict_json(self, capsys, workload_file):
+        # at epsilon 2000 the integer noise underflows to 0: the outputs on
+        # the two sides are disjoint and the log ratio is infinite
+        payload = {"pairs": [[1, 0]], "threshold": 0, "k": 1, "epsilon": 2000, "noise": "dlap"}
+        code, out, _ = run_cli(
+            capsys,
+            ["verify", "--suite", "dp-exact", "--mechanism", "svt-gap", "--workload", workload_file(payload)],
+        )
+        assert code == 1
+        report = json.loads(out, parse_constant=_reject_constant)
+        assert report["verdict"] == "fail"
+        assert report["max_log_ratio"] == "inf"
+
+
+# JSON values a workload file may hold where a number belongs
+_MALFORMED = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), 1e308, -1e308, 5e-324, 10**400, -(10**400)]),
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+    st.lists(st.integers(min_value=-3, max_value=3), max_size=3),
+)
+_FIELDS = ("threshold", "epsilon", "sigma", "k", "pair")
+
+
+class TestMalformedInputFuzz:
+    @settings(
+        max_examples=200,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        mechanism=st.sampled_from(["svt-gap", "svt", "adaptive-gap"]),
+        noise=st.sampled_from(["laplace", "dlap"]),
+        edits=st.dictionaries(st.sampled_from(_FIELDS), _MALFORMED, min_size=1, max_size=3),
+        side=st.integers(min_value=0, max_value=1),
+    )
+    def test_exit_code_is_0_or_2_and_stdout_is_strict_json(self, capsys, tmp_path, mechanism, noise, edits, side):
+        payload = {"pairs": [[5, 4], [3, 3]], "threshold": 4, "k": 1, "epsilon": 1.0, "sigma": 2, "noise": noise}
+        for name, value in edits.items():
+            if name == "pair":
+                payload["pairs"] = [[5, 4], [value, value] if side else [3, value]]
+            else:
+                payload[name] = value
+        try:
+            load_workload_dict(json.loads(json.dumps(payload)))
+        except GapSvtError:
+            pass
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(payload))
+        code, out, _ = run_cli(
+            capsys, ["run", "--mechanism", mechanism, "--workload", str(path), "--seed", "5", "--runs", "2"]
+        )
+        assert code in (0, 2)
+        if any(isinstance(v, float) and not math.isfinite(v) for v in edits.values()):
+            assert code == 2
+        records = strict_json_lines(out)
+        if code == 0:
+            assert len(records) == 2
 
 
 class TestBudgetCommand:

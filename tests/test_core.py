@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from gapsvt import (
     NonPositiveBudget,
     LayoutMismatch,
     SensitivityViolation,
-    TapeExhausted,
     TapeLayout,
     Workload,
     check_workload,
@@ -59,6 +59,22 @@ class TestCheckWorkload:
     def test_nonpositive_epsilon(self):
         with pytest.raises(NonPositiveBudget):
             check_workload(Workload.from_values([(1, 1)], 0, 1, 0.0))
+
+    @pytest.mark.parametrize(
+        "w, field",
+        [
+            (Workload.from_values([(1, 1)], math.nan, 1, 1.0), "threshold"),
+            (Workload.from_values([(1, 1)], 0, 1, math.inf), "epsilon"),
+            (Workload.from_values([(1, 1)], 0, 1, math.nan), "epsilon"),
+            (Workload.from_values([(1, 1)], 0, 1, 1.0, sigma=math.nan), "sigma"),
+            (Workload.from_values([(1, 1), (math.inf, math.inf)], 0, 1, 1.0), "pairs[1][0]"),
+            (Workload.from_values([(1, math.nan)], 0, 1, 1.0), "pairs[0][1]"),
+            (Workload.from_values([(10**400, 10**400)], 0, 1, 1.0), "pairs[0][0]"),
+        ],
+    )
+    def test_non_finite_number_named(self, w, field):
+        with pytest.raises(DomainError, match=re.escape(repr(field))):
+            check_workload(w)
 
     def test_bad_k_and_sigma(self):
         with pytest.raises(NonPositiveBudget):
@@ -202,31 +218,6 @@ class TestDiscreteLaplacePmf:
         assert b == 0 or discrete_laplace_tail(b - 1, scale) >= tol
 
 
-class TestTapeCursor:
-    def test_exhaustion_is_hard_error(self):
-        tape = NoiseTape(0.0, (1.0, 2.0))
-        cur = tape.cursor()
-        cur.take_threshold()
-        cur.take_single()
-        cur.take_single()
-        with pytest.raises(TapeExhausted):
-            cur.take_single()
-
-    def test_layout_mismatch(self):
-        single = NoiseTape(0.0, (1.0,))
-        with pytest.raises(LayoutMismatch):
-            single.cursor().take_pair()
-        paired = NoiseTape(0.0, ((1.0, 2.0),), TapeLayout.PAIRED)
-        with pytest.raises(LayoutMismatch):
-            paired.cursor().take_single()
-
-    def test_consumed_counts_scalars(self):
-        paired = NoiseTape(0.0, ((1.0, 2.0), (3.0, 4.0)), TapeLayout.PAIRED)
-        cur = paired.cursor()
-        cur.take_threshold()
-        cur.take_pair()
-        assert cur.consumed == 3
-
-    def test_flat_order(self):
-        paired = NoiseTape(9.0, ((1.0, 2.0), (3.0, 4.0)), TapeLayout.PAIRED)
-        assert paired.flat() == (9.0, 1.0, 2.0, 3.0, 4.0)
+def test_flat_order():
+    paired = NoiseTape(9.0, ((1.0, 2.0), (3.0, 4.0)), TapeLayout.PAIRED)
+    assert paired.flat() == (9.0, 1.0, 2.0, 3.0, 4.0)

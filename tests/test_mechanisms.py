@@ -263,6 +263,11 @@ class TestRunMechanism:
                 run_mechanism(mechanism, w, wrong_layout)
         with pytest.raises(TapeExhausted):
             run_mechanism(ADAPTIVE_GAP, w, zero_paired(1))
+        # single layout: k = 2 does not stop after the first answer, so the
+        # second query reads past a 1-entry tape
+        single = Workload.from_values([(5, 4), (6, 6)], 4, 2, 1.0)
+        with pytest.raises(TapeExhausted):
+            run_mechanism(SVT_GAP, single, zero_single(1))
         # a run that stops before the end of a short tape does not read past it
         stop = Workload.from_values([(10, 9), (0, 0)], 4, 1, 1.0, sigma=2)
         assert len(run_mechanism(ADAPTIVE_GAP, stop, zero_paired(1)).output) == 1

@@ -1,6 +1,8 @@
 import json
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from gapsvt import (
@@ -32,7 +34,7 @@ from gapsvt import (
     run_mechanism,
     tv_distance,
 )
-from gapsvt import verifier
+from gapsvt import vectorized, verifier
 from gapsvt.verifier import run_trial_suites, trial_rng
 
 
@@ -239,7 +241,88 @@ class TestPrivacyLoss:
         assert not loss.material_one_sided()
 
 
+def _assert_keys_order_like_rows(codes):
+    """int_row_keys groups and orders rows exactly as row-wise np.unique does;
+    an int64 overflow in the packing breaks the order even without a collision."""
+    _, inverse = np.unique(codes, axis=0, return_inverse=True)
+    _, key_inverse = np.unique(vectorized.int_row_keys(codes), return_inverse=True)
+    assert key_inverse.tolist() == inverse.ravel().tolist()
+
+
+def _row_unique_oracle(mechanism, chunks) -> Counter:
+    """Counts keyed the old way: row-wise np.unique over each chunk's codes."""
+    counts = Counter()
+    for codes in chunks:
+        uniq, tallies = np.unique(codes, axis=0, return_counts=True)
+        for row, c in zip(uniq, tallies.tolist()):
+            counts[vectorized.decode_row(mechanism, row)] += c
+    return counts
+
+
+# the three criterion-5 instances, then wider ones: n = 6 at epsilon 0.3
+# overflows a plain mixed radix, and an adaptive workload with 5 queries
+_MC_CASES = [
+    (SVT_GAP, Workload.from_values([(1, 0), (0, 1)], 0, 1, 1.0)),
+    (SVT_CLASSIC, Workload.from_values([(0, 1), (1, 0)], 0, 1, 1.0)),
+    (ADAPTIVE_GAP, Workload.from_values([(6, 5)], 4, 1, 1.0, sigma=2)),
+    (SVT_GAP, Workload.from_values([(3, 2), (0, 1), (5, 5), (1, 0), (2, 2), (4, 3)], 2, 6, 0.3)),
+    (ADAPTIVE_GAP, Workload.from_values([(2, 1), (1, 1), (0, 1), (3, 3), (5, 4)], 1, 3, 2.0, sigma=1)),
+]
+
+
 class TestMonteCarlo:
+    @pytest.mark.parametrize("case", range(len(_MC_CASES)))
+    def test_counts_equal_row_unique_oracle(self, case, monkeypatch):
+        mechanism, w = _MC_CASES[case]
+        chunks, ranked = [], []
+        encode, rank = verifier.encode_int_rows, vectorized._dense_rank
+
+        def spy_encode(*args):
+            chunks.append(encode(*args))
+            return chunks[-1]
+
+        def spy_rank(a):
+            ranked.append(len(a))
+            return rank(a)
+
+        monkeypatch.setattr(verifier, "encode_int_rows", spy_encode)
+        monkeypatch.setattr(vectorized, "_dense_rank", spy_rank)
+        # 7000-row chunks split 30000 samples unevenly: 4 full chunks and 2000 rows
+        dist = mc_output_dist(mechanism, w, Side.D, 30_000, seed=(5, case), chunk=7_000)
+        assert [len(c) for c in chunks] == [7_000] * 4 + [2_000]
+        assert dist.meta["counts"] == _row_unique_oracle(mechanism, chunks)
+        assert sum(dist.meta["counts"].values()) == 30_000
+        if len(w) == 6:
+            assert ranked, "the n=6 instance must go through the rank-compression step"
+        for codes in chunks:
+            _assert_keys_order_like_rows(codes)
+
+    def test_int_row_keys_hand_built_rows(self):
+        big = np.iinfo(np.int64).max
+        codes = np.array(
+            [
+                [1, 0, big, 3],
+                [1, 0, big, 3],
+                [1, 0, -big - 1, 3],
+                [2, 4 * 10**17 + 2, 0, 0],
+                [2, 4 * 10**17 + 2, 0, 1],
+                [1, 0, big, 2],
+                [-5, 1 << 62, 7, 7],
+                [2, 4 * 10**17 + 2, 0, 0],
+            ],
+            dtype=np.int64,
+        )
+        assert vectorized.int_row_keys(codes).dtype == np.int64
+        _assert_keys_order_like_rows(codes)
+
+    def test_int_row_keys_wide_random_rows(self):
+        rng = np.random.default_rng(3)
+        # 12 columns spanning 2^40 each cannot share one mixed radix
+        codes = rng.integers(-(1 << 39), 1 << 39, size=(500, 12))
+        codes[250:] = codes[:250]  # every row appears twice
+        codes[::7, 5] = 0
+        _assert_keys_order_like_rows(codes)
+
     def test_mc_deterministic(self):
         w = Workload.from_values([(1, 0)], 0, 1, 1.0)
         a = mc_output_dist(SVT_GAP, w, Side.D, 10**4, seed=8)
