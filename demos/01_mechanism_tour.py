@@ -16,7 +16,7 @@ from gapsvt import (
     adaptive_svt_gap_run,
     budget_split_adaptive,
     budget_split_svt,
-    run_sampled,
+    sample_run,
     svt_classic_run,
     svt_gap_run,
 )
@@ -42,7 +42,8 @@ print("(the classic variant is the gap variant with gaps erased)")
 
 print("\n== real noise, still deterministic given the seed ==")
 for seed in (1, 2, 1):
-    out = run_sampled(SVT_GAP, w, Side.D, seed)
+    result, _ = sample_run(SVT_GAP, w, Side.D, seed)
+    out = result.output
     print(f"seed={seed}: {out}")
 
 print("\n== adaptive variant: two attempts per query ==")

@@ -137,9 +137,8 @@ def align_svt_gap(
 ) -> NoiseTape:
     """Rewrite a single-layout tape so the run on the other side reproduces
     ``omega``: threshold draw up by one, positive-answer draws up by
-    ``1 + delta_i``, everything else untouched."""
-    if tape.layout is not TapeLayout.SINGLE:
-        raise LayoutMismatch("align_svt_gap needs a single-layout tape")
+    ``1 + delta_i``, everything else untouched.  A paired tape raises
+    LayoutMismatch."""
     shift = shift_for_output(omega, w.deltas(), TapeLayout.SINGLE, mutation, mutation_value)
     return shift.apply(tape)
 
@@ -152,9 +151,8 @@ def align_adaptive(
     mutation_value: float = 2.0,
 ) -> NoiseTape:
     """Paired-layout rewrite: first-branch positives shift their first draw,
-    second-branch positives their second draw, both by ``1 + delta_i``."""
-    if tape.layout is not TapeLayout.PAIRED:
-        raise LayoutMismatch("align_adaptive needs a paired-layout tape")
+    second-branch positives their second draw, both by ``1 + delta_i``.  A
+    single-layout tape raises LayoutMismatch."""
     shift = shift_for_output(omega, w.deltas(), TapeLayout.PAIRED, mutation, mutation_value)
     return shift.apply(tape)
 

@@ -83,19 +83,6 @@ def load_workload_file(path: str) -> tuple[Workload, NoiseKind]:
     return load_workload_dict(data)
 
 
-def emit_workload(w: Workload, kind: NoiseKind) -> dict:
-    out = {
-        "pairs": [[p.value_d, p.value_dprime] for p in w.pairs],
-        "threshold": w.threshold,
-        "k": w.k,
-        "epsilon": w.epsilon,
-        "noise": kind.value,
-    }
-    if w.sigma is not None:
-        out["sigma"] = w.sigma
-    return out
-
-
 def load_tape_file(path: str, layout: TapeLayout, n_queries: int) -> NoiseTape:
     with open(path, "r", encoding="utf-8") as fh:
         try:

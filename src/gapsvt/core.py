@@ -61,12 +61,6 @@ class QueryPair:
     def delta(self) -> float:
         return self.value_d - self.value_dprime
 
-    def value(self, side: Side) -> float:
-        return self.value_d if side is Side.D else self.value_dprime
-
-    def swapped(self) -> "QueryPair":
-        return QueryPair(self.value_dprime, self.value_d)
-
 
 @dataclass(frozen=True)
 class Workload:

@@ -260,11 +260,8 @@ def adaptive_svt_gap_run(
     by at least sigma (cheap answer), otherwise a narrow-noise second test
     must clear it at all (expensive answer).  Below-threshold answers are
     free; the run stops once the ledger cannot afford a worst-case query."""
-    check_workload(w)
-    if w.sigma is None:
-        raise GapSvtError("adaptive mechanism requires workload.sigma")
-    out, ledger, _ = _adaptive_run(w, budget, tape, side)
-    return out, ledger
+    result = run_mechanism(ADAPTIVE_GAP, w, tape, side, budget)
+    return result.output, result.ledger
 
 
 def _adaptive_run(w: Workload, budget: AdaptiveBudget, tape: NoiseTape, side: Side):
@@ -331,11 +328,8 @@ def run_mechanism(
     budget: AdaptiveBudget | None = None,
 ) -> RunResult:
     """Dispatch a deterministic run and capture the consumed-draw count."""
-    if mechanism == SVT_GAP:
-        out, consumed = _svt_run(w, tape, side, with_gap=True)
-        return RunResult(out, consumed)
-    if mechanism == SVT_CLASSIC:
-        out, consumed = _svt_run(w, tape, side, with_gap=False)
+    if mechanism in (SVT_GAP, SVT_CLASSIC):
+        out, consumed = _svt_run(w, tape, side, with_gap=mechanism == SVT_GAP)
         return RunResult(out, consumed)
     if mechanism == ADAPTIVE_GAP:
         check_workload(w)
@@ -354,17 +348,6 @@ def default_budget(mechanism: str, w: Workload):
     return budget_split_svt(w.epsilon, w.k)
 
 
-@lru_cache(maxsize=4096)
-def _cached_noise_spec(mechanism: str, epsilon: float, k: int, kind: NoiseKind) -> NoiseSpec:
-    if mechanism == ADAPTIVE_GAP:
-        return budget_split_adaptive(epsilon, k).noise_spec(kind)
-    return budget_split_svt(epsilon, k).noise_spec(kind)
-
-
-def default_noise_spec(mechanism: str, w: Workload, kind: NoiseKind = NoiseKind.LAPLACE) -> NoiseSpec:
-    return _cached_noise_spec(mechanism, w.epsilon, w.k, kind)
-
-
 def sample_run(
     mechanism: str,
     w: Workload,
@@ -375,18 +358,7 @@ def sample_run(
     """Sample a tape at the mechanism's scales and run; fully determined by
     the seed."""
     check_workload(w)
-    spec = default_noise_spec(mechanism, w, kind)
+    spec = default_budget(mechanism, w).noise_spec(kind)
     rng = np.random.default_rng(seed)
     tape = draw_tape(spec, tape_layout_for(mechanism), len(w), rng)
     return run_mechanism(mechanism, w, tape, side), tape
-
-
-def run_sampled(
-    mechanism: str,
-    w: Workload,
-    side: Side,
-    seed,
-    kind: NoiseKind = NoiseKind.LAPLACE,
-) -> OutputSequence:
-    result, _ = sample_run(mechanism, w, side, seed, kind)
-    return result.output

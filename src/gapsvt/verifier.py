@@ -11,9 +11,9 @@ Three families of evidence, in increasing strength on small instances:
 * a Monte Carlo estimator used both to cross-check the enumeration and as a
   falsification heuristic on instances too large to enumerate.
 
-Failures are reported as replayable witnesses, never exceptions: a fail
-report carries the workload, the tape and both outputs, and
-``replay_witness`` re-triggers the violation from those alone.
+Failures are reported as witnesses, never exceptions: a fail report
+carries the workload, the tape and both outputs, and ``replay_witness``
+re-triggers soundness, cost and dp-exact violations from those alone.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .alignments import (
     index_sets,
     shift_for_output,
 )
+from .core import _draw as _draw_block  # the one noise sampler; the benchmark tracer hooks this name
 from .core import (
     NoiseKind,
     NoiseSpec,
@@ -70,6 +71,9 @@ from .vectorized import canonical_rows, decode_row, encode_int_rows, int_row_key
 
 GAP_TOL = 1e-9  # per-gap equality tolerance for real-valued workloads
 COST_TOL = 1e-12
+GAP_NDIGITS = 9  # Monte Carlo rounds real-valued gaps to this many digits before keying
+ENUM_BLOCK = 1 << 20  # most grid points one batch enumeration step evaluates at once
+PADDED_SLACK = 1e-4  # dp-exact tolerance on the tau-padded log ratio above epsilon
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +291,37 @@ def _trial_setup(plan: TrialPlan, idx: int):
 
 
 # ---------------------------------------------------------------------------
+# Check predicates, shared by the trial loop and witness replay
+
+
+def _soundness_failure(mechanism: str, w: Workload, omega, aligned: NoiseTape, budget, exact: bool):
+    """The run on side D' with the aligned tape must reproduce ``omega``
+    (exactly on integer workloads, per gap to GAP_TOL otherwise).  Returns
+    that run's output when it does not, else None."""
+    again = run_mechanism(mechanism, w, aligned, Side.DPRIME, budget).output
+    return None if outputs_equal(omega, again, exact) else again
+
+
+def _cost_failure(mechanism: str, w: Workload, tape, aligned, result, budget, weights, exact: bool):
+    """``(cost, failure)`` for the alignment of the run ``result`` on
+    (w, tape, D): its generic weighted L1 cost, which must stay within
+    epsilon and equal the closed form (exactly on integer workloads), and
+    the first broken predicate, the adaptive ledger's included, or None."""
+    omega = result.output
+    cost = alignment_cost(tape, aligned, weights)
+    closed = cost_closed_form(index_sets(omega), w.deltas(), weights)
+    if cost > w.epsilon + COST_TOL:
+        return cost, f"alignment cost {cost} exceeds epsilon {w.epsilon}"
+    if exact and closed != cost:
+        return cost, f"closed-form cost {closed} != generic cost {cost} on an integer workload"
+    if not exact and abs(closed - cost) > COST_TOL:
+        return cost, f"closed-form cost {closed} deviates from generic cost {cost}"
+    if mechanism == ADAPTIVE_GAP:
+        return cost, _verify_ledger(w, budget, omega, result.ledger)
+    return cost, None
+
+
+# ---------------------------------------------------------------------------
 # Randomized suites
 
 TRIAL_SUITES = ("align", "cost", "structural")
@@ -327,10 +362,10 @@ def run_trial_suites(plan: TrialPlan, suites=TRIAL_SUITES) -> dict:
                 omega = result.output
                 aligned = align(tape, omega, ww, plan.mutation, plan.mutation_value)
                 if "align" in active:
-                    again = run_mechanism(plan.mechanism, ww, aligned, Side.DPRIME, budget).output
                     report = reports["align"]
                     report.checks_run += 1
-                    if not outputs_equal(omega, again, exact):
+                    again = _soundness_failure(plan.mechanism, ww, omega, aligned, budget, exact)
+                    if again is not None:
                         _record_failure(
                             report,
                             plan,
@@ -346,19 +381,9 @@ def run_trial_suites(plan: TrialPlan, suites=TRIAL_SUITES) -> dict:
                         )
                 if "cost" in active:
                     report = reports["cost"]
-                    cost = alignment_cost(tape, aligned, weights)
-                    closed = cost_closed_form(index_sets(omega), ww.deltas(), weights)
+                    cost, failure = _cost_failure(plan.mechanism, ww, tape, aligned, result, budget, weights, exact)
                     report.max_cost = max(report.max_cost, cost)
                     report.checks_run += 1
-                    failure = None
-                    if cost > ww.epsilon + COST_TOL:
-                        failure = f"alignment cost {cost} exceeds epsilon {ww.epsilon}"
-                    elif exact and closed != cost:
-                        failure = f"closed-form cost {closed} != generic cost {cost} on an integer workload"
-                    elif not exact and abs(closed - cost) > COST_TOL:
-                        failure = f"closed-form cost {closed} deviates from generic cost {cost}"
-                    elif plan.mechanism == ADAPTIVE_GAP:
-                        failure = _verify_ledger(ww, budget, omega, result.ledger)
                     if failure is not None:
                         _record_failure(
                             report,
@@ -454,13 +479,6 @@ def _verify_ledger(w: Workload, budget: AdaptiveBudget, omega: OutputSequence, l
     return None
 
 
-def check_cost_bound(plan: TrialPlan) -> PrivacyReport:
-    """Over the same trial stream: the weighted L1 size of every alignment
-    stays within epsilon, the structural closed form agrees with the generic
-    computation, and the adaptive ledger is exactly consistent."""
-    return run_trial_suites(plan, ("cost",))["cost"]
-
-
 def _structural_trial(report, plan, idx, rng, w, kind, budget, spec, tape, layout, forward=None):
     """``forward`` is the run on (w, tape, D) when the caller has made it."""
     result = forward if forward is not None else run_mechanism(plan.mechanism, w, tape, Side.D, budget)
@@ -513,49 +531,30 @@ def _structural_trial(report, plan, idx, rng, w, kind, budget, spec, tape, layou
         )
 
 
-def check_structural_conditions(plan: TrialPlan) -> PrivacyReport:
-    """Executable side conditions: runs terminate within the query count and
-    consume exactly one draw plus one (or one pair) per emitted answer; the
-    shift vector is a function of the index sets and deltas alone; and the
-    gap variant erased equals the classic variant on every shared tape."""
-    return run_trial_suites(plan, ("structural",))["structural"]
-
-
 def replay_witness(witness: Witness) -> bool:
-    """Re-run a recorded failure from its serialized inputs alone.
+    """Re-run a recorded failure from its serialized inputs alone, through
+    the predicates that recorded it; True when the violation reproduces.
 
-    Returns True when the violation reproduces."""
+    ``soundness`` and ``cost`` witnesses replay their tape; ``dp-exact``
+    re-runs ``check_dp_exact`` on the workload at the default grid budget
+    and tail.  ``structural`` and ``dp-mc`` raise DomainError: the first
+    needs the trial's second tape, the second the seed and sample count,
+    and a witness carries neither."""
     w = _deserialize_workload(witness.workload)
+    if witness.kind == "dp-exact":
+        return not check_dp_exact(witness.mechanism, w)[0].passed
+    if witness.kind not in ("soundness", "cost"):
+        raise DomainError(f"cannot replay witness kind {witness.kind!r}")
     tape = _deserialize_tape(witness.tape)
-    budget = default_budget(witness.mechanism, w)
+    kind = NoiseKind(witness.noise)
+    exact = kind is NoiseKind.DLAP
+    budget, _, weights = _budget_and_spec(witness.mechanism, w.epsilon, w.k, kind)
     mutation = Mutation(witness.mutation) if witness.mutation else None
-    align = _align_for(witness.mechanism)
     result = run_mechanism(witness.mechanism, w, tape, Side.D, budget)
-    omega = result.output
-    exact = witness.noise == NoiseKind.DLAP.value
+    aligned = _align_for(witness.mechanism)(tape, result.output, w, mutation, witness.mutation_value)
     if witness.kind == "soundness":
-        aligned = align(tape, omega, w, mutation, witness.mutation_value)
-        again = run_mechanism(witness.mechanism, w, aligned, Side.DPRIME, budget).output
-        return not outputs_equal(omega, again, exact)
-    if witness.kind == "cost":
-        aligned = align(tape, omega, w, mutation, witness.mutation_value)
-        weights = (
-            CostWeights.for_adaptive(budget)
-            if witness.mechanism == ADAPTIVE_GAP
-            else CostWeights.for_svt(budget)
-        )
-        cost = alignment_cost(tape, aligned, weights)
-        closed = cost_closed_form(index_sets(omega), w.deltas(), weights)
-        if cost > w.epsilon + COST_TOL:
-            return True
-        if exact and closed != cost:
-            return True
-        if not exact and abs(closed - cost) > COST_TOL:
-            return True
-        if witness.mechanism == ADAPTIVE_GAP:
-            return _verify_ledger(w, budget, omega, result.ledger) is not None
-        return False
-    raise DomainError(f"cannot replay witness kind {witness.kind!r}")
+        return _soundness_failure(witness.mechanism, w, result.output, aligned, budget, exact) is not None
+    return _cost_failure(witness.mechanism, w, tape, aligned, result, budget, weights, exact)[1] is not None
 
 
 # ---------------------------------------------------------------------------
@@ -588,33 +587,25 @@ def _require_integer_workload(w: Workload) -> None:
 
 @dataclass(frozen=True)
 class _Axis:
-    role: str
-    scale: float
     bound: int
     values: np.ndarray
     pmf: np.ndarray
     tail: float
 
 
-def _make_axis(role: str, scale: float, box: int | None, per_draw_tail: float) -> _Axis:
+def _make_axis(scale: float, box: int | None, per_draw_tail: float) -> _Axis:
     bound = box if box is not None else discrete_laplace_box(scale, per_draw_tail)
     values = np.arange(-bound, bound + 1, dtype=np.int64)
     alpha = math.exp(-1.0 / scale)
     pmf = (1.0 - alpha) / (1.0 + alpha) * alpha ** np.abs(values)
-    return _Axis(role, scale, bound, values, pmf, discrete_laplace_tail(bound, scale))
+    return _Axis(bound, values, pmf, discrete_laplace_tail(bound, scale))
 
 
 def _enum_axes(mechanism: str, w: Workload, spec: NoiseSpec, box: int | None, per_draw_tail: float):
     """Axes in tape-consumption order: threshold, then per-query roles."""
-    n = len(w)
-    if mechanism == ADAPTIVE_GAP:
-        th = _make_axis("threshold", spec.scales["threshold"], box, per_draw_tail)
-        f = _make_axis("query_first", spec.scales["query_first"], box, per_draw_tail)
-        s = _make_axis("query_second", spec.scales["query_second"], box, per_draw_tail)
-        return [th] + [f, s] * n
-    th = _make_axis("threshold", spec.scales["threshold"], box, per_draw_tail)
-    q = _make_axis("query", spec.scales["query"], box, per_draw_tail)
-    return [th] + [q] * n
+    query_roles = ("query_first", "query_second") if mechanism == ADAPTIVE_GAP else ("query",)
+    threshold, *query = [_make_axis(spec.scales[r], box, per_draw_tail) for r in ("threshold", *query_roles)]
+    return [threshold] + query * len(w)
 
 
 def _pack_rows(codes: np.ndarray, bits: int) -> np.ndarray:
@@ -641,7 +632,6 @@ def enumerate_output_dist(
     box: int | None = None,
     per_draw_tail: float = 1e-12,
     grid_budget: int = 10**8,
-    max_chunk: int = 1 << 20,
     method: str = "batch",
 ) -> OutputDistribution:
     """Exact output distribution under integer Laplace noise.
@@ -680,7 +670,7 @@ def enumerate_output_dist(
             raise GridBudgetExceeded(total, 2_000_000, hint="per-tape method is for small boxes")
         masses = _enumerate_per_tape(mechanism, w, side, budget, axes)
     elif method == "batch":
-        masses = _enumerate_batch(mechanism, w, side, budget, axes, sizes, max_chunk)
+        masses = _enumerate_batch(mechanism, w, side, budget, axes, sizes)
     else:
         raise DomainError(f"unknown enumeration method {method!r}")
 
@@ -720,13 +710,13 @@ def _enumerate_per_tape(mechanism, w, side, budget, axes) -> dict:
     return masses
 
 
-def _enumerate_batch(mechanism, w, side, budget, axes, sizes, max_chunk) -> dict:
+def _enumerate_batch(mechanism, w, side, budget, axes, sizes) -> dict:
     n = len(w)
     m = len(axes)
     # choose the suffix of axes evaluated as one flat block
     suffix_start = m
     block = 1
-    while suffix_start > 0 and block * sizes[suffix_start - 1] <= max_chunk:
+    while suffix_start > 0 and block * sizes[suffix_start - 1] <= ENUM_BLOCK:
         block *= sizes[suffix_start - 1]
         suffix_start -= 1
     suffix_axes = axes[suffix_start:]
@@ -765,14 +755,11 @@ def _enumerate_batch(mechanism, w, side, budget, axes, sizes, max_chunk) -> dict
                 cols.append(np.full(block, axes[ax_i].values[combo[ax_i]], dtype=np.int64))
             else:
                 cols.append(suffix_cols[ax_i - suffix_start])
-        eta0 = cols[0]
         if mechanism == ADAPTIVE_GAP:
-            xis = np.column_stack([cols[1 + 2 * i] for i in range(n)])
-            etas = np.column_stack([cols[2 + 2 * i] for i in range(n)])
-            status, gaps = run_status_gaps(mechanism, w, side, budget, eta0, (xis, etas))
+            per_query = (np.column_stack(cols[1::2]), np.column_stack(cols[2::2]))
         else:
-            etaq = np.column_stack(cols[1:])
-            status, gaps = run_status_gaps(mechanism, w, side, budget, eta0, etaq)
+            per_query = np.column_stack(cols[1:])
+        status, gaps = run_status_gaps(mechanism, w, side, budget, cols[0], per_query)
         codes = encode_int_rows(mechanism, status, gaps)
         packed = _pack_rows(codes, bits)
         uniq, inverse = np.unique(packed, return_inverse=True)
@@ -786,15 +773,6 @@ def _enumerate_batch(mechanism, w, side, budget, axes, sizes, max_chunk) -> dict
 # Monte Carlo estimation
 
 
-def _draw_block(rng, kind: NoiseKind, scale: float, rows: int, cols: int) -> np.ndarray:
-    if kind is NoiseKind.LAPLACE:
-        u = rng.integers(1, 1 << 53, size=(rows, cols)).astype(np.float64) / float(1 << 53)
-        return np.where(u < 0.5, scale * np.log(2.0 * u), -scale * np.log(2.0 * (1.0 - u)))
-    alpha = math.exp(-1.0 / scale)
-    p = 1.0 - alpha
-    return rng.geometric(p, size=(rows, cols)) - rng.geometric(p, size=(rows, cols))
-
-
 def mc_output_dist(
     mechanism: str,
     w: Workload,
@@ -804,7 +782,6 @@ def mc_output_dist(
     kind: NoiseKind = NoiseKind.DLAP,
     scale_epsilon_factor: float = 1.0,
     chunk: int = 1 << 20,
-    gap_ndigits: int = 9,
 ) -> OutputDistribution:
     """Empirical output distribution from vectorized sampling.
 
@@ -813,7 +790,7 @@ def mc_output_dist(
     one exact int64 per row (``int_row_keys``, which rank-compresses the
     running key before it could overflow); one representative row per key
     is decoded to the canonical output.  Real-valued outputs are keyed row
-    by row with gaps rounded to ``gap_ndigits``.
+    by row with gaps rounded to ``GAP_NDIGITS`` digits.
 
     ``scale_epsilon_factor`` is a self-test hook: it rescales the noise as
     if the budget were ``factor * epsilon`` while everything else (including
@@ -822,13 +799,8 @@ def mc_output_dist(
     """
     check_workload(w)
     budget = default_budget(mechanism, w)
-    if scale_epsilon_factor != 1.0:
-        # self-test path: scales as if the budget were factor * epsilon,
-        # while the guard (and any epsilon-based verdict) still uses epsilon
-        scaled = Workload(w.pairs, w.threshold, w.k, w.epsilon * scale_epsilon_factor, w.sigma)
-        spec = default_budget(mechanism, scaled).noise_spec(kind)
-    else:
-        spec = budget.noise_spec(kind)
+    scaled = Workload(w.pairs, w.threshold, w.k, w.epsilon * scale_epsilon_factor, w.sigma)
+    spec = default_budget(mechanism, scaled).noise_spec(kind)
     rng = np.random.default_rng(seed)
     n = len(w)
     int_outputs = kind is NoiseKind.DLAP and w.is_integer_valued()
@@ -836,21 +808,20 @@ def mc_output_dist(
     done = 0
     while done < samples:
         rows = min(chunk, samples - done)
-        eta0 = _draw_block(rng, kind, spec.scales["threshold"], rows, 1)[:, 0]
+        eta0 = _draw_block(rng, kind, spec.scales["threshold"], rows)
         if mechanism == ADAPTIVE_GAP:
-            xis = _draw_block(rng, kind, spec.scales["query_first"], rows, n)
-            etas = _draw_block(rng, kind, spec.scales["query_second"], rows, n)
-            status, gaps = run_status_gaps(mechanism, w, side, budget, eta0, (xis, etas))
+            roles = ("query_first", "query_second")
+            per_query = tuple(_draw_block(rng, kind, spec.scales[r], (rows, n)) for r in roles)
         else:
-            etaq = _draw_block(rng, kind, spec.scales["query"], rows, n)
-            status, gaps = run_status_gaps(mechanism, w, side, budget, eta0, etaq)
+            per_query = _draw_block(rng, kind, spec.scales["query"], (rows, n))
+        status, gaps = run_status_gaps(mechanism, w, side, budget, eta0, per_query)
         if int_outputs:
             codes = encode_int_rows(mechanism, status, gaps)
             _, first, tallies = np.unique(int_row_keys(codes), return_index=True, return_counts=True)
             for row, c in zip(codes[first].tolist(), tallies.tolist()):
                 counts[decode_row(mechanism, row)] += c
         else:
-            for key in canonical_rows(mechanism, status, gaps, gap_ndigits):
+            for key in canonical_rows(mechanism, status, gaps, GAP_NDIGITS):
                 counts[key] += 1
         done += rows
     masses = {k: c / samples for k, c in counts.items()}
@@ -863,10 +834,19 @@ def mc_output_dist(
     )
 
 
+def _union_keys(a: dict, b: dict) -> list:
+    """The keys of ``a``, then the keys only ``b`` has, both in dict order.
+
+    Output keys are tuples of strings, whose hashes change with every
+    interpreter, so iterating a set of them would sum floats in a different
+    order, and to different last bits, on every run."""
+    return [*a, *(k for k in b if k not in a)]
+
+
 def tv_distance(a: OutputDistribution, b: OutputDistribution) -> float:
     """Total variation over the union of outputs, with unassigned (tail)
     mass treated as one extra bucket."""
-    keys = set(a.masses) | set(b.masses)
+    keys = _union_keys(a.masses, b.masses)
     s = sum(abs(a.masses.get(k, 0.0) - b.masses.get(k, 0.0)) for k in keys)
     s += abs(a.truncation_loss - b.truncation_loss)
     return 0.5 * s
@@ -907,7 +887,7 @@ def max_privacy_loss(p: OutputDistribution, q: OutputDistribution) -> PrivacyLos
     raw_max = 0.0
     certified_max = 0.0
     one_sided = []
-    for key in set(p.masses) | set(q.masses):
+    for key in _union_keys(p.masses, q.masses):
         pm = p.masses.get(key, 0.0)
         qm = q.masses.get(key, 0.0)
         if pm + qm <= 0.0:
@@ -936,7 +916,6 @@ def check_dp_exact(
     w: Workload,
     grid_budget: int = 10**8,
     per_draw_tail: float = 1e-12,
-    padded_slack: float = 1e-4,
 ) -> tuple[PrivacyReport, PrivacyLossResult]:
     """Enumerate both sides of an integer workload and compare the maximum
     log likelihood ratio against epsilon."""
@@ -945,7 +924,7 @@ def check_dp_exact(
     loss = max_privacy_loss(p, q)
     ok = (
         loss.certified_max <= w.epsilon + 1e-9
-        and loss.padded_max <= w.epsilon + padded_slack
+        and loss.padded_max <= w.epsilon + PADDED_SLACK
         and not loss.material_one_sided()
     )
     report = PrivacyReport(
@@ -1017,7 +996,8 @@ def mc_privacy_estimate(
     eps = w.epsilon
     flagged = []
     max_ratio = 0.0
-    for key in set(p.masses) | set(q.masses):
+    keys = _union_keys(p.masses, q.masses)
+    for key in keys:
         cp = p.meta["counts"].get(key, 0)
         cq = q.meta["counts"].get(key, 0)
         if cp > 0 and cq > 0:
@@ -1033,7 +1013,7 @@ def mc_privacy_estimate(
         "dp-mc",
         mechanism,
         trials=samples,
-        checks_run=len(set(p.masses) | set(q.masses)),
+        checks_run=len(keys),
         max_log_ratio=max_ratio,
         truncation_loss=0.0,
         notes={

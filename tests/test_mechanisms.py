@@ -23,7 +23,7 @@ from gapsvt import (
     budget_split_adaptive,
     budget_split_svt,
     run_mechanism,
-    run_sampled,
+    sample_run,
     svt_classic_run,
     svt_gap_run,
     top_gap,
@@ -295,16 +295,20 @@ class TestRunMechanism:
         assert out2 == out
 
 
-class TestRunSampled:
+def sampled_output(mechanism, w, side, seed, kind=NoiseKind.LAPLACE):
+    return sample_run(mechanism, w, side, seed, kind)[0].output
+
+
+class TestSampleRun:
     def test_deterministic(self):
         w = Workload.from_values([(5, 4), (3, 3)], 4, 1, 1.0)
-        a = run_sampled(SVT_GAP, w, Side.D, seed=77)
-        b = run_sampled(SVT_GAP, w, Side.D, seed=77)
+        a = sampled_output(SVT_GAP, w, Side.D, seed=77)
+        b = sampled_output(SVT_GAP, w, Side.D, seed=77)
         assert a == b
 
     def test_seeds_differ(self):
         w = Workload.from_values([(5, 4), (3, 3)], 4, 1, 1.0)
-        outs = {run_sampled(SVT_GAP, w, Side.D, seed=s).canonical(9) for s in range(64)}
+        outs = {sampled_output(SVT_GAP, w, Side.D, seed=s).canonical(9) for s in range(64)}
         assert len(outs) > 1
 
     @pytest.mark.slow
@@ -312,10 +316,10 @@ class TestRunSampled:
         w = Workload.from_values([(5, 4), (4, 5)], 4, 2, 1.0)
         wa = Workload.from_values([(5, 4), (4, 5)], 4, 1, 1.0, sigma=1.5)
         for seed in range(10**5):
-            out = run_sampled(SVT_GAP, w, Side.D, seed)
+            out = sampled_output(SVT_GAP, w, Side.D, seed)
             assert out.top_count() <= w.k
             assert all(a.gap >= 0 for a in out if a.top)
-            outa = run_sampled(ADAPTIVE_GAP, wa, Side.D, seed)
+            outa = sampled_output(ADAPTIVE_GAP, wa, Side.D, seed)
             for a in outa:
                 if a.top:
                     assert a.gap >= 0
@@ -324,7 +328,7 @@ class TestRunSampled:
 
     def test_discrete_kind(self):
         w = Workload.from_values([(5, 4)], 4, 1, 1.0)
-        out = run_sampled(SVT_GAP, w, Side.D, seed=5, kind=NoiseKind.DLAP)
+        out = sampled_output(SVT_GAP, w, Side.D, seed=5, kind=NoiseKind.DLAP)
         for a in out:
             if a.top:
                 assert float(a.gap).is_integer()

@@ -1,5 +1,9 @@
+import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -18,12 +22,11 @@ from gapsvt import (
     SVT_GAP,
     Side,
     TrialPlan,
+    Witness,
     Workload,
     WorkloadGenSpec,
     check_alignment_soundness,
-    check_cost_bound,
     check_dp_exact,
-    check_structural_conditions,
     default_enumeration_instances,
     enumerate_output_dist,
     generate_workload,
@@ -32,10 +35,12 @@ from gapsvt import (
     mc_privacy_estimate,
     replay_witness,
     run_mechanism,
+    run_trial_suites,
     tv_distance,
 )
-from gapsvt import vectorized, verifier
-from gapsvt.verifier import run_trial_suites, trial_rng
+import gapsvt
+from gapsvt import mechanisms, vectorized, verifier
+from gapsvt.verifier import trial_rng
 
 
 class TestWorkloadGeneration:
@@ -74,15 +79,12 @@ class TestTrialSuites:
             assert rep.passed, (name, rep.witness and rep.witness.detail)
         assert reports["cost"].max_cost <= max(plan.gen.epsilons) + 1e-12
 
-    def test_single_suite_wrappers_match_engine(self):
+    def test_single_suite_runs_match_combined_run(self):
         plan = TrialPlan(SVT_GAP, trials=300, master_seed=5)
         combined = run_trial_suites(plan)
         assert check_alignment_soundness(plan).to_json_dict() == combined["align"].to_json_dict()
-        assert check_cost_bound(plan).to_json_dict() == combined["cost"].to_json_dict()
-        assert (
-            check_structural_conditions(plan).to_json_dict()
-            == combined["structural"].to_json_dict()
-        )
+        for suite in ("cost", "structural"):
+            assert run_trial_suites(plan, (suite,))[suite].to_json_dict() == combined[suite].to_json_dict()
 
     @pytest.mark.parametrize(
         "mechanism,mutation",
@@ -148,6 +150,39 @@ class TestTrialSuites:
         report = check_alignment_soundness(plan)
         fixed = report.witness.__class__(**{**report.witness.__dict__, "mutation": None})
         assert not replay_witness(fixed)
+
+    @pytest.mark.parametrize("mechanism", [SVT_GAP, ADAPTIVE_GAP])
+    def test_cost_witness_replays(self, mechanism):
+        plan = TrialPlan(mechanism, trials=100, master_seed=31, mutation=Mutation.THRESHOLD_SHIFT)
+        report = run_trial_suites(plan, ("cost",))["cost"]
+        assert report.verdict == "fail"
+        assert (report.witness.kind, report.witness.trial_index) == ("cost", 0)
+        assert replay_witness(report.witness)
+        assert not replay_witness(dataclasses.replace(report.witness, mutation=None))
+
+    @pytest.mark.parametrize("suite,predicate", [("align", "_soundness_failure"), ("cost", "_cost_failure")])
+    def test_replay_runs_the_trial_predicate(self, suite, predicate, monkeypatch):
+        calls = []
+        original = getattr(verifier, predicate)
+
+        def spy(*args):
+            calls.append(original(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(verifier, predicate, spy)
+        plan = TrialPlan(ADAPTIVE_GAP, trials=100, master_seed=31, mutation=Mutation.THRESHOLD_SHIFT)
+        report = run_trial_suites(plan, (suite,))[suite]
+        assert report.verdict == "fail" and calls
+        del calls[:]
+        assert replay_witness(report.witness)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("kind", ["structural", "dp-mc"])
+    def test_witness_kinds_without_replay_raise(self, kind):
+        w = verifier._serialize_workload(default_enumeration_instances(SVT_GAP)[0])
+        witness = Witness(kind, 0, SVT_GAP, "dlap", "forward", w, None, None, None, "")
+        with pytest.raises(DomainError):
+            replay_witness(witness)
 
     def test_stop_on_failure_false_keeps_counting(self):
         plan = TrialPlan(
@@ -378,3 +413,41 @@ class TestDpExact:
         for field in ("verdict", "suite", "trials", "max_cost", "max_log_ratio", "truncation_loss"):
             assert field in d
         json.dumps(d)
+
+    def test_dp_exact_witness_replays(self, monkeypatch):
+        # noise and guard scaled for four times the epsilon the check compares against
+        def under_noised(mechanism, w):
+            return mechanisms.default_budget(mechanism, dataclasses.replace(w, epsilon=4 * w.epsilon))
+
+        w = default_enumeration_instances(ADAPTIVE_GAP)[0]
+        monkeypatch.setattr(verifier, "default_budget", under_noised)
+        report, _ = check_dp_exact(ADAPTIVE_GAP, w)
+        assert report.verdict == "fail" and report.witness.kind == "dp-exact"
+        assert replay_witness(report.witness)
+        monkeypatch.undo()
+        assert not replay_witness(report.witness)
+
+
+_HASH_SEED_PROBE = """
+from gapsvt import SVT_GAP, Side, Workload, enumerate_output_dist, max_privacy_loss
+from gapsvt import mc_output_dist, mc_privacy_estimate, tv_distance
+w = Workload.from_values([(1, 0)], 0, 1, 1.0)
+enum = enumerate_output_dist(SVT_GAP, w, Side.D)
+mc = mc_output_dist(SVT_GAP, w, Side.D, 20_000, seed=1)
+print(repr(tv_distance(enum, mc)))
+print(repr(max_privacy_loss(enum, mc)))  # dozens of one-sided outputs
+print(repr(mc_privacy_estimate(SVT_GAP, w, 10**4, seed=2, scale_epsilon_factor=16.0).to_json_dict()))
+"""
+
+
+def test_figures_do_not_depend_on_the_hash_seed():
+    """Output keys are tuples of strings, hashed differently in every
+    interpreter; the sums and lists over them must not depend on that."""
+    src = os.path.dirname(os.path.dirname(gapsvt.__file__))
+    outs = []
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        run = subprocess.run([sys.executable, "-c", _HASH_SEED_PROBE], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        outs.append(run.stdout)
+    assert outs[0] == outs[1]
