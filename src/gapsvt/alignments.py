@@ -53,6 +53,9 @@ class Mutation(str, Enum):
     DROP_SECOND_BRANCH = "drop-second-branch"  # second-branch shifts omitted
 
 
+MUTATED_THRESHOLD_SHIFT = 2.0  # the threshold-shift mutation's constant; the sound one is 1
+
+
 @dataclass(frozen=True)
 class AlignmentShift:
     """The translation H' - H, materialised so its structure is testable.
@@ -95,11 +98,7 @@ class AlignmentShift:
 
 
 def shift_for_output(
-    omega: OutputSequence,
-    deltas,
-    layout: TapeLayout,
-    mutation: Mutation | None = None,
-    mutation_value: float = 2.0,
+    omega: OutputSequence, deltas, layout: TapeLayout, mutation: Mutation | None = None
 ) -> AlignmentShift:
     """Build the shift vector from the output's index sets and the deltas.
 
@@ -109,7 +108,7 @@ def shift_for_output(
     """
     sets = index_sets(omega)
     # integer arithmetic below keeps integer tapes exactly integer
-    threshold_shift = mutation_value if mutation is Mutation.THRESHOLD_SHIFT else 1
+    threshold_shift = MUTATED_THRESHOLD_SHIFT if mutation is Mutation.THRESHOLD_SHIFT else 1
     if mutation is Mutation.QUERY_SHIFT:
         top_shift = [1] * len(deltas)
     else:
@@ -128,32 +127,20 @@ def shift_for_output(
     return AlignmentShift(threshold_shift, per, layout)
 
 
-def align_svt_gap(
-    tape: NoiseTape,
-    omega: OutputSequence,
-    w: Workload,
-    mutation: Mutation | None = None,
-    mutation_value: float = 2.0,
-) -> NoiseTape:
+def align_svt_gap(tape: NoiseTape, omega: OutputSequence, w: Workload, mutation: Mutation | None = None) -> NoiseTape:
     """Rewrite a single-layout tape so the run on the other side reproduces
     ``omega``: threshold draw up by one, positive-answer draws up by
     ``1 + delta_i``, everything else untouched.  A paired tape raises
     LayoutMismatch."""
-    shift = shift_for_output(omega, w.deltas(), TapeLayout.SINGLE, mutation, mutation_value)
+    shift = shift_for_output(omega, w.deltas(), TapeLayout.SINGLE, mutation)
     return shift.apply(tape)
 
 
-def align_adaptive(
-    tape: NoiseTape,
-    omega: OutputSequence,
-    w: Workload,
-    mutation: Mutation | None = None,
-    mutation_value: float = 2.0,
-) -> NoiseTape:
+def align_adaptive(tape: NoiseTape, omega: OutputSequence, w: Workload, mutation: Mutation | None = None) -> NoiseTape:
     """Paired-layout rewrite: first-branch positives shift their first draw,
     second-branch positives their second draw, both by ``1 + delta_i``.  A
     single-layout tape raises LayoutMismatch."""
-    shift = shift_for_output(omega, w.deltas(), TapeLayout.PAIRED, mutation, mutation_value)
+    shift = shift_for_output(omega, w.deltas(), TapeLayout.PAIRED, mutation)
     return shift.apply(tape)
 
 

@@ -202,33 +202,25 @@ def cmd_budget(args) -> int:
     return 0
 
 
-def _parse_mutation(text: str | None) -> tuple[Mutation | None, float]:
-    if not text:
-        return None, 2.0
-    name, _, value = text.partition("=")
+def _parse_mutation(name: str | None) -> Mutation | None:
+    if not name:
+        return None
     try:
-        mutation = Mutation(name)
+        return Mutation(name)
     except ValueError:
         raise GapSvtError(
             f"unknown mutation {name!r}; expected one of "
             f"{', '.join(m.value for m in Mutation)}"
         )
-    return mutation, float(value) if value else 2.0
 
 
 def cmd_verify(args) -> int:
-    mutation, mutation_value = _parse_mutation(args.inject_mutation)
+    mutation = _parse_mutation(args.inject_mutation)
     suites = ["align", "cost", "structural", "dp-exact", "dp-mc"] if args.suite == "all" else [args.suite]
     trial_suites = tuple(s for s in suites if s in ("align", "cost", "structural"))
     reports = []
     if trial_suites:
-        plan = TrialPlan(
-            mechanism=args.mechanism,
-            trials=args.trials,
-            master_seed=args.seed,
-            mutation=mutation,
-            mutation_value=mutation_value,
-        )
+        plan = TrialPlan(args.mechanism, trials=args.trials, master_seed=args.seed, mutation=mutation)
         combined = run_trial_suites(plan, trial_suites)
         reports.extend(combined[s] for s in trial_suites)
     for suite in suites:

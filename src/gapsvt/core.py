@@ -270,6 +270,8 @@ class NoiseSpec:
         for role, b in self.scales.items():
             if not b > 0:
                 raise NonPositiveBudget(f"scale for role {role!r} must be positive, got {b}")
+            if self.kind is NoiseKind.DLAP and _geometric_p(b) == 0.0:
+                raise NonPositiveBudget(f"integer noise for role {role!r} cannot be sampled at scale {b}")
 
     @property
     def layout(self) -> TapeLayout:
@@ -363,16 +365,21 @@ def _uniform_open(rng: np.random.Generator, size: int) -> np.ndarray:
     return rng.integers(1, 1 << 53, size=size).astype(np.float64) / float(1 << 53)
 
 
+def _geometric_p(scale: float) -> float:
+    # success probability of the two geometrics whose difference is dlap(scale);
+    # 0 once exp(-1/scale) rounds to 1
+    return 1.0 - math.exp(-1.0 / scale)
+
+
 def _draw(rng: np.random.Generator, kind: NoiseKind, scale: float, size: int) -> np.ndarray:
     if kind is NoiseKind.LAPLACE:
         return _laplace_from_uniform(_uniform_open(rng, size), scale)
-    alpha = math.exp(-1.0 / scale)
-    p = 1.0 - alpha
+    p = _geometric_p(scale)
     # difference of two iid geometrics has the integer-Laplace law
     return rng.geometric(p, size=size) - rng.geometric(p, size=size)
 
 
-def draw_tape(spec: NoiseSpec, layout: TapeLayout, length: int, rng: np.random.Generator) -> NoiseTape:
+def draw_tape(spec: NoiseSpec, length: int, rng: np.random.Generator) -> NoiseTape:
     """Draw a tape from an existing generator (the seeded entry point below
     and the trial harness both funnel through here).
 
@@ -381,11 +388,10 @@ def draw_tape(spec: NoiseSpec, layout: TapeLayout, length: int, rng: np.random.G
     ``int``.  The calls are merged because each uniform and each geometric
     variate is its own draw from the generator's stream: one uniform block
     for all Laplace roles, one geometric block of both halves per discrete
-    role."""
+    role.  The tape layout is the one the spec's roles imply."""
     if length < 1:
         raise DomainError(f"tape length must be >= 1, got {length}")
-    if layout is not spec.layout:
-        raise LayoutMismatch(f"noise spec has {spec.layout.value} roles, tape layout {layout.value} requested")
+    layout = spec.layout
     scales = spec.scales
     query_roles = ("query",) if layout is TapeLayout.SINGLE else ("query_first", "query_second")
     if spec.kind is NoiseKind.LAPLACE:
@@ -397,7 +403,7 @@ def draw_tape(spec: NoiseSpec, layout: TapeLayout, length: int, rng: np.random.G
     else:
         values = []
         for role, size in (("threshold", 1), *((role, length) for role in query_roles)):
-            g = rng.geometric(1.0 - math.exp(-1.0 / scales[role]), size=2 * size)
+            g = rng.geometric(_geometric_p(scales[role]), size=2 * size)
             values += (g[:size] - g[size:]).tolist()
     if layout is TapeLayout.SINGLE:
         per = tuple(values[1:])
@@ -406,7 +412,7 @@ def draw_tape(spec: NoiseSpec, layout: TapeLayout, length: int, rng: np.random.G
     return NoiseTape(values[0], per, layout)
 
 
-def sample_tape(spec: NoiseSpec, layout: TapeLayout, length: int, seed: int) -> NoiseTape:
+def sample_tape(spec: NoiseSpec, length: int, seed: int) -> NoiseTape:
     """Deterministically sample a tape: one threshold draw plus ``length``
     per-query entries, each role at its own scale."""
-    return draw_tape(spec, layout, length, np.random.default_rng(seed))
+    return draw_tape(spec, length, np.random.default_rng(seed))

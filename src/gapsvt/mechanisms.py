@@ -360,5 +360,5 @@ def sample_run(
     check_workload(w)
     spec = default_budget(mechanism, w).noise_spec(kind)
     rng = np.random.default_rng(seed)
-    tape = draw_tape(spec, tape_layout_for(mechanism), len(w), rng)
+    tape = draw_tape(spec, len(w), rng)
     return run_mechanism(mechanism, w, tape, side), tape

@@ -63,14 +63,11 @@ def svt_status_gaps(values, threshold, k, eta0, etaq):
 
 def _adaptive_stop_table(budget: AdaptiveBudget, n: int) -> np.ndarray:
     """stop[j1, j2]: after j1 first-branch and j2 second-branch positives the
-    running cost exceeds the guard limit.  Exact rational comparison, so the
-    table reproduces the per-tape ledger guard bit for bit."""
-    stop = np.zeros((n + 1, n + 1), dtype=bool)
-    for j1 in range(n + 1):
-        for j2 in range(n + 1):
-            cost = budget.epsilon0 + 2 * budget.epsilon1 * j1 + 2 * budget.epsilon2 * j2
-            stop[j1, j2] = cost > budget.guard_limit
-    return stop
+    running cost exceeds the guard limit.  The same integer guard as the
+    per-tape run (``budget.guard_units``), in Python ints so nothing
+    overflows, so the table reproduces that guard bit for bit."""
+    first, second, headroom = budget.guard_units
+    return np.array([[j1 * first + j2 * second > headroom for j2 in range(n + 1)] for j1 in range(n + 1)])
 
 
 def adaptive_status_gaps(values, threshold, sigma, budget: AdaptiveBudget, eta0, xis, etas):

@@ -74,6 +74,8 @@ COST_TOL = 1e-12
 GAP_NDIGITS = 9  # Monte Carlo rounds real-valued gaps to this many digits before keying
 ENUM_BLOCK = 1 << 20  # most grid points one batch enumeration step evaluates at once
 PADDED_SLACK = 1e-4  # dp-exact tolerance on the tau-padded log ratio above epsilon
+PER_DRAW_TAIL = 1e-12  # enumeration box: largest mass any one tape coordinate leaves outside it
+WILSON_Z = 6.0  # Monte Carlo falsifier: z of the Wilson intervals around each output's frequency
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +109,6 @@ class TrialPlan:
     master_seed: int
     gen: WorkloadGenSpec = WorkloadGenSpec()
     mutation: Mutation | None = None
-    mutation_value: float = 2.0
-    stop_on_failure: bool = True
 
     def __post_init__(self):
         if self.mechanism not in MECHANISMS:
@@ -179,7 +179,6 @@ class Witness:
     got: tuple | None
     detail: str
     mutation: str | None = None
-    mutation_value: float = 2.0
 
 
 @dataclass
@@ -251,7 +250,7 @@ def _deserialize_tape(d: dict) -> NoiseTape:
     return NoiseTape(d["threshold"], per, layout)
 
 
-def outputs_equal(a: OutputSequence, b: OutputSequence, exact: bool, gap_tol: float = GAP_TOL) -> bool:
+def outputs_equal(a: OutputSequence, b: OutputSequence, exact: bool) -> bool:
     if len(a) != len(b):
         return False
     if exact:
@@ -262,7 +261,7 @@ def outputs_equal(a: OutputSequence, b: OutputSequence, exact: bool, gap_tol: fl
         if x.gap is None or y.gap is None:
             if x.gap is not y.gap:
                 return False
-        elif abs(x.gap - y.gap) > gap_tol:
+        elif abs(x.gap - y.gap) > GAP_TOL:
             return False
     return True
 
@@ -286,7 +285,7 @@ def _trial_setup(plan: TrialPlan, idx: int):
     rng = trial_rng(plan.master_seed, idx)
     w, kind = generate_workload(plan, rng)
     budget, spec, weights = _budget_and_spec(plan.mechanism, w.epsilon, w.k, kind)
-    tape = draw_tape(spec, tape_layout_for(plan.mechanism), len(w), rng)
+    tape = draw_tape(spec, len(w), rng)
     return rng, w, kind, budget, spec, weights, tape
 
 
@@ -346,11 +345,10 @@ def run_trial_suites(plan: TrialPlan, suites=TRIAL_SUITES) -> dict:
             "distributional regularity of the noise density is assumed, not executable here"
         )
     align = _align_for(plan.mechanism)
-    layout = tape_layout_for(plan.mechanism)
     for idx in range(plan.trials):
         rng, w, kind, budget, spec, weights, tape = _trial_setup(plan, idx)
         exact = kind is NoiseKind.DLAP
-        active = [s for s in suites if reports[s].verdict == "pass" or not plan.stop_on_failure]
+        active = [s for s in suites if reports[s].verdict == "pass"]
         if not active:
             break
         forward = None  # the run on (w, tape, D), shared with the structural trial
@@ -360,7 +358,7 @@ def run_trial_suites(plan: TrialPlan, suites=TRIAL_SUITES) -> dict:
                 if forward is None:
                     forward = result
                 omega = result.output
-                aligned = align(tape, omega, ww, plan.mutation, plan.mutation_value)
+                aligned = align(tape, omega, ww, plan.mutation)
                 if "align" in active:
                     report = reports["align"]
                     report.checks_run += 1
@@ -399,9 +397,7 @@ def run_trial_suites(plan: TrialPlan, suites=TRIAL_SUITES) -> dict:
                             detail=failure,
                         )
         if "structural" in active:
-            _structural_trial(
-                reports["structural"], plan, idx, rng, w, kind, budget, spec, tape, layout, forward
-            )
+            _structural_trial(reports["structural"], plan, idx, rng, w, kind, budget, spec, tape, forward)
     return reports
 
 
@@ -420,7 +416,6 @@ def _record_failure(report, plan, *, kind, noise, trial_index, orientation, work
             got=got,
             detail=detail,
             mutation=plan.mutation.value if plan.mutation else None,
-            mutation_value=plan.mutation_value,
         )
 
 
@@ -479,8 +474,9 @@ def _verify_ledger(w: Workload, budget: AdaptiveBudget, omega: OutputSequence, l
     return None
 
 
-def _structural_trial(report, plan, idx, rng, w, kind, budget, spec, tape, layout, forward=None):
+def _structural_trial(report, plan, idx, rng, w, kind, budget, spec, tape, forward=None):
     """``forward`` is the run on (w, tape, D) when the caller has made it."""
+    layout = tape.layout
     result = forward if forward is not None else run_mechanism(plan.mechanism, w, tape, Side.D, budget)
     omega = result.output
     failure = None
@@ -500,7 +496,7 @@ def _structural_trial(report, plan, idx, rng, w, kind, budget, spec, tape, layou
     if failure is None:
         # countability witness: same index sets on a fresh tape => same shift
         shift = shift_for_output(omega, w.deltas(), layout)
-        tape2 = draw_tape(spec, layout, len(w), rng)
+        tape2 = draw_tape(spec, len(w), rng)
         omega2 = run_mechanism(plan.mechanism, w, tape2, Side.D, budget).output
         report.checks_run += 1
         if index_sets(omega2) == index_sets(omega):
@@ -536,10 +532,10 @@ def replay_witness(witness: Witness) -> bool:
     the predicates that recorded it; True when the violation reproduces.
 
     ``soundness`` and ``cost`` witnesses replay their tape; ``dp-exact``
-    re-runs ``check_dp_exact`` on the workload at the default grid budget
-    and tail.  ``structural`` and ``dp-mc`` raise DomainError: the first
-    needs the trial's second tape, the second the seed and sample count,
-    and a witness carries neither."""
+    re-runs ``check_dp_exact`` on the workload at the default grid budget.
+    ``structural`` and ``dp-mc`` raise DomainError: the first needs the
+    trial's second tape, the second the seed and sample count, and a
+    witness carries neither."""
     w = _deserialize_workload(witness.workload)
     if witness.kind == "dp-exact":
         return not check_dp_exact(witness.mechanism, w)[0].passed
@@ -551,7 +547,7 @@ def replay_witness(witness: Witness) -> bool:
     budget, _, weights = _budget_and_spec(witness.mechanism, w.epsilon, w.k, kind)
     mutation = Mutation(witness.mutation) if witness.mutation else None
     result = run_mechanism(witness.mechanism, w, tape, Side.D, budget)
-    aligned = _align_for(witness.mechanism)(tape, result.output, w, mutation, witness.mutation_value)
+    aligned = _align_for(witness.mechanism)(tape, result.output, w, mutation)
     if witness.kind == "soundness":
         return _soundness_failure(witness.mechanism, w, result.output, aligned, budget, exact) is not None
     return _cost_failure(witness.mechanism, w, tape, aligned, result, budget, weights, exact)[1] is not None
@@ -593,18 +589,18 @@ class _Axis:
     tail: float
 
 
-def _make_axis(scale: float, box: int | None, per_draw_tail: float) -> _Axis:
-    bound = box if box is not None else discrete_laplace_box(scale, per_draw_tail)
+def _make_axis(scale: float, box: int | None) -> _Axis:
+    bound = box if box is not None else discrete_laplace_box(scale, PER_DRAW_TAIL)
     values = np.arange(-bound, bound + 1, dtype=np.int64)
     alpha = math.exp(-1.0 / scale)
     pmf = (1.0 - alpha) / (1.0 + alpha) * alpha ** np.abs(values)
     return _Axis(bound, values, pmf, discrete_laplace_tail(bound, scale))
 
 
-def _enum_axes(mechanism: str, w: Workload, spec: NoiseSpec, box: int | None, per_draw_tail: float):
+def _enum_axes(mechanism: str, w: Workload, spec: NoiseSpec, box: int | None):
     """Axes in tape-consumption order: threshold, then per-query roles."""
     query_roles = ("query_first", "query_second") if mechanism == ADAPTIVE_GAP else ("query",)
-    threshold, *query = [_make_axis(spec.scales[r], box, per_draw_tail) for r in ("threshold", *query_roles)]
+    threshold, *query = [_make_axis(spec.scales[r], box) for r in ("threshold", *query_roles)]
     return [threshold] + query * len(w)
 
 
@@ -628,9 +624,7 @@ def enumerate_output_dist(
     mechanism: str,
     w: Workload,
     side: Side = Side.D,
-    budget=None,
     box: int | None = None,
-    per_draw_tail: float = 1e-12,
     grid_budget: int = 10**8,
     method: str = "batch",
 ) -> OutputDistribution:
@@ -638,6 +632,8 @@ def enumerate_output_dist(
 
     Every tape in the per-role integer box is weighted by its product pmf
     and fed through the mechanism; masses accumulate per canonical output.
+    The box is ``[-box, box]`` on every coordinate, or by default each
+    role's smallest box leaving less than ``PER_DRAW_TAIL`` outside.
     ``method='per-tape'`` runs the per-tape mechanism on every grid point
     (small boxes only); the default batch path uses the array kernels, whose
     agreement with the per-tape runs is itself under test.
@@ -646,10 +642,9 @@ def enumerate_output_dist(
     _require_integer_workload(w)
     if mechanism not in MECHANISMS:
         raise DomainError(f"unknown mechanism {mechanism!r}")
-    if budget is None:
-        budget = default_budget(mechanism, w)
+    budget = default_budget(mechanism, w)
     spec = budget.noise_spec(NoiseKind.DLAP)
-    axes = _enum_axes(mechanism, w, spec, box, per_draw_tail)
+    axes = _enum_axes(mechanism, w, spec, box)
     sizes = [len(ax.values) for ax in axes]
     total = 1
     for s in sizes:
@@ -682,7 +677,7 @@ def enumerate_output_dist(
         meta={
             "grid_points": total,
             "bounds": [ax.bound for ax in axes],
-            "per_draw_tail": per_draw_tail,
+            "per_draw_tail": PER_DRAW_TAIL,
             "method": method,
         },
     )
@@ -915,12 +910,11 @@ def check_dp_exact(
     mechanism: str,
     w: Workload,
     grid_budget: int = 10**8,
-    per_draw_tail: float = 1e-12,
 ) -> tuple[PrivacyReport, PrivacyLossResult]:
     """Enumerate both sides of an integer workload and compare the maximum
     log likelihood ratio against epsilon."""
-    p = enumerate_output_dist(mechanism, w, Side.D, grid_budget=grid_budget, per_draw_tail=per_draw_tail)
-    q = enumerate_output_dist(mechanism, w, Side.DPRIME, grid_budget=grid_budget, per_draw_tail=per_draw_tail)
+    p = enumerate_output_dist(mechanism, w, Side.D, grid_budget=grid_budget)
+    q = enumerate_output_dist(mechanism, w, Side.DPRIME, grid_budget=grid_budget)
     loss = max_privacy_loss(p, q)
     ok = (
         loss.certified_max <= w.epsilon + 1e-9
@@ -979,7 +973,6 @@ def mc_privacy_estimate(
     samples: int,
     seed,
     kind: NoiseKind = NoiseKind.DLAP,
-    z: float = 6.0,
     scale_epsilon_factor: float = 1.0,
 ) -> PrivacyReport:
     """Sampling-based falsifier: flags outputs whose empirical likelihood
@@ -1002,8 +995,8 @@ def mc_privacy_estimate(
         cq = q.meta["counts"].get(key, 0)
         if cp > 0 and cq > 0:
             max_ratio = max(max_ratio, abs(math.log((cp / samples) / (cq / samples))))
-        lp, up = _wilson_bounds(cp, samples, z)
-        lq, uq = _wilson_bounds(cq, samples, z)
+        lp, up = _wilson_bounds(cp, samples, WILSON_Z)
+        lq, uq = _wilson_bounds(cq, samples, WILSON_Z)
         if lp > 0 and uq > 0 and math.log(lp / uq) > eps:
             flagged.append((key, cp, cq))
         elif lq > 0 and up > 0 and math.log(lq / up) > eps:
@@ -1018,7 +1011,7 @@ def mc_privacy_estimate(
         truncation_loss=0.0,
         notes={
             "method": "monte-carlo falsification heuristic; a clean run is not a proof",
-            "z": z,
+            "z": WILSON_Z,
             "noise": kind.value,
             "flagged": [[_jsonable(k), cp, cq] for k, cp, cq in flagged[:10]],
             "epsilon": eps,

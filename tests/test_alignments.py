@@ -218,10 +218,10 @@ class TestShiftStructure:
         omega = OutputSequence((top_gap(1),))
         deltas = (1,)
         base = shift_for_output(omega, deltas, TapeLayout.SINGLE)
-        t = shift_for_output(omega, deltas, TapeLayout.SINGLE, Mutation.THRESHOLD_SHIFT, 2.0)
+        t = shift_for_output(omega, deltas, TapeLayout.SINGLE, Mutation.THRESHOLD_SHIFT)
         q = shift_for_output(omega, deltas, TapeLayout.SINGLE, Mutation.QUERY_SHIFT)
         assert base.flat() == (1, 2)
-        assert t.flat() == (2.0, 2)
+        assert t.flat() == (2.0, 2) and type(t.threshold_shift) is float
         assert q.flat() == (1, 1)
 
     def test_drop_second_branch_mutation(self):

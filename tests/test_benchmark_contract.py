@@ -1,11 +1,13 @@
 """The benchmark under ``perfbench/`` reaches into gapsvt by name: its tracer
 hooks module attributes with ``getattr``, and its workloads call entry points
-of ``gapsvt`` and ``gapsvt.verifier``.  A rename in ``src/`` that breaks
-either fails here, inside the default test paths; ``perfbench/test_bench.py``
-would catch it only when run by hand."""
+of ``gapsvt`` and ``gapsvt.verifier`` with positional and keyword arguments.
+A rename or a removed parameter in ``src/`` that breaks either fails here,
+inside the default test paths; ``perfbench/test_bench.py`` would catch it
+only when run by hand."""
 
 import ast
 import importlib.util
+import inspect
 import os
 import sys
 
@@ -26,15 +28,23 @@ def test_every_tracer_hook_resolves(monkeypatch):
     assert missing == []
 
 
-def test_every_name_the_benchmark_calls_resolves():
+def _bench_tree():
     with open(os.path.join(PERFBENCH, "bench.py"), encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
-    imported = {
+        return ast.parse(fh.read())
+
+
+def _gapsvt_imports(tree) -> set:
+    return {
         alias.name
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom) and node.module == "gapsvt"
         for alias in node.names
     }
+
+
+def test_every_name_the_benchmark_calls_resolves():
+    tree = _bench_tree()
+    imported = _gapsvt_imports(tree)
     called = {
         node.attr
         for node in ast.walk(tree)
@@ -43,3 +53,37 @@ def test_every_name_the_benchmark_calls_resolves():
     assert "check_alignment_soundness" in called
     assert [name for name in sorted(imported) if not hasattr(gapsvt, name)] == []
     assert [name for name in sorted(called) if not hasattr(verifier, name)] == []
+
+
+def _gapsvt_calls(tree):
+    """``(line, name, callable, call node)`` for every call in ``tree`` of a
+    name imported from gapsvt or of an attribute of one, such as
+    ``verifier.mc_output_dist`` or ``Workload.from_values``."""
+    imported = _gapsvt_imports(tree)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in imported:
+            yield node.lineno, func.id, getattr(gapsvt, func.id), node
+        elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id in imported:
+            owner = getattr(gapsvt, func.value.id)
+            yield node.lineno, f"{func.value.id}.{func.attr}", getattr(owner, func.attr), node
+
+
+def test_every_call_of_the_benchmark_binds_to_its_signature():
+    """Each call's positional count and keyword names bind to the callee's
+    signature, so removing or renaming a parameter the benchmark passes
+    fails here."""
+    calls = list(_gapsvt_calls(_bench_tree()))
+    assert {"verifier.mc_output_dist", "TrialPlan"} <= {name for _, name, _, _ in calls}
+    unbound = []
+    for line, name, fn, node in calls:
+        assert not any(isinstance(a, ast.Starred) for a in node.args), f"line {line}: starred call to {name}"
+        keywords = [kw.arg for kw in node.keywords]
+        assert None not in keywords, f"line {line}: ** call to {name}"
+        try:
+            inspect.signature(fn).bind(*node.args, **dict.fromkeys(keywords))
+        except TypeError as e:
+            unbound.append(f"perfbench/bench.py:{line} {name}: {e}")
+    assert unbound == []

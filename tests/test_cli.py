@@ -234,6 +234,18 @@ class TestInputGate:
         assert code == 2
         assert out == "" and err.startswith("error:")
 
+    def test_integer_noise_too_wide_to_sample_exits_2(self, capsys, workload_file):
+        # at epsilon 1e-300 every dlap scale is so wide that exp(-1/scale)
+        # rounds to 1; continuous noise still samples there
+        payload = {**GOLDEN, "epsilon": 1e-300, "noise": "dlap"}
+        code, out, err = run_cli(capsys, ["run", "--mechanism", "svt-gap", "--workload", workload_file(payload)])
+        assert code == 2
+        assert out == ""
+        assert "'threshold'" in err and "p <= 0" not in err
+        payload["noise"] = "laplace"
+        code, out, _ = run_cli(capsys, ["run", "--mechanism", "svt-gap", "--workload", workload_file(payload)])
+        assert code == 0 and strict_json_lines(out)
+
     def test_infinite_log_ratio_keeps_the_verdict_and_strict_json(self, capsys, workload_file):
         # at epsilon 2000 the integer noise underflows to 0: the outputs on
         # the two sides are disjoint and the log ratio is infinite
@@ -332,7 +344,7 @@ class TestVerifyCommand:
         code, out, _ = run_cli(
             capsys,
             ["verify", "--suite", "align", "--mechanism", "svt-gap", "--trials", "5000",
-             "--seed", "7", "--inject-mutation", "threshold-shift=2"],
+             "--seed", "7", "--inject-mutation", "threshold-shift"],
         )
         assert code == 1
         report = json.loads(out)

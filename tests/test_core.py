@@ -83,45 +83,56 @@ class TestCheckWorkload:
             check_workload(Workload.from_values([(1, 1)], 0, 1, 1.0, sigma=-0.5))
 
 
+class TestNoiseSpec:
+    def test_rejects_roles_of_neither_layout(self):
+        with pytest.raises(LayoutMismatch):
+            NoiseSpec(NoiseKind.LAPLACE, {"threshold": 1.0, "query_first": 1.0})
+
+    def test_integer_noise_too_wide_to_sample_names_the_role(self):
+        # exp(-1/scale) rounds to 1, so the geometric draws would get p = 0
+        scales = {"threshold": 1.0, "query": 4e300}
+        with pytest.raises(NonPositiveBudget, match="'query'"):
+            NoiseSpec(NoiseKind.DLAP, scales)
+        assert NoiseSpec(NoiseKind.LAPLACE, scales).scales == scales
+
+
 class TestSampleTape:
     def test_deterministic(self):
         spec = single_spec(2.0, 3.0)
-        t1 = sample_tape(spec, TapeLayout.SINGLE, 10, seed=123)
-        t2 = sample_tape(spec, TapeLayout.SINGLE, 10, seed=123)
+        t1 = sample_tape(spec, 10, seed=123)
+        t2 = sample_tape(spec, 10, seed=123)
         assert t1 == t2
 
     def test_distinct_seeds_differ(self):
         spec = single_spec()
-        t1 = sample_tape(spec, TapeLayout.SINGLE, 10, seed=1)
-        t2 = sample_tape(spec, TapeLayout.SINGLE, 10, seed=2)
+        t1 = sample_tape(spec, 10, seed=1)
+        t2 = sample_tape(spec, 10, seed=2)
         assert t1 != t2
 
-    def test_layout_must_match_roles(self):
-        with pytest.raises(LayoutMismatch):
-            sample_tape(single_spec(), TapeLayout.PAIRED, 5, seed=0)
-        with pytest.raises(LayoutMismatch):
-            sample_tape(paired_spec(), TapeLayout.SINGLE, 5, seed=0)
+    def test_layout_follows_roles(self):
+        assert sample_tape(single_spec(), 5, seed=0).layout is TapeLayout.SINGLE
+        assert sample_tape(paired_spec(), 5, seed=0).layout is TapeLayout.PAIRED
 
     def test_paired_structure(self):
-        tape = sample_tape(paired_spec(), TapeLayout.PAIRED, 4, seed=5)
+        tape = sample_tape(paired_spec(), 4, seed=5)
         assert len(tape.per_query) == 4
         assert all(len(entry) == 2 for entry in tape.per_query)
 
     def test_length_precondition(self):
         with pytest.raises(DomainError):
-            sample_tape(single_spec(), TapeLayout.SINGLE, 0, seed=0)
+            sample_tape(single_spec(), 0, seed=0)
 
     def test_mean_absolute_draw_matches_scale(self):
         # E|X| = b for Laplace(b); Var|X| = b^2, so SE = b / sqrt(N)
         b = 2.0
         n = 10**6
-        tape = sample_tape(single_spec(1.0, b), TapeLayout.SINGLE, n, seed=99)
+        tape = sample_tape(single_spec(1.0, b), n, seed=99)
         draws = np.asarray(tape.per_query)
         se = b / math.sqrt(n)
         assert abs(np.abs(draws).mean() - b) < 3 * se
 
     def test_discrete_tapes_are_integers(self):
-        tape = sample_tape(single_spec(2.0, 2.0, NoiseKind.DLAP), TapeLayout.SINGLE, 50, seed=3)
+        tape = sample_tape(single_spec(2.0, 2.0, NoiseKind.DLAP), 50, seed=3)
         assert isinstance(tape.threshold_noise, int)
         assert all(isinstance(v, int) for v in tape.per_query)
 
@@ -146,7 +157,7 @@ class TestDrawTapeStream:
             length = 1 + seed % 6
             spec = single_spec(0.7, 2.5, kind) if layout is TapeLayout.SINGLE else paired_spec(kind)
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            tape = draw_tape(spec, layout, length, rng)
+            tape = draw_tape(spec, length, rng)
             assert tape == self.reference(spec, layout, length, ref_rng)
             values = tape.flat()
             assert len(values) == 1 + length * (1 if layout is TapeLayout.SINGLE else 2)
