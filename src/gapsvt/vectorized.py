@@ -11,9 +11,11 @@ results always rest on the step-by-step mechanisms, not on this file alone.
 
 Per-tape answers are encoded positionally: 0 = not emitted (run had ended),
 1 = below threshold, and for positive answers ``branch_code + 4 * gap``
-where branch_code is 2 for plain/first and 3 for second.  Integer workloads
-with integer tapes make the gap exact, so encoded rows are exact output
-identifiers.  ``int_row_keys`` folds each encoded row into one exact int64
+where branch_code is 2 for plain/first and 3 for second.  The kernels leave
+``gaps`` at exactly 0 wherever ``status`` is below ``STATUS_TOP``, so the
+code of every answer is ``status + 4 * gaps`` with no mask.  Integer
+workloads with integer tapes make the gap exact, so encoded rows are exact
+output identifiers.  ``int_row_keys`` folds each encoded row into one exact int64
 key for a chunk: the columns are packed in a mixed radix of their spans, and
 the running key is replaced by its dense rank whenever the next column would
 overflow int64, so equal keys mean equal rows for every input.
@@ -37,27 +39,29 @@ def svt_status_gaps(values, threshold, k, eta0, etaq):
 
     ``eta0``: scalar or (G,) threshold draws; ``etaq``: (G, n) per-query
     draws.  Returns ``status`` (G, n) uint8 and ``gaps`` (G, n) in the
-    arithmetic dtype of the inputs.
+    arithmetic dtype of the inputs, 0 wherever status is below STATUS_TOP.
     """
     etaq = np.asarray(etaq)
     G, n = etaq.shape
     if n != len(values):
         raise ValueError(f"expected {len(values)} per-query columns, got {n}")
-    status = np.zeros((G, n), dtype=np.uint8)
+    status = np.empty((G, n), dtype=np.uint8, order="F")
     gap_dtype = np.result_type(
         etaq.dtype, np.asarray(eta0).dtype, np.asarray(values).dtype, np.asarray(threshold).dtype
     )
-    gaps = np.zeros((G, n), dtype=gap_dtype)
+    gaps = np.zeros((G, n), dtype=gap_dtype, order="F")
     noisy_threshold = threshold + eta0  # scalar or (G,)
-    count = np.zeros(G, dtype=np.int64)
+    count = np.zeros(G, dtype=np.min_scalar_type(n))
     alive = np.ones(G, dtype=bool)
     for i, q in enumerate(values):
         gap = q + etaq[:, i] - noisy_threshold
-        top = (gap >= 0) & alive
-        status[:, i] = np.where(top, STATUS_TOP, np.where(alive, STATUS_BOT, STATUS_ABSENT))
-        gaps[top, i] = gap[top]
-        count += top
-        alive &= count < k
+        top = gap >= 0
+        top &= alive
+        np.add(alive, top, out=status[:, i], dtype=np.uint8)
+        np.copyto(gaps[:, i], gap, where=top)
+        if i < n - 1:
+            count += top
+            alive &= count < k
     return status, gaps
 
 
@@ -71,36 +75,39 @@ def _adaptive_stop_table(budget: AdaptiveBudget, n: int) -> np.ndarray:
 
 
 def adaptive_status_gaps(values, threshold, sigma, budget: AdaptiveBudget, eta0, xis, etas):
-    """Adaptive loop over tape arrays; ``xis``/``etas`` are (G, n)."""
+    """Adaptive loop over tape arrays; ``xis``/``etas`` are (G, n).  Returns
+    ``status`` and ``gaps`` as ``svt_status_gaps`` does."""
     xis = np.asarray(xis)
     etas = np.asarray(etas)
     G, n = xis.shape
     if etas.shape != (G, n) or n != len(values):
         raise ValueError("xis/etas must both be (G, n) with one column per query")
-    status = np.zeros((G, n), dtype=np.uint8)
+    status = np.empty((G, n), dtype=np.uint8, order="F")
     gap_dtype = np.result_type(
         xis.dtype, etas.dtype, np.asarray(eta0).dtype, np.asarray(values).dtype, np.asarray(threshold).dtype
     )
-    gaps = np.zeros((G, n), dtype=gap_dtype)
+    gaps = np.zeros((G, n), dtype=gap_dtype, order="F")
     noisy_threshold = threshold + eta0
-    j1 = np.zeros(G, dtype=np.int64)
-    j2 = np.zeros(G, dtype=np.int64)
+    # (j1, j2) as the one index j1 * (n + 1) + j2 into the flattened table
+    go = ~_adaptive_stop_table(budget, n).ravel()
+    state = np.zeros(G, dtype=np.min_scalar_type(len(go) - 1))
     alive = np.ones(G, dtype=bool)
-    stop = _adaptive_stop_table(budget, n)
     for i, q in enumerate(values):
         first_gap = q + xis[:, i] - noisy_threshold
         second_gap = q + etas[:, i] - noisy_threshold
-        first = (first_gap >= sigma) & alive
-        second = ~first & (second_gap >= 0) & alive
-        bot = alive & ~first & ~second
-        status[:, i] = np.where(
-            first, STATUS_TOP, np.where(second, STATUS_TOP_SECOND, np.where(bot, STATUS_BOT, STATUS_ABSENT))
-        )
-        gaps[first, i] = first_gap[first]
-        gaps[second, i] = second_gap[second]
-        j1 += first
-        j2 += second
-        alive &= ~stop[j1, j2]
+        first = first_gap >= sigma
+        first &= alive
+        second = second_gap >= 0
+        second &= alive
+        second &= ~first
+        np.add(alive, first, out=status[:, i], dtype=np.uint8)
+        status[:, i] += 2 * second.view(np.uint8)
+        np.copyto(gaps[:, i], first_gap, where=first)
+        np.copyto(gaps[:, i], second_gap, where=second)
+        if i < n - 1:
+            state += np.multiply(first, n + 1, dtype=state.dtype)
+            state += second
+            alive &= go.take(state)
     return status, gaps
 
 
@@ -120,28 +127,42 @@ def run_status_gaps(mechanism: str, w: Workload, side, budget, eta0, per_query_a
 
 
 def encode_int_rows(mechanism: str, status: np.ndarray, gaps: np.ndarray) -> np.ndarray:
-    """Positional int64 encoding of integer-valued outputs (see module doc)."""
-    codes = status.astype(np.int64)
-    if mechanism != SVT_CLASSIC:
-        g = np.asarray(gaps)
-        if g.dtype.kind == "f":
-            gi = np.rint(g).astype(np.int64)
-            if not np.array_equal(gi, g):
-                raise ValueError("non-integer gaps cannot be int-encoded")
-        else:
-            gi = g.astype(np.int64)
-        top = status >= STATUS_TOP
-        codes = np.where(top, codes + 4 * gi, codes)
+    """Positional int64 encoding of integer-valued outputs (see module doc).
+
+    Relies on the kernels' contract that ``gaps`` is 0 wherever ``status``
+    is below ``STATUS_TOP``, so ``status + 4 * gaps`` needs no mask."""
+    if mechanism == SVT_CLASSIC:
+        return status.astype(np.int64)
+    g = np.asarray(gaps)
+    if g.dtype.kind == "f":
+        gi = np.rint(g).astype(np.int64)
+        if not np.array_equal(gi, g):
+            raise ValueError("non-integer gaps cannot be int-encoded")
+        g = gi
+    codes = np.multiply(g, 4, dtype=np.int64)
+    codes += status
     return codes
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
+def sorted_groups(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values of a 1-D array and each element's index
+    into them: ``np.unique(a, return_inverse=True)`` by one unstable sort,
+    an adjacent-difference mask and a binary search."""
+    s = np.sort(a)
+    first = np.empty(len(s), dtype=bool)
+    first[:1] = True
+    np.not_equal(s[1:], s[:-1], out=first[1:])
+    uniq = s[first]
+    return uniq, np.searchsorted(uniq, a)
+
+
 def _dense_rank(a: np.ndarray) -> tuple[np.ndarray, int]:
     """Order-preserving dense rank of a 1-D array and the number of ranks."""
-    uniq, inverse = np.unique(a, return_inverse=True)
-    return inverse.astype(np.int64, copy=False), len(uniq)
+    uniq, inverse = sorted_groups(a)
+    return inverse, len(uniq)
 
 
 def int_row_keys(codes: np.ndarray) -> np.ndarray:

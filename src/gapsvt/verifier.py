@@ -67,7 +67,7 @@ from .mechanisms import (
     svt_gap_run,
     tape_layout_for,
 )
-from .vectorized import canonical_rows, decode_row, encode_int_rows, int_row_keys, run_status_gaps
+from .vectorized import canonical_rows, decode_row, encode_int_rows, int_row_keys, run_status_gaps, sorted_groups
 
 GAP_TOL = 1e-9  # per-gap equality tolerance for real-valued workloads
 COST_TOL = 1e-12
@@ -607,17 +607,14 @@ def _enum_axes(mechanism: str, w: Workload, spec: NoiseSpec, box: int | None):
 def _pack_rows(codes: np.ndarray, bits: int) -> np.ndarray:
     packed = codes[:, 0].astype(np.int64)
     for j in range(1, codes.shape[1]):
-        packed = (packed << bits) | codes[:, j]
+        packed <<= bits
+        packed |= codes[:, j]
     return packed
 
 
-def _unpack_row(packed: int, bits: int, n: int) -> tuple:
+def _unpack_rows(packed: np.ndarray, bits: int, n: int) -> np.ndarray:
     mask = (1 << bits) - 1
-    out = [0] * n
-    for j in range(n - 1, -1, -1):
-        out[j] = packed & mask
-        packed >>= bits
-    return tuple(out)
+    return np.column_stack([(packed >> (bits * (n - 1 - j))) & mask for j in range(n)])
 
 
 def enumerate_output_dist(
@@ -715,17 +712,18 @@ def _enumerate_batch(mechanism, w, side, budget, axes, sizes) -> dict:
         block *= sizes[suffix_start - 1]
         suffix_start -= 1
     suffix_axes = axes[suffix_start:]
-    if suffix_axes:
-        grids = np.meshgrid(*(ax.values for ax in suffix_axes), indexing="ij")
-        suffix_cols = [g.ravel() for g in grids]
-        wgrids = np.meshgrid(*(ax.pmf for ax in suffix_axes), indexing="ij")
-        suffix_weight = np.ones(block)
-        for g in wgrids:
-            suffix_weight = suffix_weight * g.ravel()
-    else:
-        suffix_cols = []
-        suffix_weight = np.ones(1)
-        block = 1
+    suffix_weight = np.ones(block)
+    for g in np.meshgrid(*(ax.pmf for ax in suffix_axes), indexing="ij"):
+        suffix_weight = suffix_weight * g.ravel()
+    # one column per query axis, in tape order; prefix columns are refilled per block
+    grid = np.empty((block, m - 1), dtype=np.int64, order="F")
+    eta0 = None
+    for ax_i, g in enumerate(np.meshgrid(*(ax.values for ax in suffix_axes), indexing="ij"), start=suffix_start):
+        if ax_i == 0:
+            eta0 = g.ravel()
+        else:
+            grid[:, ax_i - 1] = g.ravel()
+    per_query = (grid[:, 0::2], grid[:, 1::2]) if mechanism == ADAPTIVE_GAP else grid
 
     # conservative per-position code bound fixes the packing width globally
     max_gap = 0
@@ -738,30 +736,37 @@ def _enumerate_batch(mechanism, w, side, budget, axes, sizes) -> dict:
     if n * bits > 62:
         raise DomainError("packed output encoding exceeds 62 bits; reduce the query count")
 
-    acc: dict = {}
-    prefix_sizes = sizes[:suffix_start]
-    for combo in np.ndindex(*prefix_sizes):
+    # packed outputs seen so far, sorted, with their summed mass and the rank
+    # of their first appearance, which fixes the key order of the result
+    keys = np.empty(0, dtype=np.int64)
+    sums = np.empty(0)
+    ranks = np.empty(0, dtype=np.int64)
+    for combo in np.ndindex(*sizes[:suffix_start]):
         pw = 1.0
         for ax_i, ci in enumerate(combo):
             pw *= float(axes[ax_i].pmf[ci])
-        cols = []
-        for ax_i in range(m):
-            if ax_i < suffix_start:
-                cols.append(np.full(block, axes[ax_i].values[combo[ax_i]], dtype=np.int64))
+            if ax_i == 0:
+                eta0 = axes[0].values[ci]
             else:
-                cols.append(suffix_cols[ax_i - suffix_start])
-        if mechanism == ADAPTIVE_GAP:
-            per_query = (np.column_stack(cols[1::2]), np.column_stack(cols[2::2]))
-        else:
-            per_query = np.column_stack(cols[1:])
-        status, gaps = run_status_gaps(mechanism, w, side, budget, cols[0], per_query)
-        codes = encode_int_rows(mechanism, status, gaps)
-        packed = _pack_rows(codes, bits)
-        uniq, inverse = np.unique(packed, return_inverse=True)
-        sums = np.bincount(inverse, weights=suffix_weight * pw)
-        for u, mass in zip(uniq.tolist(), sums.tolist()):
-            acc[u] = acc.get(u, 0.0) + mass
-    return {decode_row(mechanism, _unpack_row(u, bits, n)): mass for u, mass in acc.items()}
+                grid[:, ax_i - 1] = axes[ax_i].values[ci]
+        status, gaps = run_status_gaps(mechanism, w, side, budget, eta0, per_query)
+        packed = _pack_rows(encode_int_rows(mechanism, status, gaps), bits)
+        uniq, inverse = sorted_groups(packed)
+        block_sums = np.bincount(inverse, weights=suffix_weight * pw)
+        # merge: known outputs add this block's mass in place, new ones are
+        # inserted at their sorted position
+        at = np.searchsorted(keys, uniq)
+        known = at < len(keys)
+        known[known] = keys[at[known]] == uniq[known]
+        sums[at[known]] += block_sums[known]
+        new = ~known
+        if new.any():
+            keys = np.insert(keys, at[new], uniq[new])
+            sums = np.insert(sums, at[new], block_sums[new])
+            ranks = np.insert(ranks, at[new], np.arange(len(ranks), len(ranks) + int(new.sum())))
+    order = np.argsort(ranks)
+    rows = _unpack_rows(keys[order], bits, n).tolist()
+    return {decode_row(mechanism, row): mass for row, mass in zip(rows, sums[order].tolist())}
 
 
 # ---------------------------------------------------------------------------
@@ -793,6 +798,9 @@ def mc_output_dist(
     privacy guarantee on purpose so detectors can be validated.
     """
     check_workload(w)
+    for name, value in (("samples", samples), ("chunk", chunk)):
+        if value < 1:
+            raise DomainError(f"{name} must be at least 1, got {value}")
     budget = default_budget(mechanism, w)
     scaled = Workload(w.pairs, w.threshold, w.k, w.epsilon * scale_epsilon_factor, w.sigma)
     spec = default_budget(mechanism, scaled).noise_spec(kind)
@@ -812,8 +820,10 @@ def mc_output_dist(
         status, gaps = run_status_gaps(mechanism, w, side, budget, eta0, per_query)
         if int_outputs:
             codes = encode_int_rows(mechanism, status, gaps)
-            _, first, tallies = np.unique(int_row_keys(codes), return_index=True, return_counts=True)
-            for row, c in zip(codes[first].tolist(), tallies.tolist()):
+            uniq, inverse = sorted_groups(int_row_keys(codes))
+            row_of = np.empty(len(uniq), dtype=np.int64)
+            row_of[inverse] = np.arange(rows)  # any row of a key stands for it
+            for row, c in zip(codes[row_of].tolist(), np.bincount(inverse).tolist()):
                 counts[decode_row(mechanism, row)] += c
         else:
             for key in canonical_rows(mechanism, status, gaps, GAP_NDIGITS):

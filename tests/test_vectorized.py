@@ -21,6 +21,7 @@ from gapsvt import (
     run_mechanism,
 )
 from gapsvt.vectorized import (
+    STATUS_TOP,
     canonical_rows,
     decode_row,
     encode_int_rows,
@@ -151,3 +152,46 @@ def test_adaptive_guard_table_matches_ledger_boundary():
     want = run_mechanism(ADAPTIVE_GAP, w, tape, Side.D, budget).output.canonical()
     assert got == [want]
     assert len(want) == 2  # second answer hits the guard
+
+
+def _kernel_inputs(mechanism, rows, dtype, rng):
+    """Per-query draws for ``rows`` tapes of a 3-query workload."""
+    if dtype == np.int64:
+        draw = lambda: rng.integers(-4, 5, size=(rows, 3))  # noqa: E731
+    else:
+        draw = lambda: rng.normal(0, 2, size=(rows, 3))  # noqa: E731
+    return (draw(), draw()) if mechanism == ADAPTIVE_GAP else draw()
+
+
+_KERNEL_CASES = [
+    (SVT_GAP, Workload.from_values([(0, 1), (3, 2), (1, 1)], 1, 2, 1.0)),
+    (ADAPTIVE_GAP, Workload.from_values([(0, 1), (3, 2), (1, 1)], 1, 2, 1.0, sigma=1)),
+]
+
+
+@pytest.mark.parametrize("mechanism, w", _KERNEL_CASES)
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+def test_scalar_threshold_draw_equals_broadcast_array(mechanism, w, dtype):
+    rng = np.random.default_rng(17)
+    budget = default_budget(mechanism, w)
+    per_query = _kernel_inputs(mechanism, 500, dtype, rng)
+    for eta0 in (dtype(-2), dtype(0), dtype(3)):
+        scalar = run_status_gaps(mechanism, w, Side.D, budget, eta0, per_query)
+        array = run_status_gaps(mechanism, w, Side.D, budget, np.full(500, eta0), per_query)
+        for got, want in zip(scalar, array):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("mechanism, w", _KERNEL_CASES)
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+def test_gaps_are_zero_below_top(mechanism, w, dtype):
+    # encode_int_rows adds 4 * gaps without a mask and relies on this
+    rng = np.random.default_rng(18)
+    budget = default_budget(mechanism, w)
+    eta0 = rng.integers(-4, 5, size=2000).astype(dtype)
+    status, gaps = run_status_gaps(mechanism, w, Side.D, budget, eta0, _kernel_inputs(mechanism, 2000, dtype, rng))
+    below = status < STATUS_TOP
+    assert below.any() and (~below).any()
+    assert np.all(gaps[below] == 0)
+    assert np.any(gaps[~below] != 0)

@@ -191,6 +191,40 @@ class TestTrialSuites:
         assert "witness" in payload
 
 
+def _dict_merge_reference(mechanism, w, side, box) -> dict:
+    """The batch enumeration as a per-output dict loop: the same blocks,
+    kernels, weights and summation order, each block's outputs grouped by
+    row-wise np.unique and added to the dict one output at a time."""
+    budget = verifier.default_budget(mechanism, w)
+    axes = verifier._enum_axes(mechanism, w, budget.noise_spec(NoiseKind.DLAP), box)
+    sizes = [len(ax.values) for ax in axes]
+    split, block = len(axes), 1
+    while split > 0 and block * sizes[split - 1] <= verifier.ENUM_BLOCK:
+        block *= sizes[split - 1]
+        split -= 1
+    suffix = [g.ravel() for g in np.meshgrid(*(ax.values for ax in axes[split:]), indexing="ij")]
+    weight = np.ones(block)
+    for g in np.meshgrid(*(ax.pmf for ax in axes[split:]), indexing="ij"):
+        weight = weight * g.ravel()
+    acc = {}
+    for combo in np.ndindex(*sizes[:split]):
+        pw = 1.0
+        for ax_i, ci in enumerate(combo):
+            pw *= float(axes[ax_i].pmf[ci])
+        cols = [np.full(block, axes[ax_i].values[ci]) for ax_i, ci in enumerate(combo)] + suffix
+        if mechanism == ADAPTIVE_GAP:
+            per_query = (np.column_stack(cols[1::2]), np.column_stack(cols[2::2]))
+        else:
+            per_query = np.column_stack(cols[1:])
+        status, gaps = vectorized.run_status_gaps(mechanism, w, side, budget, cols[0], per_query)
+        codes = vectorized.encode_int_rows(mechanism, status, gaps)
+        rows, inverse = np.unique(codes, axis=0, return_inverse=True)
+        for row, mass in zip(rows.tolist(), np.bincount(inverse.ravel(), weights=weight * pw).tolist()):
+            key = vectorized.decode_row(mechanism, row)
+            acc[key] = acc.get(key, 0.0) + mass
+    return acc
+
+
 class TestEnumeration:
     def test_identical_sides_give_identical_distributions(self):
         w = Workload.from_values([(1, 1), (0, 0)], 0, 1, 1.0)
@@ -221,6 +255,41 @@ class TestEnumeration:
         assert set(a.masses) == set(b.masses)
         for key in a.masses:
             assert a.masses[key] == pytest.approx(b.masses[key], abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "mechanism, w, box",
+        [
+            (SVT_GAP, Workload.from_values([(1, 0), (0, 1)], 0, 2, 1.0), 3),
+            (SVT_CLASSIC, Workload.from_values([(1, 0), (0, 1)], 0, 1, 1.0), 3),
+            # paired layout: 5 axes of 5 points, split at every axis
+            (ADAPTIVE_GAP, Workload.from_values([(1, 0), (0, 1)], 0, 2, 1.0, sigma=1), 2),
+        ],
+    )
+    def test_every_prefix_suffix_split_equals_per_tape(self, mechanism, w, box, monkeypatch):
+        """ENUM_BLOCK = size^j puts the last j axes in the flat block and
+        loops over the others, so the threshold draw is an array (j = all
+        axes) or a scalar (every other j).  Every split matches the per-tape
+        oracle, and the dict-loop reference bit for bit and in key order."""
+        a = enumerate_output_dist(mechanism, w, Side.D, box=box, method="per-tape")
+        size = 2 * box + 1
+        axes = len(a.meta["bounds"])
+        kernel = verifier.run_status_gaps
+        for suffix in range(axes + 1):
+            calls = []
+
+            def spy(*args):
+                calls.append(np.ndim(args[4]))
+                return kernel(*args)
+
+            monkeypatch.setattr(verifier, "run_status_gaps", spy)
+            monkeypatch.setattr(verifier, "ENUM_BLOCK", size**suffix)
+            b = enumerate_output_dist(mechanism, w, Side.D, box=box, method="batch")
+            assert len(calls) == size ** (axes - suffix)
+            assert set(calls) == {1 if suffix == axes else 0}
+            assert set(a.masses) == set(b.masses)
+            for key in a.masses:
+                assert a.masses[key] == pytest.approx(b.masses[key], abs=1e-15)
+            assert list(b.masses.items()) == list(_dict_merge_reference(mechanism, w, Side.D, box).items())
 
     def test_grid_budget_enforced(self):
         w = Workload.from_values([(1, 0), (0, 1), (1, 1)], 0, 1, 0.25)
@@ -357,6 +426,14 @@ class TestMonteCarlo:
         codes[250:] = codes[:250]  # every row appears twice
         codes[::7, 5] = 0
         _assert_keys_order_like_rows(codes)
+
+    @pytest.mark.parametrize("kind", [NoiseKind.DLAP, NoiseKind.LAPLACE])
+    @pytest.mark.parametrize("arg, value", [("chunk", 0), ("chunk", -5), ("samples", 0), ("samples", -1)])
+    def test_sample_and_chunk_counts_below_one_are_rejected(self, kind, arg, value):
+        w = Workload.from_values([(1, 0), (0, 1)], 0, 1, 1.0)
+        kwargs = {"samples": 1000, "chunk": 100, arg: value}
+        with pytest.raises(DomainError, match=arg):
+            mc_output_dist(SVT_GAP, w, Side.D, kwargs["samples"], seed=1, kind=kind, chunk=kwargs["chunk"])
 
     def test_mc_deterministic(self):
         w = Workload.from_values([(1, 0)], 0, 1, 1.0)
