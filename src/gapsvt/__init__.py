@@ -3,7 +3,6 @@ their output-preserving tape alignments, and an executable privacy
 verification harness."""
 
 from .errors import (
-    BudgetInvariantViolation,
     DomainError,
     DomainMismatch,
     EmptyWorkload,
@@ -16,13 +15,11 @@ from .errors import (
 )
 from .core import (
     BOT,
-    Answer,
     Branch,
     NoiseKind,
     NoiseSpec,
     NoiseTape,
     OutputSequence,
-    QueryPair,
     Side,
     TapeLayout,
     Workload,
@@ -42,9 +39,6 @@ from .mechanisms import (
     SVT_CLASSIC,
     SVT_GAP,
     AdaptiveBudget,
-    CostLedger,
-    RunResult,
-    SvtBudget,
     adaptive_svt_gap_run,
     budget_split_adaptive,
     budget_split_svt,
@@ -53,12 +47,9 @@ from .mechanisms import (
     sample_run,
     svt_classic_run,
     svt_gap_run,
-    tape_layout_for,
 )
 from .alignments import (
-    AlignmentShift,
     CostWeights,
-    IndexSets,
     Mutation,
     align_adaptive,
     align_svt_gap,
@@ -69,8 +60,6 @@ from .alignments import (
 )
 from .verifier import (
     OutputDistribution,
-    PrivacyLossResult,
-    PrivacyReport,
     TrialPlan,
     Witness,
     WorkloadGenSpec,

@@ -1,10 +1,11 @@
 """Array evaluation of the mechanisms over many tapes at once.
 
-The exact-enumeration oracle and the Monte Carlo cross-checks have to touch
-millions of tapes, which rules out a per-tape Python run.  The kernels here
-replay the mechanisms column-by-column over tape arrays using the very same
-arithmetic expressions and comparison directions, including the adaptive
-guard evaluated from the exact rational budget.  Their agreement with the
+The Monte Carlo cross-checks run millions of tapes, and the exact oracle
+runs every draw of one query's grid per threshold draw, which rules out a
+per-tape Python run.  The kernels here replay the mechanisms
+column-by-column over tape arrays using the very same arithmetic
+expressions and comparison directions, including the adaptive guard
+evaluated from the exact rational budget.  Their agreement with the
 per-tape implementations is asserted by dedicated equivalence tests
 (exhaustively on small boxes, sampled on large ones), so distribution-level
 results always rest on the step-by-step mechanisms, not on this file alone.

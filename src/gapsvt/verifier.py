@@ -6,7 +6,8 @@ Three families of evidence, in increasing strength on small instances:
   alignment reproduces outputs on the adjacent side, that its weighted cost
   stays within the budget, and that the structural side conditions hold;
 * an exact output-distribution oracle under integer (discrete Laplace)
-  noise that enumerates every tape in a box and checks the likelihood-ratio
+  noise over a box of tapes, built output by output from each query's
+  distribution given the threshold draw, that checks the likelihood-ratio
   bound directly;
 * a Monte Carlo estimator used both to cross-check the enumeration and as a
   falsification heuristic on instances too large to enumerate.
@@ -67,12 +68,19 @@ from .mechanisms import (
     svt_gap_run,
     tape_layout_for,
 )
-from .vectorized import canonical_rows, decode_row, encode_int_rows, int_row_keys, run_status_gaps, sorted_groups
+from .vectorized import (
+    _adaptive_stop_table,
+    canonical_rows,
+    decode_row,
+    encode_int_rows,
+    int_row_keys,
+    run_status_gaps,
+    sorted_groups,
+)
 
 GAP_TOL = 1e-9  # per-gap equality tolerance for real-valued workloads
 COST_TOL = 1e-12
 GAP_NDIGITS = 9  # Monte Carlo rounds real-valued gaps to this many digits before keying
-ENUM_BLOCK = 1 << 20  # most grid points one batch enumeration step evaluates at once
 PADDED_SLACK = 1e-4  # dp-exact tolerance on the tau-padded log ratio above epsilon
 PER_DRAW_TAIL = 1e-12  # enumeration box: largest mass any one tape coordinate leaves outside it
 WILSON_Z = 6.0  # Monte Carlo falsifier: z of the Wilson intervals around each output's frequency
@@ -604,36 +612,27 @@ def _enum_axes(mechanism: str, w: Workload, spec: NoiseSpec, box: int | None):
     return [threshold] + query * len(w)
 
 
-def _pack_rows(codes: np.ndarray, bits: int) -> np.ndarray:
-    packed = codes[:, 0].astype(np.int64)
-    for j in range(1, codes.shape[1]):
-        packed <<= bits
-        packed |= codes[:, j]
-    return packed
-
-
-def _unpack_rows(packed: np.ndarray, bits: int, n: int) -> np.ndarray:
-    mask = (1 << bits) - 1
-    return np.column_stack([(packed >> (bits * (n - 1 - j))) & mask for j in range(n)])
-
-
 def enumerate_output_dist(
     mechanism: str,
     w: Workload,
     side: Side = Side.D,
     box: int | None = None,
     grid_budget: int = 10**8,
-    method: str = "batch",
+    method: str = "per-query",
 ) -> OutputDistribution:
     """Exact output distribution under integer Laplace noise.
 
-    Every tape in the per-role integer box is weighted by its product pmf
-    and fed through the mechanism; masses accumulate per canonical output.
-    The box is ``[-box, box]`` on every coordinate, or by default each
-    role's smallest box leaving less than ``PER_DRAW_TAIL`` outside.
-    ``method='per-tape'`` runs the per-tape mechanism on every grid point
-    (small boxes only); the default batch path uses the array kernels, whose
-    agreement with the per-tape runs is itself under test.
+    The tapes of the per-role integer box, ``[-box, box]`` on every
+    coordinate or by default each role's smallest box leaving less than
+    ``PER_DRAW_TAIL`` outside, are weighted by their product pmf and their
+    masses summed per canonical output; the mass outside the box is
+    ``truncation_loss``.  The default ``method='per-query'`` conditions on
+    the threshold draw, under which every answer depends on its own query's
+    draws alone: the array kernels run one query at a time over that query's
+    grid, and outputs are built one position at a time (see
+    ``_enumerate_per_query``).  ``method='per-tape'`` runs the per-tape
+    mechanism on every grid point (small boxes only) as the independent
+    check.  ``grid_budget`` caps the box size either way.
     """
     check_workload(w)
     _require_integer_workload(w)
@@ -642,27 +641,21 @@ def enumerate_output_dist(
     budget = default_budget(mechanism, w)
     spec = budget.noise_spec(NoiseKind.DLAP)
     axes = _enum_axes(mechanism, w, spec, box)
-    sizes = [len(ax.values) for ax in axes]
-    total = 1
-    for s in sizes:
-        total *= s
+    total = math.prod(len(ax.values) for ax in axes)
     if total > grid_budget:
         raise GridBudgetExceeded(
             total,
             grid_budget,
             hint="fewer queries, larger epsilon, or a larger --grid-budget shrink the grid",
         )
-    inbox = 1.0
-    for ax in axes:
-        inbox *= 1.0 - ax.tail
-    truncation_loss = 1.0 - inbox
+    truncation_loss = 1.0 - math.prod(1.0 - ax.tail for ax in axes)
 
     if method == "per-tape":
         if total > 2_000_000:
             raise GridBudgetExceeded(total, 2_000_000, hint="per-tape method is for small boxes")
         masses = _enumerate_per_tape(mechanism, w, side, budget, axes)
-    elif method == "batch":
-        masses = _enumerate_batch(mechanism, w, side, budget, axes, sizes)
+    elif method == "per-query":
+        masses = _enumerate_per_query(mechanism, w, side, budget, axes)
     else:
         raise DomainError(f"unknown enumeration method {method!r}")
 
@@ -702,71 +695,72 @@ def _enumerate_per_tape(mechanism, w, side, budget, axes) -> dict:
     return masses
 
 
-def _enumerate_batch(mechanism, w, side, budget, axes, sizes) -> dict:
+def _enumerate_per_query(mechanism, w, side, budget, axes) -> dict:
+    """P(omega) = sum_e p(e) * prod_i P_i(omega_i | e) * (in-box mass of the
+    draws of every query after the run stopped), e the threshold draw.
+
+    ``P_i(. | e)`` comes from the array kernel run on query ``i`` alone with
+    the scalar threshold draw ``e``, over that query's own grid (the second
+    adaptive draw is summed over its box whether or not the run reads it).
+    Output prefixes grow one position at a time as code rows with their
+    mass per threshold draw; a prefix leaves by the kernel's own stop rule
+    (``k`` positives, or the adaptive guard table), and the last position
+    is contracted over ``e`` by one matrix product.  Outputs of mass 0 are
+    impossible ones and are dropped."""
     n = len(w)
-    m = len(axes)
-    # choose the suffix of axes evaluated as one flat block
-    suffix_start = m
-    block = 1
-    while suffix_start > 0 and block * sizes[suffix_start - 1] <= ENUM_BLOCK:
-        block *= sizes[suffix_start - 1]
-        suffix_start -= 1
-    suffix_axes = axes[suffix_start:]
-    suffix_weight = np.ones(block)
-    for g in np.meshgrid(*(ax.pmf for ax in suffix_axes), indexing="ij"):
-        suffix_weight = suffix_weight * g.ravel()
-    # one column per query axis, in tape order; prefix columns are refilled per block
-    grid = np.empty((block, m - 1), dtype=np.int64, order="F")
-    eta0 = None
-    for ax_i, g in enumerate(np.meshgrid(*(ax.values for ax in suffix_axes), indexing="ij"), start=suffix_start):
-        if ax_i == 0:
-            eta0 = g.ravel()
-        else:
-            grid[:, ax_i - 1] = g.ravel()
-    per_query = (grid[:, 0::2], grid[:, 1::2]) if mechanism == ADAPTIVE_GAP else grid
+    threshold = axes[0]
+    if mechanism == ADAPTIVE_GAP:
+        xi, eta = axes[1], axes[2]
+        per_query = tuple(g.reshape(-1, 1) for g in np.meshgrid(xi.values, eta.values, indexing="ij"))
+        query_pmf = np.outer(xi.pmf, eta.pmf).ravel()
+        query_inbox = (1.0 - xi.tail) * (1.0 - eta.tail)
+        # run state j1 * (n + 1) + j2 after j1 first- and j2 second-branch positives
+        step = np.array([0, 0, n + 1, 1])
+        stop = _adaptive_stop_table(budget, n).ravel()
+    else:
+        per_query = axes[1].values.reshape(-1, 1)
+        query_pmf = axes[1].pmf
+        query_inbox = 1.0 - axes[1].tail
+        step = np.array([0, 0, 1, 1])  # run state: positives so far
+        stop = np.arange(n + 1) >= w.k
 
-    # conservative per-position code bound fixes the packing width globally
-    max_gap = 0
-    vals = w.values(side)
+    def conditionals(i):
+        """The codes query ``i`` can answer, and each code's mass over the
+        query's in-box draws given each threshold draw: (codes, draws)."""
+        wi = Workload(w.pairs[i : i + 1], w.threshold, w.k, w.epsilon, w.sigma)
+        cols = []
+        for e in threshold.values:
+            status, gaps = run_status_gaps(mechanism, wi, side, budget, e, per_query)
+            cols.append(np.bincount(encode_int_rows(mechanism, status, gaps)[:, 0], weights=query_pmf))
+        cond = np.zeros((max(map(len, cols)), len(cols)))
+        for j, col in enumerate(cols):
+            cond[: len(col), j] = col
+        codes = np.flatnonzero(cond.any(axis=1))
+        return codes, cond[codes]
+
+    # live output prefixes: code rows, mass per threshold draw, run state
+    rows = np.zeros((1, 0), dtype=np.int64)
+    mass = np.ones((1, len(threshold.values)))
+    state = np.zeros(1, dtype=np.int64)
+    done = []  # (code rows, masses) of finished outputs
     for i in range(n):
-        q_axes = [axes[1 + 2 * i], axes[2 + 2 * i]] if mechanism == ADAPTIVE_GAP else [axes[1 + i]]
-        reach = max(ax.bound for ax in q_axes)
-        max_gap = max(max_gap, int(vals[i]) + reach + axes[0].bound - int(w.threshold))
-    bits = max(3, (3 + 4 * max(0, max_gap)).bit_length())
-    if n * bits > 62:
-        raise DomainError("packed output encoding exceeds 62 bits; reduce the query count")
-
-    # packed outputs seen so far, sorted, with their summed mass and the rank
-    # of their first appearance, which fixes the key order of the result
-    keys = np.empty(0, dtype=np.int64)
-    sums = np.empty(0)
-    ranks = np.empty(0, dtype=np.int64)
-    for combo in np.ndindex(*sizes[:suffix_start]):
-        pw = 1.0
-        for ax_i, ci in enumerate(combo):
-            pw *= float(axes[ax_i].pmf[ci])
-            if ax_i == 0:
-                eta0 = axes[0].values[ci]
-            else:
-                grid[:, ax_i - 1] = axes[ax_i].values[ci]
-        status, gaps = run_status_gaps(mechanism, w, side, budget, eta0, per_query)
-        packed = _pack_rows(encode_int_rows(mechanism, status, gaps), bits)
-        uniq, inverse = sorted_groups(packed)
-        block_sums = np.bincount(inverse, weights=suffix_weight * pw)
-        # merge: known outputs add this block's mass in place, new ones are
-        # inserted at their sorted position
-        at = np.searchsorted(keys, uniq)
-        known = at < len(keys)
-        known[known] = keys[at[known]] == uniq[known]
-        sums[at[known]] += block_sums[known]
-        new = ~known
-        if new.any():
-            keys = np.insert(keys, at[new], uniq[new])
-            sums = np.insert(sums, at[new], block_sums[new])
-            ranks = np.insert(ranks, at[new], np.arange(len(ranks), len(ranks) + int(new.sum())))
-    order = np.argsort(ranks)
-    rows = _unpack_rows(keys[order], bits, n).tolist()
-    return {decode_row(mechanism, row): mass for row, mass in zip(rows, sums[order].tolist())}
+        codes, cond = conditionals(i)
+        rows = np.column_stack((np.repeat(rows, len(codes), axis=0), np.tile(codes, len(rows))))
+        if i == n - 1:
+            done.append((rows, ((mass * threshold.pmf) @ cond.T).ravel()))
+            break
+        mass = (mass[:, None, :] * cond[None, :, :]).reshape(len(rows), -1)
+        state = np.repeat(state, len(codes)) + np.tile(step[codes & 3], len(state))
+        ended = stop[state]
+        done.append((rows[ended], (mass[ended] @ threshold.pmf) * query_inbox ** (n - 1 - i)))
+        live = ~ended & mass.any(axis=1)
+        rows, mass, state = rows[live], mass[live], state[live]
+    masses = {}
+    for out_rows, out_mass in done:
+        hit = out_mass > 0.0
+        keys = (decode_row(mechanism, row) for row in out_rows[hit].tolist())
+        masses.update(zip(keys, out_mass[hit].tolist()))
+    return masses
 
 
 # ---------------------------------------------------------------------------

@@ -87,3 +87,25 @@ def test_every_call_of_the_benchmark_binds_to_its_signature():
         except TypeError as e:
             unbound.append(f"perfbench/bench.py:{line} {name}: {e}")
     assert unbound == []
+
+
+def test_default_enumeration_runs_kernels_and_decodes_but_no_per_tape_run(monkeypatch):
+    """The ``enum`` workload's traced counts need kernel rows and decode
+    calls above 0, and its no-work prediction needs ``mechanisms.*`` at 0:
+    the default exact oracle goes through ``verifier.run_status_gaps`` and
+    ``verifier.decode_row``, never through ``verifier.run_mechanism``."""
+    calls = {"run_status_gaps": 0, "decode_row": 0, "run_mechanism": 0}
+    for name in calls:
+        real = getattr(verifier, name)
+
+        def spy(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(verifier, name, spy)
+    for mechanism in gapsvt.MECHANISMS:
+        w = gapsvt.default_enumeration_instances(mechanism)[0]
+        verifier.enumerate_output_dist(mechanism, w, gapsvt.Side.D)
+    assert calls["run_status_gaps"] > 0
+    assert calls["decode_row"] > 0
+    assert calls["run_mechanism"] == 0

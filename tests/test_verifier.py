@@ -191,40 +191,6 @@ class TestTrialSuites:
         assert "witness" in payload
 
 
-def _dict_merge_reference(mechanism, w, side, box) -> dict:
-    """The batch enumeration as a per-output dict loop: the same blocks,
-    kernels, weights and summation order, each block's outputs grouped by
-    row-wise np.unique and added to the dict one output at a time."""
-    budget = verifier.default_budget(mechanism, w)
-    axes = verifier._enum_axes(mechanism, w, budget.noise_spec(NoiseKind.DLAP), box)
-    sizes = [len(ax.values) for ax in axes]
-    split, block = len(axes), 1
-    while split > 0 and block * sizes[split - 1] <= verifier.ENUM_BLOCK:
-        block *= sizes[split - 1]
-        split -= 1
-    suffix = [g.ravel() for g in np.meshgrid(*(ax.values for ax in axes[split:]), indexing="ij")]
-    weight = np.ones(block)
-    for g in np.meshgrid(*(ax.pmf for ax in axes[split:]), indexing="ij"):
-        weight = weight * g.ravel()
-    acc = {}
-    for combo in np.ndindex(*sizes[:split]):
-        pw = 1.0
-        for ax_i, ci in enumerate(combo):
-            pw *= float(axes[ax_i].pmf[ci])
-        cols = [np.full(block, axes[ax_i].values[ci]) for ax_i, ci in enumerate(combo)] + suffix
-        if mechanism == ADAPTIVE_GAP:
-            per_query = (np.column_stack(cols[1::2]), np.column_stack(cols[2::2]))
-        else:
-            per_query = np.column_stack(cols[1:])
-        status, gaps = vectorized.run_status_gaps(mechanism, w, side, budget, cols[0], per_query)
-        codes = vectorized.encode_int_rows(mechanism, status, gaps)
-        rows, inverse = np.unique(codes, axis=0, return_inverse=True)
-        for row, mass in zip(rows.tolist(), np.bincount(inverse.ravel(), weights=weight * pw).tolist()):
-            key = vectorized.decode_row(mechanism, row)
-            acc[key] = acc.get(key, 0.0) + mass
-    return acc
-
-
 class TestEnumeration:
     def test_identical_sides_give_identical_distributions(self):
         w = Workload.from_values([(1, 1), (0, 0)], 0, 1, 1.0)
@@ -241,55 +207,33 @@ class TestEnumeration:
         assert all(m >= 0 for m in dist.masses.values())
 
     @pytest.mark.parametrize(
-        "mechanism, w, box",
+        "mechanism, w, box, side",
         [
-            (SVT_GAP, Workload.from_values([(1, 0), (0, 1)], 0, 1, 1.0), 5),
-            (SVT_CLASSIC, Workload.from_values([(1, 0), (0, 1)], 0, 1, 1.0), 5),
+            (SVT_GAP, Workload.from_values([(1, 0), (0, 1)], 0, 1, 1.0), 5, Side.D),
+            (SVT_CLASSIC, Workload.from_values([(1, 0), (0, 1)], 0, 1, 1.0), 5, Side.D),
             # paired layout: 5 axes of 7 points
-            (ADAPTIVE_GAP, Workload.from_values([(1, 0), (0, 1)], 0, 2, 1.0, sigma=1), 3),
+            (ADAPTIVE_GAP, Workload.from_values([(1, 0), (0, 1)], 0, 2, 1.0, sigma=1), 3, Side.D),
+            # k=1 over 3 queries: runs stop after a positive with queries unread
+            (SVT_GAP, Workload.from_values([(1, 0), (0, 1), (1, 1)], 0, 1, 1.0), 3, Side.D),
+            (SVT_CLASSIC, Workload.from_values([(1, 0), (0, 1), (1, 1)], 0, 1, 1.0), 3, Side.D),
+            (SVT_GAP, Workload.from_values([(1, 0), (0, 1), (1, 1)], 0, 1, 1.0), 3, Side.DPRIME),
+            # the guard stops the run after two positives unless both took the
+            # first branch, with the third query unread
+            (ADAPTIVE_GAP, Workload.from_values([(1, 0), (0, 1), (1, 1)], 0, 2, 8.0, sigma=1), 1, Side.D),
         ],
     )
-    def test_batch_equals_per_tape(self, mechanism, w, box):
-        a = enumerate_output_dist(mechanism, w, Side.D, box=box, method="per-tape")
-        b = enumerate_output_dist(mechanism, w, Side.D, box=box, method="batch")
+    def test_per_query_equals_per_tape(self, mechanism, w, box, side):
+        a = enumerate_output_dist(mechanism, w, side, box=box, method="per-tape")
+        b = enumerate_output_dist(mechanism, w, side, box=box, method="per-query")
         assert set(a.masses) == set(b.masses)
         for key in a.masses:
-            assert a.masses[key] == pytest.approx(b.masses[key], abs=1e-15)
+            assert a.masses[key] == pytest.approx(b.masses[key], rel=1e-13)
 
-    @pytest.mark.parametrize(
-        "mechanism, w, box",
-        [
-            (SVT_GAP, Workload.from_values([(1, 0), (0, 1)], 0, 2, 1.0), 3),
-            (SVT_CLASSIC, Workload.from_values([(1, 0), (0, 1)], 0, 1, 1.0), 3),
-            # paired layout: 5 axes of 5 points, split at every axis
-            (ADAPTIVE_GAP, Workload.from_values([(1, 0), (0, 1)], 0, 2, 1.0, sigma=1), 2),
-        ],
-    )
-    def test_every_prefix_suffix_split_equals_per_tape(self, mechanism, w, box, monkeypatch):
-        """ENUM_BLOCK = size^j puts the last j axes in the flat block and
-        loops over the others, so the threshold draw is an array (j = all
-        axes) or a scalar (every other j).  Every split matches the per-tape
-        oracle, and the dict-loop reference bit for bit and in key order."""
-        a = enumerate_output_dist(mechanism, w, Side.D, box=box, method="per-tape")
-        size = 2 * box + 1
-        axes = len(a.meta["bounds"])
-        kernel = verifier.run_status_gaps
-        for suffix in range(axes + 1):
-            calls = []
-
-            def spy(*args):
-                calls.append(np.ndim(args[4]))
-                return kernel(*args)
-
-            monkeypatch.setattr(verifier, "run_status_gaps", spy)
-            monkeypatch.setattr(verifier, "ENUM_BLOCK", size**suffix)
-            b = enumerate_output_dist(mechanism, w, Side.D, box=box, method="batch")
-            assert len(calls) == size ** (axes - suffix)
-            assert set(calls) == {1 if suffix == axes else 0}
-            assert set(a.masses) == set(b.masses)
-            for key in a.masses:
-                assert a.masses[key] == pytest.approx(b.masses[key], abs=1e-15)
-            assert list(b.masses.items()) == list(_dict_merge_reference(mechanism, w, Side.D, box).items())
+    def test_repeated_calls_are_bit_identical(self):
+        w = default_enumeration_instances(ADAPTIVE_GAP)[5]
+        a = enumerate_output_dist(ADAPTIVE_GAP, w, Side.D)
+        b = enumerate_output_dist(ADAPTIVE_GAP, w, Side.D)
+        assert list(a.masses.items()) == list(b.masses.items())
 
     def test_grid_budget_enforced(self):
         w = Workload.from_values([(1, 0), (0, 1), (1, 1)], 0, 1, 0.25)
