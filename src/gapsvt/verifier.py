@@ -728,13 +728,13 @@ def _enumerate_per_query(mechanism, w, side, budget, axes) -> dict:
         """The codes query ``i`` can answer, and each code's mass over the
         query's in-box draws given each threshold draw: (codes, draws)."""
         wi = Workload(w.pairs[i : i + 1], w.threshold, w.k, w.epsilon, w.sigma)
+        # one kernel call per threshold draw keeps its arrays at one query grid
         cols = []
         for e in threshold.values:
             status, gaps = run_status_gaps(mechanism, wi, side, budget, e, per_query)
             cols.append(np.bincount(encode_int_rows(mechanism, status, gaps)[:, 0], weights=query_pmf))
-        cond = np.zeros((max(map(len, cols)), len(cols)))
-        for j, col in enumerate(cols):
-            cond[: len(col), j] = col
+        width = max(map(len, cols))
+        cond = np.stack([np.pad(col, (0, width - len(col))) for col in cols], axis=1)
         codes = np.flatnonzero(cond.any(axis=1))
         return codes, cond[codes]
 

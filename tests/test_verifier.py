@@ -227,7 +227,7 @@ class TestEnumeration:
         b = enumerate_output_dist(mechanism, w, side, box=box, method="per-query")
         assert set(a.masses) == set(b.masses)
         for key in a.masses:
-            assert a.masses[key] == pytest.approx(b.masses[key], rel=1e-13)
+            assert a.masses[key] == pytest.approx(b.masses[key], rel=1e-13, abs=0)
 
     def test_repeated_calls_are_bit_identical(self):
         w = default_enumeration_instances(ADAPTIVE_GAP)[5]
