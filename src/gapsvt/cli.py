@@ -254,8 +254,23 @@ def cmd_verify(args) -> int:
     return 0 if verdict == "pass" else 1
 
 
+def _seed(text: str) -> int:
+    """A seed as numpy's generators take it: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
 def _default_seed() -> int:
-    return int(os.environ.get("GAPSVT_SEED", "0"))
+    """The seed when ``--seed`` is not given: ``GAPSVT_SEED``, else 0."""
+    try:
+        return _seed(os.environ.get("GAPSVT_SEED", "0"))
+    except argparse.ArgumentTypeError as e:
+        raise GapSvtError(f"GAPSVT_SEED {e}")
 
 
 def _positive_int(text: str) -> int:
@@ -276,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--mechanism", required=True, choices=MECHANISMS)
     p_run.add_argument("--workload", required=True, help="path to a workload JSON file")
     p_run.add_argument("--side", choices=("d", "dprime"), default="d")
-    p_run.add_argument("--seed", type=int, default=_default_seed())
+    p_run.add_argument("--seed", type=_seed, help="default: GAPSVT_SEED, else 0")
     p_run.add_argument("--runs", type=_positive_int, default=1)
     p_run.add_argument("--format", choices=("json", "text"), default="json")
     p_run.add_argument("--tape", help=argparse.SUPPRESS)  # inject explicit noise values
@@ -289,8 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("align", "cost", "structural", "dp-exact", "dp-mc", "all"),
     )
     p_verify.add_argument("--mechanism", required=True, choices=MECHANISMS)
-    p_verify.add_argument("--trials", type=int, default=10000)
-    p_verify.add_argument("--seed", type=int, default=_default_seed())
+    p_verify.add_argument("--trials", type=_positive_int, default=10000)
+    p_verify.add_argument("--seed", type=_seed, help="default: GAPSVT_SEED, else 0")
     p_verify.add_argument("--grid-budget", type=int, default=10**8)
     p_verify.add_argument("--workload", help="workload file for dp-exact / dp-mc")
     p_verify.add_argument("--inject-mutation", help=argparse.SUPPRESS)  # self-test corruptions
@@ -308,6 +323,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) is None:  # read GAPSVT_SEED only when a seed is used and not given
+            args.seed = _default_seed()
         return args.func(args)
     except (GapSvtError, OSError, ValueError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)

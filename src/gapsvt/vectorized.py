@@ -20,6 +20,12 @@ output identifiers.  ``int_row_keys`` folds each encoded row into one exact int6
 key for a chunk: the columns are packed in a mixed radix of their spans, and
 the running key is replaced by its dense rank whenever the next column would
 overflow int64, so equal keys mean equal rows for every input.
+
+Real-valued outputs cannot be int-encoded; ``canonical_rows`` gives them
+the per-tape canonical keys instead.  It works a column at a time: numpy
+rounds each gap column (Python's ``round`` takes the few elements near a
+decimal tie), one list comprehension builds the column's answer keys, and
+the rows are zipped from the columns.
 """
 
 from __future__ import annotations
@@ -215,30 +221,85 @@ def decode_row(mechanism: str, row) -> tuple:
     return tuple(out)
 
 
-def canonical_rows(mechanism: str, status, gaps, gap_ndigits: int | None = None) -> list:
-    """Canonical keys for every row; float gaps are rounded before keying."""
-    G, n = status.shape
-    status_l = status.tolist()
-    gaps_l = np.asarray(gaps).tolist()
-    out = []
-    for r in range(G):
-        srow, grow = status_l[r], gaps_l[r]
-        key = []
-        for i in range(n):
-            s = srow[i]
-            if s == STATUS_ABSENT:
-                break
-            if s == STATUS_BOT:
-                key.append("bot")
-            elif mechanism == SVT_CLASSIC:
-                key.append("top")
-            else:
-                g = grow[i]
-                if gap_ndigits is not None:
-                    g = round(g, gap_ndigits)
-                if isinstance(g, float) and g.is_integer():
-                    g = int(g)
-                branch = "plain" if mechanism == SVT_GAP else ("first" if s == STATUS_TOP else "second")
-                key.append((branch, g))
-        out.append(tuple(key))
+def _round_gaps(top: np.ndarray, gaps: np.ndarray, ndigits: int) -> np.ndarray:
+    """``round(g, ndigits)`` of every float gap where ``top`` holds.
+
+    numpy scales by ``10**ndigits``, takes ``rint`` and scales back.  That
+    equals Python's correctly rounded ``round`` wherever the scaled value
+    is more than 2 ulp from a half-integer (so below 2**50): the scaling
+    error of half an ulp cannot move it across a tie, and the division back
+    is correctly rounded like ``round``'s own decimal-to-double step.  The
+    few other elements, and all of them when ``10**ndigits`` is not an
+    exact double, go through ``round`` itself."""
+    if 0 <= ndigits <= 22:  # 10**ndigits is an exact double
+        scale = 10.0**ndigits
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = gaps * scale
+            r = np.rint(y)
+            out = r / scale
+            # not shown to be more than 2 ulp from a tie: this takes in
+            # every |y| >= 2**50, and inf and NaN by the negation
+            slow = ~(0.5 - np.abs(y - r) > 2 * np.spacing(np.abs(y)))
+        slow &= top
+    else:
+        out, slow = gaps.copy(), top
+    for i, j in zip(*np.nonzero(slow)):
+        out[i, j] = round(float(gaps[i, j]), ndigits)
     return out
+
+
+def _gap_columns(status: np.ndarray, gaps, ndigits: int | None):
+    """Each column of ``gaps`` in turn as a list of the numbers the keys
+    hold: ``round(g, ndigits)``, then ``int`` where a rounded float is
+    integral."""
+    g = np.asarray(gaps)
+    if g.dtype.kind != "f":
+        for col in g.T.tolist():
+            yield col if ndigits is None or ndigits >= 0 else [round(v, ndigits) for v in col]
+        return
+    top = status >= STATUS_TOP
+    g = g.astype(np.float64)
+    if ndigits is not None:
+        g = _round_gaps(top, g, ndigits)
+    integral = np.floor(g) == g
+    integral &= np.isfinite(g)
+    integral &= top
+    for j in range(g.shape[1]):
+        col = g[:, j].tolist()
+        for i in np.flatnonzero(integral[:, j]).tolist():
+            col[i] = int(col[i])
+        yield col
+
+
+def _column_keys(mechanism: str, status: np.ndarray, gaps, gap_ndigits: int | None) -> list:
+    """``canonical_rows`` without the ``svt`` grouping."""
+    n = status.shape[1]
+    status_cols = status.T.tolist()
+    if mechanism == SVT_CLASSIC:
+        cols = [["top" if s >= STATUS_TOP else "bot" for s in sc] for sc in status_cols]
+    else:
+        names = (None, None, "plain" if mechanism == SVT_GAP else "first", "second")
+        cols = [
+            [(names[s], g) if s >= STATUS_TOP else "bot" for s, g in zip(sc, gc)]
+            for sc, gc in zip(status_cols, _gap_columns(status, gaps, gap_ndigits))
+        ]
+    absent = status == STATUS_ABSENT
+    lengths = np.where(absent.any(axis=1), absent.argmax(axis=1), n).tolist()
+    return [row[:length] for row, length in zip(zip(*cols), lengths)]
+
+
+def canonical_rows(mechanism: str, status, gaps, gap_ndigits: int | None = None) -> list:
+    """The key ``OutputSequence.canonical(gap_ndigits)`` gives for every row.
+
+    Keys are built a column at a time: one list of answer keys per column
+    (gaps as ``_gap_columns`` rounds them), zipped into row tuples and each
+    cut at its first ``STATUS_ABSENT``.  ``svt`` keys carry no gaps, so its
+    rows are grouped by ``int_row_keys`` and only the distinct keys built."""
+    status = np.asarray(status)
+    if mechanism == SVT_CLASSIC and len(status):
+        uniq, inverse = sorted_groups(int_row_keys(status))
+        row_of = np.empty(len(uniq), dtype=np.int64)
+        row_of[inverse] = np.arange(len(status))  # any row of a key stands for it
+        keys = _column_keys(mechanism, status[row_of], None, None)
+        return [keys[i] for i in inverse.tolist()]
+    return _column_keys(mechanism, status, gaps, gap_ndigits)

@@ -783,8 +783,10 @@ def mc_output_dist(
     outputs (discrete noise on an integer workload) are keyed per chunk by
     one exact int64 per row (``int_row_keys``, which rank-compresses the
     running key before it could overflow); one representative row per key
-    is decoded to the canonical output.  Real-valued outputs are keyed row
-    by row with gaps rounded to ``GAP_NDIGITS`` digits.
+    is decoded to the canonical output.  Real-valued outputs are keyed by
+    ``canonical_rows``, a column at a time, with gaps rounded to
+    ``GAP_NDIGITS`` digits exactly as ``round`` does, and counted by one
+    ``Counter.update`` per chunk.
 
     ``scale_epsilon_factor`` is a self-test hook: it rescales the noise as
     if the budget were ``factor * epsilon`` while everything else (including
@@ -820,8 +822,7 @@ def mc_output_dist(
             for row, c in zip(codes[row_of].tolist(), np.bincount(inverse).tolist()):
                 counts[decode_row(mechanism, row)] += c
         else:
-            for key in canonical_rows(mechanism, status, gaps, GAP_NDIGITS):
-                counts[key] += 1
+            counts.update(canonical_rows(mechanism, status, gaps, GAP_NDIGITS))
         done += rows
     masses = {k: c / samples for k, c in counts.items()}
     return OutputDistribution(

@@ -228,6 +228,38 @@ class TestInputGate:
         assert out == ""
         assert "--runs" in err
 
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_non_integer_env_seed_exits_2_naming_it(self, capsys, workload_file, monkeypatch, command):
+        monkeypatch.setenv("GAPSVT_SEED", "abc")
+        argv = {
+            "run": ["run", "--mechanism", "svt-gap", "--workload", workload_file(GOLDEN)],
+            "verify": ["verify", "--suite", "align", "--mechanism", "svt-gap", "--trials", "10"],
+        }[command]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == "" and "GAPSVT_SEED" in err
+        # a flag overrides the variable, and budget takes no seed
+        assert run_cli(capsys, argv + ["--seed", "3"])[0] == 0
+        assert run_cli(capsys, ["budget", "--epsilon", "1", "--k", "1", "--mechanism", "svt"])[0] == 0
+
+    @pytest.mark.parametrize("source", ["--seed", "GAPSVT_SEED"])
+    def test_negative_seed_exits_2_naming_its_source(self, capsys, workload_file, monkeypatch, source):
+        argv = ["run", "--mechanism", "svt-gap", "--workload", workload_file(GOLDEN)]
+        if source == "--seed":
+            argv += ["--seed", "-4"]
+        else:
+            monkeypatch.setenv("GAPSVT_SEED", "-4")
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == "" and source in err
+
+    @pytest.mark.parametrize("suite", ["align", "structural", "dp-exact", "dp-mc", "all"])
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_trials_below_one_is_a_usage_error(self, capsys, suite, trials):
+        code, out, err = run_cli(capsys, ["verify", "--suite", suite, "--mechanism", "svt", "--trials", trials])
+        assert code == 2
+        assert out == "" and "--trials" in err
+
     @pytest.mark.parametrize("epsilon", ["inf", "nan"])
     def test_budget_rejects_unusable_epsilon(self, capsys, epsilon):
         code, out, err = run_cli(capsys, ["budget", "--epsilon", epsilon, "--k", "1", "--mechanism", "adaptive-gap"])

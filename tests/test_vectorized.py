@@ -195,3 +195,69 @@ def test_gaps_are_zero_below_top(mechanism, w, dtype):
     assert below.any() and (~below).any()
     assert np.all(gaps[below] == 0)
     assert np.any(gaps[~below] != 0)
+
+
+def _round_reference(mechanism, status, gaps, ndigits):
+    """canonical_rows spelled out one row at a time: ``round(g, ndigits)``,
+    then ``int`` when the rounded gap is integral."""
+    names = {STATUS_TOP: "plain" if mechanism == SVT_GAP else "first", STATUS_TOP + 1: "second"}
+    out = []
+    for srow, grow in zip(status.tolist(), gaps.tolist()):
+        key = []
+        for s, g in zip(srow, grow):
+            if s == 0:
+                break
+            if s < STATUS_TOP:
+                key.append("bot")
+            elif mechanism == SVT_CLASSIC:
+                key.append("top")
+            else:
+                if ndigits is not None:
+                    g = round(g, ndigits)
+                key.append((names[s], int(g) if isinstance(g, float) and g.is_integer() else g))
+        out.append(tuple(key))
+    return out
+
+
+def _adversarial_gaps(rng, size):
+    """Float gaps on which rounding ``g * 1e9`` in numpy could go wrong, and
+    the special values, which come first."""
+    edge = 2.0**52 / 1e9
+    special = [0.0, -0.0, 0.0009765625, -0.0009765625, 5e-10, 1.5e-9, 2.5e-9, 1.2e8, 1.2e8 + 0.3, -1.2e8 - 0.7]
+    special += [edge, -edge, np.nextafter(edge, 0), np.nextafter(edge, np.inf), np.inf, np.nan]
+    ties = (2 * rng.integers(-(1 << 20), 1 << 20, size) + 1) * 2.0**-10  # g * 1e9 is exactly m + 0.5
+    scaled_ties = rng.integers(-(1 << 40), 1 << 40, size) + 0.5
+    integral = rng.integers(-(10**6), 10**6, size).astype(np.float64)
+    rest = np.concatenate([
+        ties,
+        np.nextafter(ties, np.inf),
+        np.nextafter(ties, -np.inf),
+        scaled_ties / 1e9,
+        np.nextafter(scaled_ties, np.inf) / 1e9,  # 1 ulp either side of a tie after scaling
+        np.nextafter(scaled_ties, -np.inf) / 1e9,
+        rng.uniform(-1, 1, size) * 2.0 ** rng.integers(22, 70, size),  # |g * 1e9| >= 2^52 from 2^22.1 up
+        integral,
+        integral + 4e-10,  # rounds to an integral gap
+        rng.standard_normal(size) * 10.0 ** rng.integers(-12, 4, size),
+    ])
+    rng.shuffle(rest)
+    return np.concatenate([special, rest]), len(special)
+
+
+@pytest.mark.parametrize("mechanism", MECHANISMS)
+@pytest.mark.parametrize("ndigits", [9, 3, 0, None, -2, 25])
+def test_canonical_rows_rounds_like_round_per_row(mechanism, ndigits):
+    rng = np.random.default_rng(23)
+    g, n_special = _adversarial_gaps(rng, 3000)
+    gaps = np.asfortranarray(g[: len(g) // 4 * 4].reshape(-1, 4))
+    status = rng.integers(0, 4 if mechanism == ADAPTIVE_GAP else 3, size=gaps.shape).astype(np.uint8)
+    status.ravel()[:n_special] = STATUS_TOP  # every special value is released
+    gaps[status < STATUS_TOP] = 0  # the kernels' contract
+    got = canonical_rows(mechanism, status, gaps, gap_ndigits=ndigits)
+    want = _round_reference(mechanism, status, gaps, ndigits)
+    assert len(got) == len(status)
+    assert [repr(k) for k in got] == [repr(k) for k in want]
+    # integer gaps, as integer tapes give them
+    int_gaps = np.where(status >= STATUS_TOP, rng.integers(-(10**6), 10**6, size=gaps.shape), 0)
+    got = canonical_rows(mechanism, status, int_gaps, gap_ndigits=ndigits)
+    assert [repr(k) for k in got] == [repr(k) for k in _round_reference(mechanism, status, int_gaps, ndigits)]

@@ -17,16 +17,19 @@ from gapsvt import (
     MECHANISMS,
     Mutation,
     NoiseKind,
+    NoiseTape,
     OutputDistribution,
     SVT_CLASSIC,
     SVT_GAP,
     Side,
+    TapeLayout,
     TrialPlan,
     Witness,
     Workload,
     WorkloadGenSpec,
     check_alignment_soundness,
     check_dp_exact,
+    default_budget,
     default_enumeration_instances,
     enumerate_output_dist,
     generate_workload,
@@ -318,6 +321,15 @@ _MC_CASES = [
 ]
 
 
+# real-valued workloads for Monte Carlo under continuous noise
+_W_REAL = Workload.from_values([(9.3, 8.6), (10.8, 11.5), (11.6, 10.9)], 10.0, 2, 1.0)
+_MC_LAPLACE = {
+    SVT_GAP: _W_REAL,
+    SVT_CLASSIC: _W_REAL,
+    ADAPTIVE_GAP: Workload.from_values([(11.2, 10.4), (12.7, 12.9)], 10.0, 1, 1.0, sigma=2.0),
+}
+
+
 class TestMonteCarlo:
     @pytest.mark.parametrize("case", range(len(_MC_CASES)))
     def test_counts_equal_row_unique_oracle(self, case, monkeypatch):
@@ -370,6 +382,49 @@ class TestMonteCarlo:
         codes[250:] = codes[:250]  # every row appears twice
         codes[::7, 5] = 0
         _assert_keys_order_like_rows(codes)
+
+    @pytest.mark.parametrize("mechanism", MECHANISMS)
+    def test_laplace_counts_equal_per_tape_runs(self, mechanism):
+        """Real-valued keys, their types, counts and order match per-tape runs
+        of the same draws, rebuilt chunk by chunk as mc_output_dist draws them."""
+        w = _MC_LAPLACE[mechanism]
+        samples, chunk, seed = 3000, 1100, (6, 1)
+        dist = mc_output_dist(mechanism, w, Side.D, samples, seed, kind=NoiseKind.LAPLACE, chunk=chunk)
+        budget = default_budget(mechanism, w)
+        spec = budget.noise_spec(NoiseKind.LAPLACE)
+        rng = np.random.default_rng(seed)
+        keys = []
+        for rows in (chunk, chunk, samples - 2 * chunk):
+            eta0 = verifier._draw_block(rng, NoiseKind.LAPLACE, spec.scales["threshold"], rows).tolist()
+            if mechanism == ADAPTIVE_GAP:
+                xis, etas = (
+                    verifier._draw_block(rng, NoiseKind.LAPLACE, spec.scales[r], (rows, len(w))).tolist()
+                    for r in ("query_first", "query_second")
+                )
+                tapes = [NoiseTape(e, tuple(zip(x, y)), TapeLayout.PAIRED) for e, x, y in zip(eta0, xis, etas)]
+            else:
+                etaq = verifier._draw_block(rng, NoiseKind.LAPLACE, spec.scales["query"], (rows, len(w))).tolist()
+                tapes = [NoiseTape(e, tuple(q)) for e, q in zip(eta0, etaq)]
+            for tape in tapes:
+                result = run_mechanism(mechanism, w, tape, Side.D, budget)
+                keys.append(result.output.canonical(verifier.GAP_NDIGITS))
+        assert [repr(kc) for kc in dist.meta["counts"].items()] == [repr(kc) for kc in Counter(keys).items()]
+        assert dist.meta["noise"] == "laplace"
+
+    def test_laplace_counts_keep_the_mechanisms_invariants(self):
+        w = _MC_LAPLACE[SVT_GAP]
+        gap = mc_output_dist(SVT_GAP, w, Side.D, 4000, seed=9, kind=NoiseKind.LAPLACE, chunk=1500).meta["counts"]
+        classic = mc_output_dist(SVT_CLASSIC, w, Side.D, 4000, seed=9, kind=NoiseKind.LAPLACE, chunk=1500)
+        erased = Counter()
+        for key, c in gap.items():
+            erased[tuple("bot" if a == "bot" else "top" for a in key)] += c
+        assert erased == classic.meta["counts"]
+        assert all(a[1] >= 0 for key in gap for a in key if a != "bot")
+        assert len(gap) > 1000  # real gaps, almost every sample its own key
+        w = _MC_LAPLACE[ADAPTIVE_GAP]
+        adaptive = mc_output_dist(ADAPTIVE_GAP, w, Side.D, 4000, seed=9, kind=NoiseKind.LAPLACE, chunk=1500)
+        first = [a[1] for key in adaptive.meta["counts"] for a in key if a != "bot" and a[0] == "first"]
+        assert first and min(first) >= round(w.sigma, verifier.GAP_NDIGITS)
 
     @pytest.mark.parametrize("kind", [NoiseKind.DLAP, NoiseKind.LAPLACE])
     @pytest.mark.parametrize("arg, value", [("chunk", 0), ("chunk", -5), ("samples", 0), ("samples", -1)])
