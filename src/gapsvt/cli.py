@@ -234,9 +234,7 @@ def cmd_verify(args) -> int:
                 instances = [w]
             else:
                 instances = default_enumeration_instances(args.mechanism)[:4]
-            for w in instances:
-                report, _ = check_dp_exact(args.mechanism, w, grid_budget=args.grid_budget)
-                reports.append(report)
+            reports.extend(check_dp_exact(args.mechanism, w)[0] for w in instances)
         elif suite == "dp-mc":
             if args.workload:
                 w, kind = load_workload_file(args.workload)
@@ -306,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--mechanism", required=True, choices=MECHANISMS)
     p_verify.add_argument("--trials", type=_positive_int, default=10000)
     p_verify.add_argument("--seed", type=_seed, help="default: GAPSVT_SEED, else 0")
-    p_verify.add_argument("--grid-budget", type=int, default=10**8)
     p_verify.add_argument("--workload", help="workload file for dp-exact / dp-mc")
     p_verify.add_argument("--inject-mutation", help=argparse.SUPPRESS)  # self-test corruptions
     p_verify.set_defaults(func=cmd_verify)

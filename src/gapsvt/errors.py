@@ -37,12 +37,13 @@ class DomainError(GapSvtError):
 
 
 class GridBudgetExceeded(GapSvtError):
-    """Exact enumeration would need more grid points than the configured budget."""
+    """Exact enumeration would take on ``needed`` cells, past its fixed cap
+    ``budget``: the cells of one oracle step, or the per-tape box's points."""
 
     def __init__(self, needed: int, budget: int, hint: str = ""):
         self.needed = needed
         self.budget = budget
-        msg = f"enumeration grid needs {needed} points, budget is {budget}"
+        msg = f"exact enumeration needs {needed} cells, its cap is {budget}"
         if hint:
             msg += f" ({hint})"
         super().__init__(msg)

@@ -31,7 +31,7 @@ from .core import (
     top_gap,
     top_marker,
 )
-from .errors import BudgetInvariantViolation, GapSvtError, LayoutMismatch, NonPositiveBudget, TapeExhausted
+from .errors import BudgetInvariantViolation, DomainError, GapSvtError, LayoutMismatch, NonPositiveBudget, TapeExhausted
 
 SVT_CLASSIC = "svt"
 SVT_GAP = "svt-gap"
@@ -332,14 +332,22 @@ def run_mechanism(
         out, consumed = _svt_run(w, tape, side, with_gap=mechanism == SVT_GAP)
         return RunResult(out, consumed)
     if mechanism == ADAPTIVE_GAP:
-        check_workload(w)
-        if w.sigma is None:
-            raise GapSvtError("adaptive mechanism requires workload.sigma")
+        check_workload_for(mechanism, w)
         if budget is None:
             budget = budget_split_adaptive(w.epsilon, w.k)
         out, ledger, consumed = _adaptive_run(w, budget, tape, side)
         return RunResult(out, consumed, ledger)
     raise GapSvtError(f"unknown mechanism {mechanism!r}, expected one of {MECHANISMS}")
+
+
+def check_workload_for(mechanism: str, w: Workload) -> None:
+    """``check_workload`` plus what ``mechanism`` needs of ``w``: the one
+    gate the per-tape adaptive run, the exact oracle and Monte Carlo share."""
+    check_workload(w)
+    if mechanism not in MECHANISMS:
+        raise DomainError(f"unknown mechanism {mechanism!r}")
+    if mechanism == ADAPTIVE_GAP and w.sigma is None:
+        raise GapSvtError("adaptive mechanism requires workload.sigma")
 
 
 def default_budget(mechanism: str, w: Workload):

@@ -62,6 +62,7 @@ from .mechanisms import (
     AdaptiveBudget,
     budget_split_adaptive,
     budget_split_svt,
+    check_workload_for,
     default_budget,
     run_mechanism,
     svt_classic_run,
@@ -83,6 +84,8 @@ COST_TOL = 1e-12
 GAP_NDIGITS = 9  # Monte Carlo rounds real-valued gaps to this many digits before keying
 PADDED_SLACK = 1e-4  # dp-exact tolerance on the tau-padded log ratio above epsilon
 PER_DRAW_TAIL = 1e-12  # enumeration box: largest mass any one tape coordinate leaves outside it
+ENUM_CELL_CAP = 1 << 24  # exact oracle: most cells (rows x threshold draws) one step may take on
+KEY_CELLS = 64  # exact oracle: cells one output key weighs (about 500 B a side, as much as 64 float64 masses)
 WILSON_Z = 6.0  # Monte Carlo falsifier: z of the Wilson intervals around each output's frequency
 
 
@@ -540,10 +543,10 @@ def replay_witness(witness: Witness) -> bool:
     the predicates that recorded it; True when the violation reproduces.
 
     ``soundness`` and ``cost`` witnesses replay their tape; ``dp-exact``
-    re-runs ``check_dp_exact`` on the workload at the default grid budget.
-    ``structural`` and ``dp-mc`` raise DomainError: the first needs the
-    trial's second tape, the second the seed and sample count, and a
-    witness carries neither."""
+    re-runs ``check_dp_exact`` on the workload, within the oracle's fixed
+    ``ENUM_CELL_CAP`` as when it was recorded.  ``structural`` and
+    ``dp-mc`` raise DomainError: the first needs the trial's second tape,
+    the second the seed and sample count, and a witness carries neither."""
     w = _deserialize_workload(witness.workload)
     if witness.kind == "dp-exact":
         return not check_dp_exact(witness.mechanism, w)[0].passed
@@ -582,13 +585,6 @@ class OutputDistribution:
         return abs(self.total_mass() + self.truncation_loss - 1.0)
 
 
-def _require_integer_workload(w: Workload) -> None:
-    if not w.is_integer_valued():
-        raise DomainError("exact enumeration needs integer query values and threshold")
-    if w.sigma is not None and not float(w.sigma).is_integer():
-        raise DomainError("exact enumeration needs an integer sigma")
-
-
 @dataclass(frozen=True)
 class _Axis:
     bound: int
@@ -617,7 +613,6 @@ def enumerate_output_dist(
     w: Workload,
     side: Side = Side.D,
     box: int | None = None,
-    grid_budget: int = 10**8,
     method: str = "per-query",
 ) -> OutputDistribution:
     """Exact output distribution under integer Laplace noise.
@@ -630,47 +625,33 @@ def enumerate_output_dist(
     the threshold draw, under which every answer depends on its own query's
     draws alone: the array kernels run one query at a time over that query's
     grid, and outputs are built one position at a time (see
-    ``_enumerate_per_query``).  ``method='per-tape'`` runs the per-tape
-    mechanism on every grid point (small boxes only) as the independent
-    check.  ``grid_budget`` caps the box size either way.
+    ``_enumerate_per_query``), and raises ``GridBudgetExceeded`` when a step
+    passes ``ENUM_CELL_CAP`` cells, whatever the box size.  ``method='per-tape'``
+    runs the per-tape mechanism on every point of a box of at most 2,000,000
+    as the independent check.  ``meta["grid_points"]`` is the box size.
     """
-    check_workload(w)
-    _require_integer_workload(w)
-    if mechanism not in MECHANISMS:
-        raise DomainError(f"unknown mechanism {mechanism!r}")
+    check_workload_for(mechanism, w)
+    if not w.is_integer_valued():
+        raise DomainError("exact enumeration needs integer query values and threshold")
+    if w.sigma is not None and not float(w.sigma).is_integer():
+        raise DomainError("exact enumeration needs an integer sigma")
     budget = default_budget(mechanism, w)
     spec = budget.noise_spec(NoiseKind.DLAP)
     axes = _enum_axes(mechanism, w, spec, box)
     total = math.prod(len(ax.values) for ax in axes)
-    if total > grid_budget:
-        raise GridBudgetExceeded(
-            total,
-            grid_budget,
-            hint="fewer queries, larger epsilon, or a larger --grid-budget shrink the grid",
-        )
     truncation_loss = 1.0 - math.prod(1.0 - ax.tail for ax in axes)
 
     if method == "per-tape":
         if total > 2_000_000:
-            raise GridBudgetExceeded(total, 2_000_000, hint="per-tape method is for small boxes")
+            raise GridBudgetExceeded(total, 2_000_000, hint="the per-tape method runs one tape per box point")
         masses = _enumerate_per_tape(mechanism, w, side, budget, axes)
     elif method == "per-query":
         masses = _enumerate_per_query(mechanism, w, side, budget, axes)
     else:
         raise DomainError(f"unknown enumeration method {method!r}")
 
-    return OutputDistribution(
-        mechanism,
-        side.value,
-        masses,
-        truncation_loss,
-        meta={
-            "grid_points": total,
-            "bounds": [ax.bound for ax in axes],
-            "per_draw_tail": PER_DRAW_TAIL,
-            "method": method,
-        },
-    )
+    meta = {"grid_points": total, "bounds": [ax.bound for ax in axes], "per_draw_tail": PER_DRAW_TAIL, "method": method}
+    return OutputDistribution(mechanism, side.value, masses, truncation_loss, meta)
 
 
 def _enumerate_per_tape(mechanism, w, side, budget, axes) -> dict:
@@ -706,9 +687,23 @@ def _enumerate_per_query(mechanism, w, side, budget, axes) -> dict:
     mass per threshold draw; a prefix leaves by the kernel's own stop rule
     (``k`` positives, or the adaptive guard table), and the last position
     is contracted over ``e`` by one matrix product.  Outputs of mass 0 are
-    impossible ones and are dropped."""
+    impossible ones and are dropped.
+
+    Each step's table has one column per threshold draw and one row per
+    point of a query's grid (the kernel), per code up to a query's largest
+    (its answers' masses) or per (live prefix, answer) pair (a position); a
+    row counts at least ``KEY_CELLS`` cells.  A table past ``ENUM_CELL_CAP``
+    cells raises ``GridBudgetExceeded``, a position's before it is built."""
     n = len(w)
     threshold = axes[0]
+
+    def charge(rows):
+        cells = rows * max(len(threshold.values), KEY_CELLS)
+        if cells > ENUM_CELL_CAP:
+            raise GridBudgetExceeded(cells, ENUM_CELL_CAP, hint="fewer queries or a larger epsilon need fewer")
+
+    # the kernel's table: one row per point of a query's grid, charged before the grid is built
+    charge(math.prod(len(ax.values) for ax in axes[1 : 3 if mechanism == ADAPTIVE_GAP else 2]))
     if mechanism == ADAPTIVE_GAP:
         xi, eta = axes[1], axes[2]
         per_query = tuple(g.reshape(-1, 1) for g in np.meshgrid(xi.values, eta.values, indexing="ij"))
@@ -733,6 +728,7 @@ def _enumerate_per_query(mechanism, w, side, budget, axes) -> dict:
         for e in threshold.values:
             status, gaps = run_status_gaps(mechanism, wi, side, budget, e, per_query)
             cols.append(np.bincount(encode_int_rows(mechanism, status, gaps)[:, 0], weights=query_pmf))
+            charge(len(cols[-1]))  # one row per code up to the largest
         width = max(map(len, cols))
         cond = np.stack([np.pad(col, (0, width - len(col))) for col in cols], axis=1)
         codes = np.flatnonzero(cond.any(axis=1))
@@ -745,6 +741,7 @@ def _enumerate_per_query(mechanism, w, side, budget, axes) -> dict:
     done = []  # (code rows, masses) of finished outputs
     for i in range(n):
         codes, cond = conditionals(i)
+        charge(len(rows) * len(codes))
         rows = np.column_stack((np.repeat(rows, len(codes), axis=0), np.tile(codes, len(rows))))
         if i == n - 1:
             done.append((rows, ((mass * threshold.pmf) @ cond.T).ravel()))
@@ -793,7 +790,7 @@ def mc_output_dist(
     the adaptive guard) still believes in ``epsilon``, which breaks the
     privacy guarantee on purpose so detectors can be validated.
     """
-    check_workload(w)
+    check_workload_for(mechanism, w)
     for name, value in (("samples", samples), ("chunk", chunk)):
         if value < 1:
             raise DomainError(f"{name} must be at least 1, got {value}")
@@ -911,15 +908,11 @@ def max_privacy_loss(p: OutputDistribution, q: OutputDistribution) -> PrivacyLos
     return PrivacyLossResult(padded_max, raw_max, certified_max, tau, tuple(one_sided))
 
 
-def check_dp_exact(
-    mechanism: str,
-    w: Workload,
-    grid_budget: int = 10**8,
-) -> tuple[PrivacyReport, PrivacyLossResult]:
+def check_dp_exact(mechanism: str, w: Workload) -> tuple[PrivacyReport, PrivacyLossResult]:
     """Enumerate both sides of an integer workload and compare the maximum
-    log likelihood ratio against epsilon."""
-    p = enumerate_output_dist(mechanism, w, Side.D, grid_budget=grid_budget)
-    q = enumerate_output_dist(mechanism, w, Side.DPRIME, grid_budget=grid_budget)
+    log likelihood ratio against epsilon; ``GridBudgetExceeded`` as there."""
+    p = enumerate_output_dist(mechanism, w, Side.D)
+    q = enumerate_output_dist(mechanism, w, Side.DPRIME)
     loss = max_privacy_loss(p, q)
     ok = (
         loss.certified_max <= w.epsilon + 1e-9
@@ -1044,8 +1037,8 @@ def mc_privacy_estimate(
 
 
 def default_enumeration_instances(mechanism: str) -> list[Workload]:
-    """Small integer workloads whose full output distribution fits the
-    default grid budget at the default tail tolerance."""
+    """Small integer workloads whose exact oracle stays within
+    ``ENUM_CELL_CAP`` at the default tail tolerance."""
     if mechanism == SVT_GAP:
         return [
             Workload.from_values([(1, 0)], 0, 1, 1.0),

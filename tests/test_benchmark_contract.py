@@ -8,6 +8,7 @@ only when run by hand."""
 import ast
 import importlib.util
 import inspect
+import math
 import os
 import sys
 
@@ -109,3 +110,20 @@ def test_default_enumeration_runs_kernels_and_decodes_but_no_per_tape_run(monkey
     assert calls["run_status_gaps"] > 0
     assert calls["decode_row"] > 0
     assert calls["run_mechanism"] == 0
+
+
+def test_enum_work_unit_is_the_box_size(monkeypatch):
+    """The ``enum`` workload counts ``notes["grid_points"]`` as its work, and
+    that stays the box size, the product of ``2 * bound + 1`` over every axis,
+    whatever the exact oracle's own cap counts."""
+    monkeypatch.syspath_prepend(PERFBENCH)  # bench.py imports its tracer by file name
+    spec = importlib.util.spec_from_file_location("perfbench_bench", os.path.join(PERFBENCH, "bench.py"))
+    bench = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, bench)
+    spec.loader.exec_module(bench)
+    assert len(bench.EnumWorkload.SUBSET) == 3
+    for mechanism, index in bench.EnumWorkload.SUBSET:
+        w = gapsvt.default_enumeration_instances(mechanism)[index]
+        report, _ = verifier.check_dp_exact(mechanism, w)
+        bounds = verifier.enumerate_output_dist(mechanism, w, gapsvt.Side.D).meta["bounds"]
+        assert report.notes["grid_points"] == math.prod(2 * b + 1 for b in bounds)

@@ -414,16 +414,38 @@ class TestVerifyCommand:
         assert code == 2
         assert "dlap" in err
 
-    def test_grid_budget_exceeded_exits_2_with_hint(self, capsys, workload_file):
-        payload = {"pairs": [[1, 0], [0, 1], [1, 1]], "threshold": 0, "k": 1,
-                   "epsilon": 0.25, "noise": "dlap"}
-        code, _, err = run_cli(
+    def test_over_the_cell_cap_exits_2_with_empty_stdout(self, capsys, workload_file):
+        payload = {"pairs": [[1, 0], [0, 1], [1, 1]], "threshold": 0, "k": 3,
+                   "epsilon": 1.0, "noise": "dlap"}
+        code, out, err = run_cli(
             capsys,
             ["verify", "--suite", "dp-exact", "--mechanism", "svt-gap",
-             "--workload", workload_file(payload), "--seed", "1", "--grid-budget", "1000000"],
+             "--workload", workload_file(payload), "--seed", "1"],
         )
         assert code == 2
-        assert "grid" in err
+        assert out == ""
+        assert "cells" in err
+
+    def test_grid_budget_is_not_an_option(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            ["verify", "--suite", "dp-exact", "--mechanism", "svt-gap", "--grid-budget", "5"],
+        )
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --grid-budget" in err
+
+    @pytest.mark.parametrize("suite", ["dp-exact", "dp-mc"])
+    def test_adaptive_without_sigma_exits_2(self, capsys, workload_file, suite):
+        payload = {"pairs": [[1, 0]], "threshold": 0, "k": 1, "epsilon": 1.0, "noise": "dlap"}
+        code, out, err = run_cli(
+            capsys,
+            ["verify", "--suite", suite, "--mechanism", "adaptive-gap",
+             "--workload", workload_file(payload), "--seed", "1"],
+        )
+        assert code == 2
+        assert out == ""
+        assert "adaptive mechanism requires workload.sigma" in err
 
     def test_dp_mc_suite(self, capsys):
         code, out, _ = run_cli(

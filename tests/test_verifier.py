@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -13,6 +15,7 @@ from gapsvt import (
     ADAPTIVE_GAP,
     DomainError,
     DomainMismatch,
+    GapSvtError,
     GridBudgetExceeded,
     MECHANISMS,
     Mutation,
@@ -238,10 +241,74 @@ class TestEnumeration:
         b = enumerate_output_dist(ADAPTIVE_GAP, w, Side.D)
         assert list(a.masses.items()) == list(b.masses.items())
 
-    def test_grid_budget_enforced(self):
-        w = Workload.from_values([(1, 0), (0, 1), (1, 1)], 0, 1, 0.25)
-        with pytest.raises(GridBudgetExceeded):
-            enumerate_output_dist(SVT_GAP, w, Side.D, grid_budget=10**6)
+    @pytest.mark.parametrize(
+        "mechanism,w",
+        [
+            (SVT_GAP, Workload.from_values([(1, 0), (0, 1), (1, 1)], 0, 3, 1.0)),
+            (ADAPTIVE_GAP, Workload.from_values([(1, 0)], 0, 1, 0.1, sigma=1)),
+        ],
+    )
+    def test_cell_cap_refuses_before_building_the_table(self, mechanism, w):
+        """svt-gap over 3 queries with k=3 at epsilon 1 needs just over
+        ``ENUM_CELL_CAP`` cells at its second position, and adaptive-gap at
+        epsilon 0.1 has a 9.8e6-point query grid, 157 MB of draws, to run
+        once per threshold draw.  Both are refused in well under a second,
+        with no table of that size allocated."""
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(GridBudgetExceeded) as info:
+                enumerate_output_dist(mechanism, w, Side.D)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info.value.budget == verifier.ENUM_CELL_CAP < info.value.needed
+        assert "cells" in str(info.value) and "--" not in str(info.value)
+        assert elapsed < 1.0
+        assert peak < 32 * 2**20
+
+    @pytest.mark.parametrize(
+        "mechanism,pairs",
+        [
+            (SVT_GAP, [(1, 0), (0, 1), (1, 1)]),
+            (SVT_CLASSIC, [(1, 0)] * 7 + [(0, 1)]),
+            (SVT_GAP, [(1, 0)] * 7 + [(0, 1)]),
+        ],
+    )
+    def test_instances_past_the_old_box_budget_run(self, mechanism, pairs):
+        """Boxes of 1.2e9 and 6.3e20 points, which a budget on the box size
+        refused, are small work for the oracle: both sides normalise and the
+        exact check passes, each in well under a second."""
+        w = Workload.from_values(pairs, 0, 1, 1.0)
+        start = time.perf_counter()
+        report, _ = check_dp_exact(mechanism, w)
+        elapsed = time.perf_counter() - start
+        assert report.passed and report.truncation_loss < 1e-9
+        assert report.notes["grid_points"] > 10**9
+        assert elapsed < 1.0
+        for side in Side:
+            assert enumerate_output_dist(mechanism, w, side).normalization_defect() < 1e-12
+
+    def test_per_tape_reference_keeps_its_box_cap(self):
+        w = Workload.from_values([(1, 0), (0, 1)], 0, 1, 1.0)
+        with pytest.raises(GridBudgetExceeded) as info:
+            enumerate_output_dist(SVT_GAP, w, Side.D, method="per-tape")
+        assert info.value.budget == 2_000_000 < info.value.needed
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda w: enumerate_output_dist(ADAPTIVE_GAP, w, Side.D),
+            lambda w: mc_output_dist(ADAPTIVE_GAP, w, Side.D, 100, seed=0),
+            lambda w: run_mechanism(ADAPTIVE_GAP, w, NoiseTape(0, ((0, 0),), TapeLayout.PAIRED)),
+        ],
+        ids=["exact", "monte-carlo", "per-tape"],
+    )
+    def test_adaptive_needs_sigma_on_every_path(self, call):
+        w = Workload.from_values([(1, 0)], 0, 1, 1.0)
+        with pytest.raises(GapSvtError, match="adaptive mechanism requires workload.sigma"):
+            call(w)
 
     def test_integer_values_required(self):
         w = Workload.from_values([(1.5, 0.5)], 0, 1, 1.0)
