@@ -9,15 +9,16 @@ privacy cost, and it never exceeds epsilon.
 """
 
 from gapsvt import (
-    CostWeights,
     NoiseTape,
     Side,
+    TapeLayout,
     Workload,
     align_svt_gap,
     alignment_cost,
     budget_split_svt,
     cost_closed_form,
     index_sets,
+    shift_for_output,
     svt_gap_run,
 )
 
@@ -31,15 +32,18 @@ aligned = align_svt_gap(tape, omega, w)
 print("original tape: ", tape.flat())
 print("aligned tape:  ", aligned.flat())
 print("(threshold draw +1; the positive answer at index 0 has delta=+1, so +2)")
+# the shift is itself a tape over the same noise roles, built from the output alone
+print("shift tape:    ", shift_for_output(omega, w.deltas(), TapeLayout.SINGLE).flat())
 
 again = svt_gap_run(w, aligned, Side.DPRIME)
 print("run on D':     ", again)
 assert again == omega, "alignment must reproduce the output exactly"
 
+# each coordinate's shift costs its noise role's epsilon per unit
 budget = budget_split_svt(w.epsilon, w.k)
-weights = CostWeights.for_svt(budget)
-cost = alignment_cost(tape, aligned, weights)
-closed = cost_closed_form(index_sets(omega), w.deltas(), weights)
+print("epsilon per noise role:", {role: str(eps) for role, eps in budget.pieces.items()})
+cost = alignment_cost(tape, aligned, budget)
+closed = cost_closed_form(index_sets(omega), w.deltas(), budget)
 print(f"\nalignment cost = {cost} (closed form {closed}), epsilon = {w.epsilon}")
 assert cost <= w.epsilon
 

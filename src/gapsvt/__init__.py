@@ -49,7 +49,6 @@ from .mechanisms import (
     svt_gap_run,
 )
 from .alignments import (
-    CostWeights,
     Mutation,
     align_adaptive,
     align_svt_gap,

@@ -15,7 +15,7 @@ import os
 import sys
 from typing import Sequence
 
-from .core import NoiseKind, NoiseTape, Side, TapeLayout, Workload, check_workload
+from .core import NoiseKind, NoiseTape, Side, TapeLayout, Workload, _finite, check_workload
 from .errors import GapSvtError
 from .mechanisms import (
     ADAPTIVE_GAP,
@@ -25,7 +25,6 @@ from .mechanisms import (
     default_budget,
     run_mechanism,
     sample_run,
-    tape_layout_for,
 )
 from .alignments import Mutation
 from .verifier import (
@@ -37,6 +36,7 @@ from .verifier import (
 )
 
 WORKLOAD_FIELDS = {"pairs", "threshold", "k", "epsilon", "sigma", "noise"}
+TAPE_FIELDS = {"threshold", "per_query", "layout"}
 
 
 def load_workload_dict(data: dict) -> tuple[Workload, NoiseKind]:
@@ -83,7 +83,14 @@ def load_workload_file(path: str) -> tuple[Workload, NoiseKind]:
     return load_workload_dict(data)
 
 
+def _finite_number(x) -> bool:
+    """A JSON number a tape can hold: not a bool, and finite as a float."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and _finite(x)
+
+
 def load_tape_file(path: str, layout: TapeLayout, n_queries: int) -> NoiseTape:
+    """A tape in the format a witness carries: ``threshold``, ``per_query``
+    and, optionally, ``layout``, which must be the mechanism's."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -91,18 +98,25 @@ def load_tape_file(path: str, layout: TapeLayout, n_queries: int) -> NoiseTape:
             raise GapSvtError(f"tape file {path} is not valid JSON: {e}")
     if not isinstance(data, dict) or "threshold" not in data or "per_query" not in data:
         raise GapSvtError("tape file needs fields 'threshold' and 'per_query'")
+    unknown = sorted(set(data) - TAPE_FIELDS)
+    if unknown:
+        raise GapSvtError(f"unknown tape field {unknown[0]!r}")
+    if data.get("layout", layout.value) != layout.value:
+        raise GapSvtError(f"tape field 'layout' must be {layout.value!r} for this mechanism, got {data['layout']!r}")
+    if not _finite_number(data["threshold"]):
+        raise GapSvtError("tape field 'threshold' must be a finite number")
     per_raw = data["per_query"]
     if not isinstance(per_raw, list) or len(per_raw) < n_queries:
         raise GapSvtError(f"tape field 'per_query' must list at least {n_queries} entries")
     if layout is TapeLayout.SINGLE:
         for i, v in enumerate(per_raw):
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise GapSvtError(f"tape entry {i} must be a number for this mechanism")
+            if not _finite_number(v):
+                raise GapSvtError(f"tape entry {i} must be a finite number for this mechanism")
         per = tuple(per_raw)
     else:
         for i, v in enumerate(per_raw):
-            if not isinstance(v, (list, tuple)) or len(v) != 2:
-                raise GapSvtError(f"tape entry {i} must be a [first, second] pair for this mechanism")
+            if not isinstance(v, list) or len(v) != 2 or not all(map(_finite_number, v)):
+                raise GapSvtError(f"tape entry {i} must be a [first, second] pair of finite numbers for this mechanism")
         per = tuple(tuple(v) for v in per_raw)
     return NoiseTape(data["threshold"], per, layout)
 
@@ -148,9 +162,8 @@ def cmd_run(args) -> int:
     w, kind = load_workload_file(args.workload)
     side = Side.D if args.side == "d" else Side.DPRIME
     mechanism = args.mechanism
-    layout = tape_layout_for(mechanism)
-    injected = load_tape_file(args.tape, layout, len(w)) if args.tape else None
     budget = default_budget(mechanism, w)
+    injected = load_tape_file(args.tape, budget.layout, len(w)) if args.tape else None
     for r in range(args.runs):
         seed_r = args.seed + r
         if injected is not None:

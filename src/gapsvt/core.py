@@ -5,6 +5,12 @@ noise tape.  The tape holds the threshold draw plus one entry per query:
 a single draw for the plain SVT variants, a pair of draws for the adaptive
 variant.  Keeping the randomness explicit is what makes output sequences
 replayable and alignments testable.
+
+Each draw has a noise role: ``threshold``, then the layout's
+``query_roles`` for every query.  The roles are the one table the rest of
+the package reads: a budget maps each role to its epsilon, the noise scale
+of a role is the inverse of that epsilon, an alignment is a tape of shifts
+over the same roles, and its cost weighs each role's shift by the epsilon.
 """
 
 from __future__ import annotations
@@ -12,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from itertools import chain
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -35,6 +43,11 @@ class Side(str, Enum):
 class TapeLayout(str, Enum):
     SINGLE = "single"   # one draw per query
     PAIRED = "paired"   # (first, second) draws per query
+
+    @cached_property
+    def query_roles(self) -> tuple[str, ...]:
+        """The noise roles of one query's draws, in consumption order."""
+        return ("query",) if self is TapeLayout.SINGLE else ("query_first", "query_second")
 
 
 class NoiseKind(str, Enum):
@@ -260,22 +273,22 @@ class NoiseSpec:
     kind: NoiseKind
     scales: Mapping[str, float]
 
-    ROLES_SINGLE = frozenset({"threshold", "query"})
-    ROLES_PAIRED = frozenset({"threshold", "query_first", "query_second"})
-
     def __post_init__(self):
-        roles = frozenset(self.scales)
-        if roles not in (self.ROLES_SINGLE, self.ROLES_PAIRED):
-            raise LayoutMismatch(f"unexpected noise roles {sorted(roles)}")
+        self.layout  # raises LayoutMismatch unless the roles are one layout's
         for role, b in self.scales.items():
             if not b > 0:
                 raise NonPositiveBudget(f"scale for role {role!r} must be positive, got {b}")
             if self.kind is NoiseKind.DLAP and _geometric_p(b) == 0.0:
                 raise NonPositiveBudget(f"integer noise for role {role!r} cannot be sampled at scale {b}")
 
-    @property
+    @cached_property
     def layout(self) -> TapeLayout:
-        return TapeLayout.SINGLE if frozenset(self.scales) == self.ROLES_SINGLE else TapeLayout.PAIRED
+        """The layout whose roles, the threshold's included, the scales name."""
+        roles = set(self.scales)
+        for layout in TapeLayout:
+            if roles == {"threshold", *layout.query_roles}:
+                return layout
+        raise LayoutMismatch(f"unexpected noise roles {sorted(roles)}")
 
 
 @dataclass(frozen=True)
@@ -291,17 +304,42 @@ class NoiseTape:
     per_query: tuple
     layout: TapeLayout = TapeLayout.SINGLE
 
+    @classmethod
+    def from_columns(cls, threshold_noise, columns, layout: TapeLayout) -> "NoiseTape":
+        """A tape from one sequence of draws per query role, in
+        ``layout.query_roles`` order."""
+        per = columns[0] if len(columns) == 1 else zip(*columns)
+        return cls(threshold_noise, tuple(per), layout)
+
+    @classmethod
+    def from_flat(cls, flat, layout: TapeLayout) -> "NoiseTape":
+        """Inverse of ``flat``."""
+        r = len(layout.query_roles)
+        per = flat[1:] if r == 1 else zip(*[flat[1 + j :: r] for j in range(r)])
+        return cls(flat[0], tuple(per), layout)
+
     def __len__(self) -> int:
         return len(self.per_query)
+
+    def shifted_by(self, shift: "NoiseTape") -> "NoiseTape":
+        """This tape plus ``shift``, coordinate by coordinate; draws past the
+        shift's length stay as they are."""
+        if shift.layout is not self.layout:
+            raise LayoutMismatch(f"shift has layout {shift.layout.value}, tape has {self.layout.value}")
+        per, moves = self.per_query, shift.per_query
+        if len(per) < len(moves):
+            raise LayoutMismatch(f"tape has {len(per)} entries, shift needs {len(moves)}")
+        if self.layout is TapeLayout.SINGLE:
+            moved = [a + s for a, s in zip(per, moves)]
+        else:
+            moved = [(a + s, b + t) for (a, b), (s, t) in zip(per, moves)]
+        return NoiseTape(self.threshold_noise + shift.threshold_noise, (*moved, *per[len(moves) :]), self.layout)
 
     def flat(self) -> tuple[float, ...]:
         """Tape coordinates in consumption order (threshold first)."""
         if self.layout is TapeLayout.SINGLE:
             return (self.threshold_noise, *self.per_query)
-        out = [self.threshold_noise]
-        for a, b in self.per_query:
-            out.extend((a, b))
-        return tuple(out)
+        return (self.threshold_noise, *chain.from_iterable(self.per_query))
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +431,7 @@ def draw_tape(spec: NoiseSpec, length: int, rng: np.random.Generator) -> NoiseTa
         raise DomainError(f"tape length must be >= 1, got {length}")
     layout = spec.layout
     scales = spec.scales
-    query_roles = ("query",) if layout is TapeLayout.SINGLE else ("query_first", "query_second")
+    query_roles = layout.query_roles
     if spec.kind is NoiseKind.LAPLACE:
         per_value = [scales["threshold"]]
         for role in query_roles:
@@ -405,11 +443,8 @@ def draw_tape(spec: NoiseSpec, length: int, rng: np.random.Generator) -> NoiseTa
         for role, size in (("threshold", 1), *((role, length) for role in query_roles)):
             g = rng.geometric(_geometric_p(scales[role]), size=2 * size)
             values += (g[:size] - g[size:]).tolist()
-    if layout is TapeLayout.SINGLE:
-        per = tuple(values[1:])
-    else:
-        per = tuple(zip(values[1 : 1 + length], values[1 + length :]))
-    return NoiseTape(values[0], per, layout)
+    columns = [values[1 + j * length : 1 + (j + 1) * length] for j in range(len(query_roles))]
+    return NoiseTape.from_columns(values[0], columns, layout)
 
 
 def sample_tape(spec: NoiseSpec, length: int, seed: int) -> NoiseTape:

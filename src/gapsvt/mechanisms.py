@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -48,15 +48,29 @@ def _fraction(x: Rational, name: str) -> Fraction:
     return f
 
 
-def tape_layout_for(mechanism: str) -> TapeLayout:
-    if mechanism not in MECHANISMS:
-        raise GapSvtError(f"unknown mechanism {mechanism!r}, expected one of {MECHANISMS}")
-    return TapeLayout.PAIRED if mechanism == ADAPTIVE_GAP else TapeLayout.SINGLE
+class _RoleBudget:
+    """What both budgets share: ``pieces`` maps each noise role of
+    ``layout`` to its epsilon.  A role's noise scale is the inverse of its
+    epsilon, and an alignment pays that epsilon per unit it shifts a draw of
+    the role."""
+
+    layout: ClassVar[TapeLayout]
+    pieces: dict
+
+    @cached_property
+    def weights(self) -> dict:
+        """``pieces`` as floats: what the alignment cost weighs each role's shift by."""
+        return {role: float(eps) for role, eps in self.pieces.items()}
+
+    def noise_spec(self, kind: NoiseKind = NoiseKind.LAPLACE) -> NoiseSpec:
+        return NoiseSpec(kind, {role: float(1 / eps) for role, eps in self.pieces.items()})
 
 
 @dataclass(frozen=True)
-class SvtBudget:
+class SvtBudget(_RoleBudget):
     """Threshold/query budget split for the plain SVT variants."""
+
+    layout: ClassVar[TapeLayout] = TapeLayout.SINGLE
 
     epsilon0: Fraction
     epsilon1: Fraction
@@ -73,21 +87,21 @@ class SvtBudget:
     def identity_holds(self) -> bool:
         return self.epsilon0 + 2 * self.k * self.epsilon1 == self.epsilon
 
-    def noise_spec(self, kind: NoiseKind = NoiseKind.LAPLACE) -> NoiseSpec:
-        return NoiseSpec(
-            kind,
-            {"threshold": float(1 / self.epsilon0), "query": float(1 / self.epsilon1)},
-        )
+    @cached_property
+    def pieces(self) -> dict:
+        return {"threshold": self.epsilon0, "query": self.epsilon1}
 
 
 @dataclass(frozen=True)
-class AdaptiveBudget:
+class AdaptiveBudget(_RoleBudget):
     """Budget pieces for the adaptive mechanism.
 
     epsilon1 <= epsilon2 is required: the per-query worst case is then
     2*epsilon2, so a run that stops once the remaining headroom drops below
     2*epsilon2 can never overshoot epsilon.
     """
+
+    layout: ClassVar[TapeLayout] = TapeLayout.PAIRED
 
     epsilon0: Fraction
     epsilon1: Fraction
@@ -150,15 +164,9 @@ class AdaptiveBudget:
             cost = costs[(j1, j2)] = self.epsilon0 + j1 * self.charge_first + j2 * self.charge_second
         return cost
 
-    def noise_spec(self, kind: NoiseKind = NoiseKind.LAPLACE) -> NoiseSpec:
-        return NoiseSpec(
-            kind,
-            {
-                "threshold": float(1 / self.epsilon0),
-                "query_first": float(1 / self.epsilon1),
-                "query_second": float(1 / self.epsilon2),
-            },
-        )
+    @cached_property
+    def pieces(self) -> dict:
+        return {"threshold": self.epsilon0, "query_first": self.epsilon1, "query_second": self.epsilon2}
 
 
 @lru_cache(maxsize=4096)

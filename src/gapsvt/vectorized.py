@@ -2,17 +2,20 @@
 
 The Monte Carlo cross-checks run millions of tapes, and the exact oracle
 runs every draw of one query's grid per threshold draw, which rules out a
-per-tape Python run.  The kernels here replay the mechanisms
-column-by-column over tape arrays using the very same arithmetic
-expressions and comparison directions, including the adaptive guard
-evaluated from the exact rational budget.  Their agreement with the
-per-tape implementations is asserted by dedicated equivalence tests
-(exhaustively on small boxes, sampled on large ones), so distribution-level
-results always rest on the step-by-step mechanisms, not on this file alone.
+per-tape Python run.  One kernel, ``run_status_gaps``, replays all three
+mechanisms column-by-column over tape arrays, one array of draws per query
+role, using the very same arithmetic expressions and comparison directions
+as the per-tape runs.  The run state after each answer, and where the run
+stops, come from ``run_state_table``, which the exact oracle reads too;
+the adaptive guard in it is evaluated from the exact rational budget.  The
+kernel's agreement with the per-tape implementations is asserted by
+dedicated equivalence tests (exhaustively on small boxes, sampled on large
+ones), so distribution-level results always rest on the step-by-step
+mechanisms, not on this file alone.
 
 Per-tape answers are encoded positionally: 0 = not emitted (run had ended),
 1 = below threshold, and for positive answers ``branch_code + 4 * gap``
-where branch_code is 2 for plain/first and 3 for second.  The kernels leave
+where branch_code is 2 for plain/first and 3 for second.  The kernel leaves
 ``gaps`` at exactly 0 wherever ``status`` is below ``STATUS_TOP``, so the
 code of every answer is ``status + 4 * gaps`` with no mask.  Integer
 workloads with integer tapes make the gap exact, so encoded rows are exact
@@ -30,10 +33,12 @@ the rows are zipped from the columns.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .core import Workload
-from .mechanisms import ADAPTIVE_GAP, SVT_CLASSIC, SVT_GAP, AdaptiveBudget
+from .mechanisms import ADAPTIVE_GAP, SVT_CLASSIC, SVT_GAP
 
 STATUS_ABSENT = 0
 STATUS_BOT = 1
@@ -41,102 +46,91 @@ STATUS_TOP = 2  # plain SVT positives and adaptive first-branch positives
 STATUS_TOP_SECOND = 3
 
 
-def svt_status_gaps(values, threshold, k, eta0, etaq):
-    """Run the plain SVT loop over tape arrays.
+def run_state_table(mechanism: str, w: Workload, budget) -> tuple[np.ndarray, np.ndarray, int | None]:
+    """The run state as two read-only tables, ``step[status]``, what an
+    answer of that status adds to the state, and ``stop[state]``, whether
+    the run has ended once the state is reached; and ``limit``, the state
+    from which ``stop`` holds at every state, or None when it has no such
+    threshold.
 
-    ``eta0``: scalar or (G,) threshold draws; ``etaq``: (G, n) per-query
-    draws.  Returns ``status`` (G, n) uint8 and ``gaps`` (G, n) in the
-    arithmetic dtype of the inputs, 0 wherever status is below STATUS_TOP.
-    """
-    etaq = np.asarray(etaq)
-    G, n = etaq.shape
-    if n != len(values):
-        raise ValueError(f"expected {len(values)} per-query columns, got {n}")
-    status = np.empty((G, n), dtype=np.uint8, order="F")
-    gap_dtype = np.result_type(
-        etaq.dtype, np.asarray(eta0).dtype, np.asarray(values).dtype, np.asarray(threshold).dtype
-    )
-    gaps = np.zeros((G, n), dtype=gap_dtype, order="F")
-    noisy_threshold = threshold + eta0  # scalar or (G,)
-    count = np.zeros(G, dtype=np.min_scalar_type(n))
-    alive = np.ones(G, dtype=bool)
-    for i, q in enumerate(values):
-        gap = q + etaq[:, i] - noisy_threshold
-        top = gap >= 0
-        top &= alive
-        np.add(alive, top, out=status[:, i], dtype=np.uint8)
-        np.copyto(gaps[:, i], gap, where=top)
-        if i < n - 1:
-            count += top
-            alive &= count < k
-    return status, gaps
+    The plain variants count their positives and stop at ``k``.  The
+    adaptive state is ``j1 * (n + 1) + j2`` after j1 first-branch and j2
+    second-branch positives, and it stops where the per-tape run's integer
+    guard (``budget.guard_units``, in Python ints so nothing overflows)
+    does, bit for bit."""
+    return _state_table(len(w), w.k, budget.guard_units if mechanism == ADAPTIVE_GAP else None)
 
 
-def _adaptive_stop_table(budget: AdaptiveBudget, n: int) -> np.ndarray:
-    """stop[j1, j2]: after j1 first-branch and j2 second-branch positives the
-    running cost exceeds the guard limit.  The same integer guard as the
-    per-tape run (``budget.guard_units``), in Python ints so nothing
-    overflows, so the table reproduces that guard bit for bit."""
-    first, second, headroom = budget.guard_units
-    return np.array([[j1 * first + j2 * second > headroom for j2 in range(n + 1)] for j1 in range(n + 1)])
+@lru_cache(maxsize=1024)
+def _state_table(n: int, k: int, guard: tuple | None):
+    if guard is None:
+        step, stop = np.array([0, 0, 1, 1]), np.arange(n + 1) >= k
+    else:
+        first, second, headroom = guard
+        step = np.array([0, 0, n + 1, 1])
+        stop = np.array([j1 * first + j2 * second > headroom for j1 in range(n + 1) for j2 in range(n + 1)])
+    step.setflags(write=False)  # the cache hands the same arrays to every caller
+    stop.setflags(write=False)
+    limit = np.count_nonzero(~stop)
+    return step, stop, limit if stop[limit:].all() else None
 
 
-def adaptive_status_gaps(values, threshold, sigma, budget: AdaptiveBudget, eta0, xis, etas):
-    """Adaptive loop over tape arrays; ``xis``/``etas`` are (G, n).  Returns
-    ``status`` and ``gaps`` as ``svt_status_gaps`` does."""
-    xis = np.asarray(xis)
-    etas = np.asarray(etas)
-    G, n = xis.shape
-    if etas.shape != (G, n) or n != len(values):
-        raise ValueError("xis/etas must both be (G, n) with one column per query")
-    status = np.empty((G, n), dtype=np.uint8, order="F")
-    gap_dtype = np.result_type(
-        xis.dtype, etas.dtype, np.asarray(eta0).dtype, np.asarray(values).dtype, np.asarray(threshold).dtype
-    )
-    gaps = np.zeros((G, n), dtype=gap_dtype, order="F")
-    noisy_threshold = threshold + eta0
-    # (j1, j2) as the one index j1 * (n + 1) + j2 into the flattened table
-    go = ~_adaptive_stop_table(budget, n).ravel()
-    state = np.zeros(G, dtype=np.min_scalar_type(len(go) - 1))
-    alive = np.ones(G, dtype=bool)
-    for i, q in enumerate(values):
-        first_gap = q + xis[:, i] - noisy_threshold
-        second_gap = q + etas[:, i] - noisy_threshold
-        first = first_gap >= sigma
-        first &= alive
-        second = second_gap >= 0
-        second &= alive
-        second &= ~first
-        np.add(alive, first, out=status[:, i], dtype=np.uint8)
-        status[:, i] += 2 * second.view(np.uint8)
-        np.copyto(gaps[:, i], first_gap, where=first)
-        np.copyto(gaps[:, i], second_gap, where=second)
-        if i < n - 1:
-            state += np.multiply(first, n + 1, dtype=state.dtype)
-            state += second
-            alive &= go.take(state)
-    return status, gaps
+def run_status_gaps(mechanism: str, w: Workload, side, budget, eta0, draws):
+    """Run the mechanism's loop over tape arrays.
 
-
-def run_status_gaps(mechanism: str, w: Workload, side, budget, eta0, per_query_arrays):
-    """Uniform kernel entry point.
-
-    ``per_query_arrays`` is ``etaq`` (G, n) for the single layout or a pair
-    ``(xis, etas)`` for the paired one.
+    ``eta0`` is a scalar or (G,) threshold draws and ``draws`` one (G, n)
+    array of per-query draws per query role, in role order.  The first
+    attempt must clear the noisy threshold by ``sigma``, which is 0 for the
+    plain variants whatever ``w.sigma`` holds; a second attempt, where the
+    layout has one, is tested at margin 0 wherever the first failed.
+    Returns ``status`` (G, n) uint8 and ``gaps`` (G, n) in the arithmetic
+    dtype of the inputs, 0 wherever status is below STATUS_TOP.
     """
     values = w.values(side)
-    if mechanism in (SVT_GAP, SVT_CLASSIC):
-        return svt_status_gaps(values, w.threshold, w.k, eta0, per_query_arrays)
-    if mechanism == ADAPTIVE_GAP:
-        xis, etas = per_query_arrays
-        return adaptive_status_gaps(values, w.threshold, w.sigma, budget, eta0, xis, etas)
-    raise ValueError(f"unknown mechanism {mechanism!r}")
+    first_draws, *rest = map(np.asarray, draws)
+    G, n = first_draws.shape
+    if n != len(values) or any(d.shape != (G, n) for d in rest):
+        raise ValueError(f"expected (G, {len(values)}) draws, one column per query, got {[np.shape(d) for d in draws]}")
+    second_draws = rest[0] if rest else None  # the second attempt's, where the layout has one
+    sigma = w.sigma if mechanism == ADAPTIVE_GAP else 0
+    step, stop, limit = run_state_table(mechanism, w, budget)
+    step_first, step_second = step[STATUS_TOP:].tolist()
+    status = np.empty((G, n), dtype=np.uint8, order="F")
+    gap_dtype = np.result_type(
+        first_draws.dtype, *(d.dtype for d in rest), np.asarray(eta0).dtype, np.asarray(values).dtype, np.asarray(w.threshold).dtype
+    )
+    gaps = np.zeros((G, n), dtype=gap_dtype, order="F")
+    noisy_threshold = w.threshold + eta0  # scalar or (G,)
+    # with a threshold ``limit`` (the plain variants' k), one comparison
+    # replaces the table lookup, which costs about 20 times as much
+    go = ~stop if limit is None else None
+    state = np.zeros(G, dtype=np.min_scalar_type(len(stop) - 1))
+    alive = np.ones(G, dtype=bool)
+    for i, q in enumerate(values):
+        first_gap = q + first_draws[:, i] - noisy_threshold
+        first = first_gap >= sigma
+        first &= alive
+        np.add(alive, first, out=status[:, i], dtype=np.uint8)
+        np.copyto(gaps[:, i], first_gap, where=first)
+        if second_draws is not None:
+            second_gap = q + second_draws[:, i] - noisy_threshold
+            second = second_gap >= 0
+            second &= alive
+            second &= ~first
+            status[:, i] += 2 * second.view(np.uint8)
+            np.copyto(gaps[:, i], second_gap, where=second)
+        if i < n - 1:
+            state += np.multiply(first, step_first, dtype=state.dtype)
+            if second_draws is not None:
+                state += np.multiply(second, step_second, dtype=state.dtype)
+            alive &= state < limit if limit is not None else go.take(state)
+    return status, gaps
 
 
 def encode_int_rows(mechanism: str, status: np.ndarray, gaps: np.ndarray) -> np.ndarray:
     """Positional int64 encoding of integer-valued outputs (see module doc).
 
-    Relies on the kernels' contract that ``gaps`` is 0 wherever ``status``
+    Relies on the kernel's contract that ``gaps`` is 0 wherever ``status``
     is below ``STATUS_TOP``, so ``status + 4 * gaps`` needs no mask."""
     if mechanism == SVT_CLASSIC:
         return status.astype(np.int64)

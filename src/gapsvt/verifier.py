@@ -24,12 +24,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from .alignments import (
-    CostWeights,
     Mutation,
     align_adaptive,
     align_svt_gap,
@@ -67,14 +66,13 @@ from .mechanisms import (
     run_mechanism,
     svt_classic_run,
     svt_gap_run,
-    tape_layout_for,
 )
 from .vectorized import (
-    _adaptive_stop_table,
     canonical_rows,
     decode_row,
     encode_int_rows,
     int_row_keys,
+    run_state_table,
     run_status_gaps,
     sorted_groups,
 )
@@ -285,19 +283,17 @@ def _align_for(mechanism: str):
 def _budget_and_spec(mechanism: str, epsilon: float, k: int, kind: NoiseKind):
     if mechanism == ADAPTIVE_GAP:
         budget = budget_split_adaptive(epsilon, k)
-        weights = CostWeights.for_adaptive(budget)
     else:
         budget = budget_split_svt(epsilon, k)
-        weights = CostWeights.for_svt(budget)
-    return budget, budget.noise_spec(kind), weights
+    return budget, budget.noise_spec(kind)
 
 
 def _trial_setup(plan: TrialPlan, idx: int):
     rng = trial_rng(plan.master_seed, idx)
     w, kind = generate_workload(plan, rng)
-    budget, spec, weights = _budget_and_spec(plan.mechanism, w.epsilon, w.k, kind)
+    budget, spec = _budget_and_spec(plan.mechanism, w.epsilon, w.k, kind)
     tape = draw_tape(spec, len(w), rng)
-    return rng, w, kind, budget, spec, weights, tape
+    return rng, w, kind, budget, spec, tape
 
 
 # ---------------------------------------------------------------------------
@@ -312,14 +308,14 @@ def _soundness_failure(mechanism: str, w: Workload, omega, aligned: NoiseTape, b
     return None if outputs_equal(omega, again, exact) else again
 
 
-def _cost_failure(mechanism: str, w: Workload, tape, aligned, result, budget, weights, exact: bool):
+def _cost_failure(mechanism: str, w: Workload, tape, aligned, result, budget, exact: bool):
     """``(cost, failure)`` for the alignment of the run ``result`` on
     (w, tape, D): its generic weighted L1 cost, which must stay within
     epsilon and equal the closed form (exactly on integer workloads), and
     the first broken predicate, the adaptive ledger's included, or None."""
     omega = result.output
-    cost = alignment_cost(tape, aligned, weights)
-    closed = cost_closed_form(index_sets(omega), w.deltas(), weights)
+    cost = alignment_cost(tape, aligned, budget)
+    closed = cost_closed_form(index_sets(omega), w.deltas(), budget)
     if cost > w.epsilon + COST_TOL:
         return cost, f"alignment cost {cost} exceeds epsilon {w.epsilon}"
     if exact and closed != cost:
@@ -357,7 +353,7 @@ def run_trial_suites(plan: TrialPlan, suites=TRIAL_SUITES) -> dict:
         )
     align = _align_for(plan.mechanism)
     for idx in range(plan.trials):
-        rng, w, kind, budget, spec, weights, tape = _trial_setup(plan, idx)
+        rng, w, kind, budget, spec, tape = _trial_setup(plan, idx)
         exact = kind is NoiseKind.DLAP
         active = [s for s in suites if reports[s].verdict == "pass"]
         if not active:
@@ -390,7 +386,7 @@ def run_trial_suites(plan: TrialPlan, suites=TRIAL_SUITES) -> dict:
                         )
                 if "cost" in active:
                     report = reports["cost"]
-                    cost, failure = _cost_failure(plan.mechanism, ww, tape, aligned, result, budget, weights, exact)
+                    cost, failure = _cost_failure(plan.mechanism, ww, tape, aligned, result, budget, exact)
                     report.max_cost = max(report.max_cost, cost)
                     report.checks_run += 1
                     if failure is not None:
@@ -491,7 +487,7 @@ def _structural_trial(report, plan, idx, rng, w, kind, budget, spec, tape, forwa
     result = forward if forward is not None else run_mechanism(plan.mechanism, w, tape, Side.D, budget)
     omega = result.output
     failure = None
-    expected_draws = 1 + (2 * len(omega) if layout is TapeLayout.PAIRED else len(omega))
+    expected_draws = 1 + len(layout.query_roles) * len(omega)
     if len(omega) > len(w):
         failure = f"output length {len(omega)} exceeds query count {len(w)}"
     elif result.consumed != expected_draws:
@@ -555,13 +551,13 @@ def replay_witness(witness: Witness) -> bool:
     tape = _deserialize_tape(witness.tape)
     kind = NoiseKind(witness.noise)
     exact = kind is NoiseKind.DLAP
-    budget, _, weights = _budget_and_spec(witness.mechanism, w.epsilon, w.k, kind)
+    budget, _ = _budget_and_spec(witness.mechanism, w.epsilon, w.k, kind)
     mutation = Mutation(witness.mutation) if witness.mutation else None
     result = run_mechanism(witness.mechanism, w, tape, Side.D, budget)
     aligned = _align_for(witness.mechanism)(tape, result.output, w, mutation)
     if witness.kind == "soundness":
         return _soundness_failure(witness.mechanism, w, result.output, aligned, budget, exact) is not None
-    return _cost_failure(witness.mechanism, w, tape, aligned, result, budget, weights, exact)[1] is not None
+    return _cost_failure(witness.mechanism, w, tape, aligned, result, budget, exact)[1] is not None
 
 
 # ---------------------------------------------------------------------------
@@ -601,10 +597,9 @@ def _make_axis(scale: float, box: int | None) -> _Axis:
     return _Axis(bound, values, pmf, discrete_laplace_tail(bound, scale))
 
 
-def _enum_axes(mechanism: str, w: Workload, spec: NoiseSpec, box: int | None):
+def _enum_axes(w: Workload, spec: NoiseSpec, box: int | None):
     """Axes in tape-consumption order: threshold, then per-query roles."""
-    query_roles = ("query_first", "query_second") if mechanism == ADAPTIVE_GAP else ("query",)
-    threshold, *query = [_make_axis(spec.scales[r], box) for r in ("threshold", *query_roles)]
+    threshold, *query = [_make_axis(spec.scales[r], box) for r in ("threshold", *spec.layout.query_roles)]
     return [threshold] + query * len(w)
 
 
@@ -633,11 +628,11 @@ def enumerate_output_dist(
     check_workload_for(mechanism, w)
     if not w.is_integer_valued():
         raise DomainError("exact enumeration needs integer query values and threshold")
-    if w.sigma is not None and not float(w.sigma).is_integer():
+    if mechanism == ADAPTIVE_GAP and not float(w.sigma).is_integer():
         raise DomainError("exact enumeration needs an integer sigma")
     budget = default_budget(mechanism, w)
     spec = budget.noise_spec(NoiseKind.DLAP)
-    axes = _enum_axes(mechanism, w, spec, box)
+    axes = _enum_axes(w, spec, box)
     total = math.prod(len(ax.values) for ax in axes)
     truncation_loss = 1.0 - math.prod(1.0 - ax.tail for ax in axes)
 
@@ -655,8 +650,6 @@ def enumerate_output_dist(
 
 
 def _enumerate_per_tape(mechanism, w, side, budget, axes) -> dict:
-    n = len(w)
-    layout = tape_layout_for(mechanism)
     masses: dict = {}
     value_lists = [ax.values.tolist() for ax in axes]
     pmf_lists = [ax.pmf.tolist() for ax in axes]
@@ -664,12 +657,7 @@ def _enumerate_per_tape(mechanism, w, side, budget, axes) -> dict:
         weight = 1.0
         for ax_i, ci in enumerate(combo):
             weight *= pmf_lists[ax_i][ci]
-        coords = [value_lists[ax_i][ci] for ax_i, ci in enumerate(combo)]
-        if layout is TapeLayout.SINGLE:
-            tape = NoiseTape(coords[0], tuple(coords[1:]), layout)
-        else:
-            per = tuple((coords[1 + 2 * i], coords[2 + 2 * i]) for i in range(n))
-            tape = NoiseTape(coords[0], per, layout)
+        tape = NoiseTape.from_flat([value_lists[ax_i][ci] for ax_i, ci in enumerate(combo)], budget.layout)
         omega = run_mechanism(mechanism, w, tape, side, budget).output
         key = omega.canonical()
         masses[key] = masses.get(key, 0.0) + weight
@@ -685,7 +673,7 @@ def _enumerate_per_query(mechanism, w, side, budget, axes) -> dict:
     adaptive draw is summed over its box whether or not the run reads it).
     Output prefixes grow one position at a time as code rows with their
     mass per threshold draw; a prefix leaves by the kernel's own stop rule
-    (``k`` positives, or the adaptive guard table), and the last position
+    (the ``stop`` table of ``run_state_table``), and the last position
     is contracted over ``e`` by one matrix product.  Outputs of mass 0 are
     impossible ones and are dropped.
 
@@ -703,21 +691,12 @@ def _enumerate_per_query(mechanism, w, side, budget, axes) -> dict:
             raise GridBudgetExceeded(cells, ENUM_CELL_CAP, hint="fewer queries or a larger epsilon need fewer")
 
     # the kernel's table: one row per point of a query's grid, charged before the grid is built
-    charge(math.prod(len(ax.values) for ax in axes[1 : 3 if mechanism == ADAPTIVE_GAP else 2]))
-    if mechanism == ADAPTIVE_GAP:
-        xi, eta = axes[1], axes[2]
-        per_query = tuple(g.reshape(-1, 1) for g in np.meshgrid(xi.values, eta.values, indexing="ij"))
-        query_pmf = np.outer(xi.pmf, eta.pmf).ravel()
-        query_inbox = (1.0 - xi.tail) * (1.0 - eta.tail)
-        # run state j1 * (n + 1) + j2 after j1 first- and j2 second-branch positives
-        step = np.array([0, 0, n + 1, 1])
-        stop = _adaptive_stop_table(budget, n).ravel()
-    else:
-        per_query = axes[1].values.reshape(-1, 1)
-        query_pmf = axes[1].pmf
-        query_inbox = 1.0 - axes[1].tail
-        step = np.array([0, 0, 1, 1])  # run state: positives so far
-        stop = np.arange(n + 1) >= w.k
+    query_axes = axes[1 : 1 + len(budget.layout.query_roles)]
+    charge(math.prod(len(ax.values) for ax in query_axes))
+    per_query = tuple(g.reshape(-1, 1) for g in np.meshgrid(*(ax.values for ax in query_axes), indexing="ij"))
+    query_pmf = reduce(np.multiply.outer, [ax.pmf for ax in query_axes]).ravel()
+    query_inbox = math.prod(1.0 - ax.tail for ax in query_axes)
+    step, stop, _ = run_state_table(mechanism, w, budget)
 
     def conditionals(i):
         """The codes query ``i`` can answer, and each code's mass over the
@@ -805,11 +784,7 @@ def mc_output_dist(
     while done < samples:
         rows = min(chunk, samples - done)
         eta0 = _draw_block(rng, kind, spec.scales["threshold"], rows)
-        if mechanism == ADAPTIVE_GAP:
-            roles = ("query_first", "query_second")
-            per_query = tuple(_draw_block(rng, kind, spec.scales[r], (rows, n)) for r in roles)
-        else:
-            per_query = _draw_block(rng, kind, spec.scales["query"], (rows, n))
+        per_query = tuple(_draw_block(rng, kind, spec.scales[r], (rows, n)) for r in spec.layout.query_roles)
         status, gaps = run_status_gaps(mechanism, w, side, budget, eta0, per_query)
         if int_outputs:
             codes = encode_int_rows(mechanism, status, gaps)

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from gapsvt import (
     BOT,
     Branch,
-    CostWeights,
     LayoutMismatch,
     NoiseTape,
     Side,
@@ -137,8 +136,7 @@ class TestAlignAdaptive:
 class TestAlignmentCost:
     def test_identity_costs_nothing(self):
         tape = NoiseTape(0.7, (1.0, -2.0))
-        weights = CostWeights.for_svt(budget_split_svt(1.0, 1))
-        assert alignment_cost(tape, tape, weights) == 0.0
+        assert alignment_cost(tape, tape, budget_split_svt(1.0, 1)) == 0.0
 
     def test_single_top_with_max_delta(self):
         # one positive answer with delta = 1: 0.5 * 1 + 0.25 * |1 + 1| = 1.0
@@ -146,8 +144,7 @@ class TestAlignmentCost:
         tape = NoiseTape(0, (0,))
         omega = svt_gap_run(w, tape, Side.D)
         aligned = align_svt_gap(tape, omega, w)
-        weights = CostWeights.for_svt(budget_split_svt(1.0, 1))
-        cost = alignment_cost(tape, aligned, weights)
+        cost = alignment_cost(tape, aligned, budget_split_svt(1.0, 1))
         assert cost == 1.0
         assert cost <= w.epsilon
 
@@ -158,7 +155,7 @@ class TestAlignmentCost:
         tape = zero_paired(1)
         omega, _ = adaptive_svt_gap_run(w, budget, tape, Side.D)
         aligned = align_adaptive(tape, omega, w)
-        cost = alignment_cost(tape, aligned, CostWeights.for_adaptive(budget))
+        cost = alignment_cost(tape, aligned, budget)
         assert cost == 1.0
 
     def test_closed_form_matches_generic_on_integers(self):
@@ -176,20 +173,21 @@ class TestAlignmentCost:
             tape = NoiseTape(int(rng.integers(-5, 6)), tuple(int(x) for x in rng.integers(-5, 6, size=n)))
             omega = svt_gap_run(w, tape, Side.D)
             aligned = align_svt_gap(tape, omega, w)
-            weights = CostWeights.for_svt(budget_split_svt(1.0, w.k))
-            assert cost_closed_form(index_sets(omega), w.deltas(), weights) == alignment_cost(
-                tape, aligned, weights
+            budget = budget_split_svt(1.0, w.k)
+            assert cost_closed_form(index_sets(omega), w.deltas(), budget) == alignment_cost(
+                tape, aligned, budget
             )
 
     def test_length_mismatch_rejected(self):
-        weights = CostWeights.for_svt(budget_split_svt(1.0, 1))
         with pytest.raises(LayoutMismatch):
-            alignment_cost(NoiseTape(0, (0,)), NoiseTape(0, (0, 0)), weights)
+            alignment_cost(NoiseTape(0, (0,)), NoiseTape(0, (0, 0)), budget_split_svt(1.0, 1))
 
-    def test_weights_layout_checked(self):
-        weights = CostWeights.for_adaptive(budget_split_adaptive(1.0, 1))
+    def test_budget_layout_checked(self):
+        # a paired budget with single-layout tapes, and a single one with paired tapes
         with pytest.raises(LayoutMismatch):
-            alignment_cost(NoiseTape(0, (0,)), NoiseTape(0, (0,)), weights)
+            alignment_cost(NoiseTape(0, (0,)), NoiseTape(0, (0,)), budget_split_adaptive(1.0, 1))
+        with pytest.raises(LayoutMismatch):
+            alignment_cost(zero_paired(1), zero_paired(1), budget_split_svt(1.0, 1))
 
 
 class TestShiftStructure:
@@ -221,7 +219,7 @@ class TestShiftStructure:
         t = shift_for_output(omega, deltas, TapeLayout.SINGLE, Mutation.THRESHOLD_SHIFT)
         q = shift_for_output(omega, deltas, TapeLayout.SINGLE, Mutation.QUERY_SHIFT)
         assert base.flat() == (1, 2)
-        assert t.flat() == (2.0, 2) and type(t.threshold_shift) is float
+        assert t.flat() == (2.0, 2) and type(t.threshold_noise) is float
         assert q.flat() == (1, 1)
 
     def test_drop_second_branch_mutation(self):
@@ -231,6 +229,7 @@ class TestShiftStructure:
         deltas = (1,)
         base = shift_for_output(omega, deltas, TapeLayout.PAIRED)
         dropped = shift_for_output(omega, deltas, TapeLayout.PAIRED, Mutation.DROP_SECOND_BRANCH)
+        assert isinstance(base, NoiseTape) and base.per_query == ((0, 2),)
         assert base.flat() == (1, 0, 2)
         assert dropped.flat() == (1, 0, 0)
 
@@ -254,5 +253,4 @@ def test_alignment_soundness_property(seed, n, k):
     omega = svt_gap_run(w, tape, Side.D)
     aligned = align_svt_gap(tape, omega, w)
     assert svt_gap_run(w, aligned, Side.DPRIME) == omega
-    weights = CostWeights.for_svt(budget_split_svt(w.epsilon, k))
-    assert alignment_cost(tape, aligned, weights) <= w.epsilon + 1e-12
+    assert alignment_cost(tape, aligned, budget_split_svt(w.epsilon, k)) <= w.epsilon + 1e-12

@@ -135,6 +135,56 @@ class TestRunCommand:
         assert with_env == explicit
 
 
+ADAPTIVE_ONE = {"pairs": [[0, 1]], "threshold": 4, "k": 1, "epsilon": 1.0, "sigma": 2, "noise": "laplace"}
+
+
+class TestTapeFileGate:
+    """``run --tape`` takes the tape format a witness carries and nothing
+    else; a bad number or field is a data error (exit 2) naming the entry."""
+
+    @pytest.mark.parametrize(
+        "mechanism, text, named",
+        [
+            ("svt-gap", '{"threshold": "abc", "per_query": [0, 0, 0]}', "'threshold'"),
+            ("svt-gap", '{"threshold": NaN, "per_query": [0, 0, 0]}', "'threshold'"),
+            ("svt-gap", '{"threshold": true, "per_query": [0, 0, 0]}', "'threshold'"),
+            ("svt-gap", '{"threshold": 0, "per_query": [0, NaN, 0]}', "entry 1"),
+            ("svt-gap", '{"threshold": 0, "per_query": [0, 0, -Infinity]}', "entry 2"),
+            ("svt-gap", '{"threshold": 0, "per_query": [0, false, 0]}', "entry 1"),
+            pytest.param("svt-gap", '{"threshold": 0, "per_query": [0, 0, 1%s]}' % ("0" * 400), "entry 2", id="int-past-float"),
+            ("svt-gap", '{"threshold": 0, "per_query": [0, 0, 0], "note": 1}', "'note'"),
+            ("svt-gap", '{"threshold": 0, "per_query": [0, 0, 0], "layout": "paired"}', "'layout'"),
+            ("adaptive-gap", '{"threshold": 0, "per_query": [["x", 0], [0, 0]]}', "entry 0"),
+            ("adaptive-gap", '{"threshold": 0, "per_query": [[0, NaN]]}', "entry 0"),
+            ("adaptive-gap", '{"threshold": 0, "per_query": [[0, true]]}', "entry 0"),
+        ],
+    )
+    def test_bad_tape_exits_2_naming_the_entry(self, capsys, workload_file, tmp_path, mechanism, text, named):
+        tape = tmp_path / "tape.json"
+        tape.write_text(text)
+        payload = ADAPTIVE_ONE if mechanism == "adaptive-gap" else GOLDEN
+        code, out, err = run_cli(
+            capsys, ["run", "--mechanism", mechanism, "--workload", workload_file(payload), "--tape", str(tape)]
+        )
+        assert code == 2
+        assert out == ""
+        assert named in err
+
+    @pytest.mark.parametrize("mechanism, per_query", [("svt-gap", [0, 0, 0]), ("adaptive-gap", [[0, 0]])])
+    def test_witness_tape_with_its_layout_runs(self, capsys, workload_file, tmp_path, mechanism, per_query):
+        payload = ADAPTIVE_ONE if mechanism == "adaptive-gap" else GOLDEN
+        outs = []
+        for extra in ({}, {"layout": "paired" if mechanism == "adaptive-gap" else "single"}):
+            tape = tmp_path / "tape.json"
+            tape.write_text(json.dumps({"threshold": 0, "per_query": per_query, **extra}))
+            code, out, _ = run_cli(
+                capsys, ["run", "--mechanism", mechanism, "--workload", workload_file(payload), "--tape", str(tape)]
+            )
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+
+
 class TestWorkloadFileValidation:
     def test_unknown_field_rejected(self, capsys, workload_file):
         code, _, err = run_cli(
@@ -403,6 +453,18 @@ class TestVerifyCommand:
         assert code == 0
         report = json.loads(out)
         assert report["max_log_ratio"] <= 1.0 + 1e-4
+
+    @pytest.mark.parametrize("mechanism", ["svt", "svt-gap"])
+    def test_dp_exact_ignores_sigma_the_mechanism_never_reads(self, capsys, workload_file, mechanism):
+        payload = {"pairs": [[1, 0]], "threshold": 0, "k": 1, "epsilon": 1.0, "noise": "dlap"}
+        argv = ["verify", "--suite", "dp-exact", "--mechanism", mechanism, "--seed", "1", "--workload"]
+        code, out, _ = run_cli(capsys, argv + [workload_file(payload)])
+        code_sigma, out_sigma, _ = run_cli(capsys, argv + [workload_file({**payload, "sigma": 2.5})])
+        assert code == code_sigma == 0
+        report, report_sigma = json.loads(out), json.loads(out_sigma)
+        assert report_sigma["notes"].pop("workload")["sigma"] == 2.5
+        report["notes"].pop("workload")
+        assert report_sigma == report
 
     def test_dp_exact_requires_dlap(self, capsys, workload_file):
         payload = {"pairs": [[1, 0]], "threshold": 0, "k": 1, "epsilon": 1.0, "noise": "laplace"}

@@ -161,6 +161,7 @@ class TestDrawTapeStream:
             assert tape == self.reference(spec, layout, length, ref_rng)
             values = tape.flat()
             assert len(values) == 1 + length * (1 if layout is TapeLayout.SINGLE else 2)
+            assert NoiseTape.from_flat(values, layout) == tape
             expected_type = int if kind is NoiseKind.DLAP else float
             assert all(type(v) is expected_type for v in values)
             # both generators are left at the same point of the stream

@@ -82,7 +82,7 @@ def test_exhaustive_small_box_agreement(mechanism, side):
             combos = list(itertools.product(rng, repeat=1 + n))
             eta0 = np.array([c[0] for c in combos], dtype=np.int64)
             etaq = np.array([list(c[1:]) for c in combos], dtype=np.int64)
-            got = batch_canonical(mechanism, w, side, budget, eta0, etaq)
+            got = batch_canonical(mechanism, w, side, budget, eta0, (etaq,))
             tapes = [NoiseTape(c[0], tuple(c[1:])) for c in combos]
         want = per_tape_canonical(mechanism, w, side, budget, tapes)
         assert got == want
@@ -111,7 +111,7 @@ def test_sampled_real_tapes_agreement(mechanism):
             ]
         else:
             etaq = rng.normal(0, 2, size=(rows, n))
-            got = batch_canonical(mechanism, wr, Side.D, budget, eta0, etaq)
+            got = batch_canonical(mechanism, wr, Side.D, budget, eta0, (etaq,))
             tapes = [NoiseTape(eta0[r], tuple(etaq[r])) for r in range(rows)]
         want = [run_mechanism(mechanism, wr, t, Side.D, budget).output.canonical() for t in tapes]
         assert got == want
@@ -124,7 +124,7 @@ def test_encode_decode_round_trip():
     combos = list(itertools.product(rng, repeat=3))
     eta0 = np.array([c[0] for c in combos], dtype=np.int64)
     etaq = np.array([list(c[1:]) for c in combos], dtype=np.int64)
-    status, gaps = run_status_gaps(SVT_GAP, w, Side.D, budget, eta0, etaq)
+    status, gaps = run_status_gaps(SVT_GAP, w, Side.D, budget, eta0, (etaq,))
     codes = encode_int_rows(SVT_GAP, status, gaps)
     keys = [decode_row(SVT_GAP, row) for row in codes]
     tapes = [NoiseTape(c[0], tuple(c[1:])) for c in combos]
@@ -135,7 +135,7 @@ def test_encode_decode_round_trip():
 def test_encode_rejects_fractional_gaps():
     w = Workload.from_values([(1, 0)], 0.5, 1, 1.0)
     budget = default_budget(SVT_GAP, w)
-    status, gaps = run_status_gaps(SVT_GAP, w, Side.D, budget, np.zeros(1), np.ones((1, 1)))
+    status, gaps = run_status_gaps(SVT_GAP, w, Side.D, budget, np.zeros(1), (np.ones((1, 1)),))
     with pytest.raises(ValueError):
         encode_int_rows(SVT_GAP, status, gaps)
 
@@ -154,13 +154,40 @@ def test_adaptive_guard_table_matches_ledger_boundary():
     assert len(want) == 2  # second answer hits the guard
 
 
+@pytest.mark.parametrize("mechanism", MECHANISMS)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_sampled_integer_tapes_at_five_queries(mechanism, k):
+    """Five queries take the run state through several steps: the plain
+    variants stop at their k-th positive, and the adaptive guard stops runs
+    after mixed first- and second-branch positives (k = 2 and 3).  The plain
+    variants' workload carries a sigma, which they must not read."""
+    sigma = 2 if mechanism == ADAPTIVE_GAP else 3
+    w = Workload.from_values([(1, 0), (0, 1), (1, 1), (0, 0), (2, 1)], 0, k, 1.0, sigma=sigma)
+    budget = default_budget(mechanism, w)
+    layout = budget.layout
+    rng = np.random.default_rng(500 + k)
+    rows = 3000
+    eta0 = rng.integers(-3, 4, size=rows)
+    draws = tuple(rng.integers(-6, 7, size=(rows, 5)) for _ in layout.query_roles)
+    got = batch_canonical(mechanism, w, Side.D, budget, eta0, draws)
+    tapes = [NoiseTape.from_columns(int(eta0[r]), [d[r].tolist() for d in draws], layout) for r in range(rows)]
+    want = per_tape_canonical(mechanism, w, Side.D, budget, tapes)
+    assert got == want
+    stopped = [key for key in want if len(key) < 5]
+    assert stopped
+    if mechanism == ADAPTIVE_GAP and k > 1:
+        branches = [{a[0] for a in key if a != "bot"} for key in stopped]
+        assert {"first", "second"} in branches
+
+
 def _kernel_inputs(mechanism, rows, dtype, rng):
-    """Per-query draws for ``rows`` tapes of a 3-query workload."""
+    """Per-query draws for ``rows`` tapes of a 3-query workload, one array
+    per query role."""
     if dtype == np.int64:
         draw = lambda: rng.integers(-4, 5, size=(rows, 3))  # noqa: E731
     else:
         draw = lambda: rng.normal(0, 2, size=(rows, 3))  # noqa: E731
-    return (draw(), draw()) if mechanism == ADAPTIVE_GAP else draw()
+    return (draw(), draw()) if mechanism == ADAPTIVE_GAP else (draw(),)
 
 
 _KERNEL_CASES = [

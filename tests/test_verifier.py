@@ -310,6 +310,21 @@ class TestEnumeration:
         with pytest.raises(GapSvtError, match="adaptive mechanism requires workload.sigma"):
             call(w)
 
+    @pytest.mark.parametrize("mechanism", [SVT_CLASSIC, SVT_GAP])
+    def test_plain_variants_ignore_a_fractional_sigma(self, mechanism):
+        """svt and svt-gap never read sigma: a curated instance carrying
+        sigma 2.5 has the masses it has without one.  adaptive-gap reads it
+        and still needs an integer."""
+        w = default_enumeration_instances(mechanism)[1]
+        for side in Side:
+            a = enumerate_output_dist(mechanism, w, side)
+            b = enumerate_output_dist(mechanism, dataclasses.replace(w, sigma=2.5), side)
+            assert list(a.masses.items()) == list(b.masses.items())
+            assert a.truncation_loss == b.truncation_loss
+        adaptive = dataclasses.replace(default_enumeration_instances(ADAPTIVE_GAP)[0], sigma=2.5)
+        with pytest.raises(DomainError, match="integer sigma"):
+            enumerate_output_dist(ADAPTIVE_GAP, adaptive, Side.D)
+
     def test_integer_values_required(self):
         w = Workload.from_values([(1.5, 0.5)], 0, 1, 1.0)
         with pytest.raises(DomainError):
