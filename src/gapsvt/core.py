@@ -11,6 +11,11 @@ Each draw has a noise role: ``threshold``, then the layout's
 the package reads: a budget maps each role to its epsilon, the noise scale
 of a role is the inverse of that epsilon, an alignment is a tape of shifts
 over the same roles, and its cost weighs each role's shift by the epsilon.
+
+Every draw comes from one sampler, ``_draw``, and its per-tape twin
+``draw_tape``: Laplace noise by the inverse CDF of open uniforms, integer
+Laplace noise as a difference of two geometrics, each the ceiling of a
+scaled standard exponential.
 """
 
 from __future__ import annotations
@@ -409,12 +414,49 @@ def _geometric_p(scale: float) -> float:
     return 1.0 - math.exp(-1.0 / scale)
 
 
-def _draw(rng: np.random.Generator, kind: NoiseKind, scale: float, size: int) -> np.ndarray:
+def _geometric_rate(scale: float) -> float:
+    """Rate r with Geometric(p) = ceil(E / r) for a standard exponential E.
+
+    r = -log1p(-p), the expression numpy's own inversion divides by, so the
+    quotients match its draws bit for bit where it inverts (p < 1/3).  Once p
+    rounds to 1 the rate is infinite and every geometric is 0, whose
+    difference is the 0 that ``Geometric(1) - Geometric(1)`` gives."""
+    p = _geometric_p(scale)
+    return -math.log1p(-p) if p < 1.0 else math.inf
+
+
+_DRAW_BLOCK = 1 << 15  # exponentials per pass of _draw: one 256 KiB float64 buffer
+
+
+def _draw(rng: np.random.Generator, kind: NoiseKind, scale: float, size: int | tuple[int, ...]) -> np.ndarray:
+    """``size`` iid draws (an int or a shape) of the noise ``kind`` at ``scale``.
+
+    Laplace noise is the inverse CDF of open uniforms.  Integer-Laplace noise
+    is the difference of two iid geometrics, each ``ceil(E / rate)`` of a
+    standard exponential E: all first geometrics, then all second ones, in
+    the order ``rng.geometric(p, size) - rng.geometric(p, size)`` would take
+    them, and equal to those draws where numpy inverts too (scale above
+    1 / ln 1.5).  The int64 result is filled ``_DRAW_BLOCK`` exponentials
+    at a time, so no float temporary of the result's size is made."""
     if kind is NoiseKind.LAPLACE:
         return _laplace_from_uniform(_uniform_open(rng, size), scale)
-    p = _geometric_p(scale)
-    # difference of two iid geometrics has the integer-Laplace law
-    return rng.geometric(p, size=size) - rng.geometric(p, size=size)
+    rate = _geometric_rate(scale)
+    out = np.empty(size, dtype=np.int64)
+    flat = out.reshape(-1)
+    n = flat.size
+    buf = np.empty(min(n, _DRAW_BLOCK))
+    for second in (False, True):
+        for lo in range(0, n, _DRAW_BLOCK):
+            e = buf[: min(_DRAW_BLOCK, n - lo)]
+            rng.standard_exponential(out=e)
+            e /= rate
+            np.ceil(e, out=e)
+            dst = flat[lo : lo + len(e)]
+            if second:
+                np.subtract(dst, e, out=dst, dtype=np.int64, casting="unsafe")
+            else:
+                dst[...] = e
+    return out
 
 
 def draw_tape(spec: NoiseSpec, length: int, rng: np.random.Generator) -> NoiseTape:
@@ -423,10 +465,12 @@ def draw_tape(spec: NoiseSpec, length: int, rng: np.random.Generator) -> NoiseTa
 
     The values are those of one ``_draw`` call per role in consumption order
     (threshold, then each query role), converted to Python ``float`` or
-    ``int``.  The calls are merged because each uniform and each geometric
+    ``int``.  The calls are merged because each uniform and each exponential
     variate is its own draw from the generator's stream: one uniform block
-    for all Laplace roles, one geometric block of both halves per discrete
-    role.  The tape layout is the one the spec's roles imply."""
+    for all Laplace roles, one standard-exponential block for all discrete
+    roles, both halves of each role in turn, each geometric ``math.ceil(E /
+    rate)`` as in ``_draw``.  The tape layout is the one the spec's roles
+    imply."""
     if length < 1:
         raise DomainError(f"tape length must be >= 1, got {length}")
     layout = spec.layout
@@ -439,10 +483,15 @@ def draw_tape(spec: NoiseSpec, length: int, rng: np.random.Generator) -> NoiseTa
         u = _uniform_open(rng, len(per_value))
         values = _laplace_from_uniform(u, np.array(per_value)).tolist()
     else:
+        e = rng.standard_exponential(2 * (1 + len(query_roles) * length)).tolist()
         values = []
+        lo = 0
+        ceil = math.ceil
         for role, size in (("threshold", 1), *((role, length) for role in query_roles)):
-            g = rng.geometric(_geometric_p(scales[role]), size=2 * size)
-            values += (g[:size] - g[size:]).tolist()
+            rate = _geometric_rate(scales[role])
+            first, second = e[lo : lo + size], e[lo + size : lo + 2 * size]
+            values += [ceil(a / rate) - ceil(b / rate) for a, b in zip(first, second)]
+            lo += 2 * size
     columns = [values[1 + j * length : 1 + (j + 1) * length] for j in range(len(query_roles))]
     return NoiseTape.from_columns(values[0], columns, layout)
 

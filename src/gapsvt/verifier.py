@@ -47,6 +47,7 @@ from .core import (
     Side,
     TapeLayout,
     Workload,
+    _finite,
     check_workload,
     discrete_laplace_box,
     discrete_laplace_tail,
@@ -767,12 +768,16 @@ def mc_output_dist(
     ``scale_epsilon_factor`` is a self-test hook: it rescales the noise as
     if the budget were ``factor * epsilon`` while everything else (including
     the adaptive guard) still believes in ``epsilon``, which breaks the
-    privacy guarantee on purpose so detectors can be validated.
+    privacy guarantee on purpose so detectors can be validated.  It and the
+    scaled epsilon must be finite (``DomainError``), and it must be positive
+    (``NonPositiveBudget``).
     """
     check_workload_for(mechanism, w)
     for name, value in (("samples", samples), ("chunk", chunk)):
         if value < 1:
             raise DomainError(f"{name} must be at least 1, got {value}")
+    if not (_finite(scale_epsilon_factor) and _finite(w.epsilon * scale_epsilon_factor)):
+        raise DomainError(f"scale_epsilon_factor must be a finite number, got {scale_epsilon_factor}")
     budget = default_budget(mechanism, w)
     scaled = Workload(w.pairs, w.threshold, w.k, w.epsilon * scale_epsilon_factor, w.sigma)
     spec = default_budget(mechanism, scaled).noise_spec(kind)

@@ -328,6 +328,15 @@ class TestInputGate:
         code, out, _ = run_cli(capsys, ["run", "--mechanism", "svt-gap", "--workload", workload_file(payload)])
         assert code == 0 and strict_json_lines(out)
 
+    def test_integer_noise_whose_p_rounds_to_one_is_zero(self, capsys, workload_file):
+        # at epsilon 100 the threshold role's epsilon is 50: 1 - exp(-50)
+        # rounds to p = 1, both geometrics are certain and the noise is 0
+        payload = {"pairs": [[1, 0], [0, 1]], "threshold": 0, "k": 1, "epsilon": 100, "noise": "dlap"}
+        code, out, _ = run_cli(capsys, ["run", "--mechanism", "svt-gap", "--seed", "3", "--workload", workload_file(payload)])
+        assert code == 0
+        record = json.loads(out)
+        assert record["answers"] == [{"gap": 1, "branch": "plain"}] and record["consumed"] == 2
+
     def test_infinite_log_ratio_keeps_the_verdict_and_strict_json(self, capsys, workload_file):
         # at epsilon 2000 the integer noise underflows to 0: the outputs on
         # the two sides are disjoint and the log ratio is infinite

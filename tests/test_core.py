@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -166,6 +167,68 @@ class TestDrawTapeStream:
             assert all(type(v) is expected_type for v in values)
             # both generators are left at the same point of the stream
             assert rng.integers(0, 1 << 62) == ref_rng.integers(0, 1 << 62)
+
+
+class TestIntegerLaplaceDraw:
+    """_draw's integer noise: geometrics by exponential inversion, in blocks."""
+
+    @pytest.mark.parametrize("size", [1, 7, (3, 5), (1 << 15) + 3, ((1 << 14) + 1, 3)])
+    @pytest.mark.parametrize("scale", [2.5, 4.0, 8.0, 100.0])
+    def test_equals_numpy_geometrics_where_numpy_inverts(self, scale, size):
+        # p < 1/3 here, where numpy draws a geometric as ceil(E / -log1p(-p))
+        p = 1.0 - math.exp(-1.0 / scale)
+        rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
+        got = _draw(rng, NoiseKind.DLAP, scale, size)
+        want = ref_rng.geometric(p, size) - ref_rng.geometric(p, size)
+        assert got.dtype == want.dtype == np.int64 and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert rng.integers(0, 1 << 62) == ref_rng.integers(0, 1 << 62)
+
+    @pytest.mark.parametrize("scale", [0.3, 1.0, 2.0])
+    def test_law_where_numpy_would_search(self, scale):
+        # TV distance to the pmf over the box's integers plus one bucket for
+        # the rest.  E|p_hat - p| <= sqrt(p (1 - p) / n) for each bucket, and
+        # one sample moves the TV by at most 1/n, so by McDiarmid the TV
+        # exceeds the summed mean bound by t with probability exp(-2 n t^2).
+        n = 200_000
+        draws = _draw(np.random.default_rng(2024), NoiseKind.DLAP, scale, n)
+        box = discrete_laplace_box(scale)
+        xs = np.arange(-box, box + 1)
+        counts = np.bincount(np.clip(draws, -box - 1, box + 1) + box + 1, minlength=2 * box + 3)
+        inside = counts[1:-1] / n
+        outside = (counts[0] + counts[-1]) / n
+        pmf = np.array([discrete_laplace_pmf(int(x), scale) for x in xs])
+        tail = discrete_laplace_tail(box, scale)
+        tv = 0.5 * (np.abs(inside - pmf).sum() + abs(outside - tail))
+        mean_bound = 0.5 * (np.sqrt(pmf * (1 - pmf) / n).sum() + math.sqrt(tail * (1 - tail) / n))
+        t = math.sqrt(math.log(1e9) / (2 * n))
+        assert tv < mean_bound + t
+
+    def test_result_is_filled_without_a_full_size_temporary(self):
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            out = _draw(rng, NoiseKind.DLAP, 4.0, (1 << 20, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + (1 << 20)
+
+    def test_size_zero_is_an_empty_int64_array(self):
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        for size in (0, (0, 3)):
+            out = _draw(rng, NoiseKind.DLAP, 4.0, size)
+            assert out.dtype == np.int64 and out.shape == np.empty(size).shape
+        assert rng.integers(0, 1 << 62) == ref_rng.integers(0, 1 << 62)
+
+    def test_noise_is_zero_where_p_rounds_to_one(self):
+        # scale 1/40: 1 - exp(-40) rounds to p = 1, and the noise is
+        # Geometric(1) - Geometric(1) = 0
+        scale = 1 / 40
+        assert 1.0 - math.exp(-1.0 / scale) == 1.0
+        assert not _draw(np.random.default_rng(1), NoiseKind.DLAP, scale, 100).any()
+        tape = draw_tape(single_spec(scale, scale, NoiseKind.DLAP), 5, np.random.default_rng(1))
+        assert tape.flat() == (0,) * 6
 
 
 class TestLaplaceInverseCdf:

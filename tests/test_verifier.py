@@ -20,6 +20,7 @@ from gapsvt import (
     MECHANISMS,
     Mutation,
     NoiseKind,
+    NonPositiveBudget,
     NoiseTape,
     OutputDistribution,
     SVT_CLASSIC,
@@ -515,6 +516,22 @@ class TestMonteCarlo:
         kwargs = {"samples": 1000, "chunk": 100, arg: value}
         with pytest.raises(DomainError, match=arg):
             mc_output_dist(SVT_GAP, w, Side.D, kwargs["samples"], seed=1, kind=kind, chunk=kwargs["chunk"])
+
+    @pytest.mark.parametrize(
+        "factor, error",
+        [
+            (math.nan, DomainError),
+            (math.inf, DomainError),
+            (10**400, DomainError),
+            (1e308, DomainError),  # finite, but 2 * 1e308 is not
+            (0.0, NonPositiveBudget),
+            (-2.0, NonPositiveBudget),
+        ],
+    )
+    def test_unusable_scale_epsilon_factor_is_rejected(self, factor, error):
+        w = Workload.from_values([(1, 0), (0, 1)], 0, 1, 2.0)
+        with pytest.raises(error):
+            mc_output_dist(SVT_GAP, w, Side.D, 1000, seed=1, scale_epsilon_factor=factor)
 
     def test_mc_deterministic(self):
         w = Workload.from_values([(1, 0)], 0, 1, 1.0)
