@@ -63,7 +63,17 @@ class _RoleBudget:
         return {role: float(eps) for role, eps in self.pieces.items()}
 
     def noise_spec(self, kind: NoiseKind = NoiseKind.LAPLACE) -> NoiseSpec:
-        return NoiseSpec(kind, {role: float(1 / eps) for role, eps in self.pieces.items()})
+        """Each role's noise scale, ``1 / epsilon`` as a float; a subnormal
+        epsilon has none, a ``DomainError`` naming the role."""
+        scales = {}
+        for role, eps in self.pieces.items():
+            try:
+                scales[role] = float(1 / eps)
+            except OverflowError:
+                raise DomainError(
+                    f"noise role {role!r} has epsilon {float(eps)!r}, too small for a float noise scale 1/epsilon"
+                ) from None
+        return NoiseSpec(kind, scales)
 
 
 @dataclass(frozen=True)

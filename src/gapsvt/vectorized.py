@@ -193,25 +193,29 @@ def int_row_keys(codes: np.ndarray) -> np.ndarray:
     return key
 
 
+_TOP_NAMES = {  # a positive answer's key by its branch code (code & 3), per mechanism
+    SVT_CLASSIC: (None, None, "top", "top"),
+    SVT_GAP: (None, None, "plain", "plain"),
+    ADAPTIVE_GAP: (None, None, "first", "second"),
+}
+
+
 def decode_row(mechanism: str, row) -> tuple:
-    """Inverse of encode_int_rows for one row, yielding the same canonical
-    key OutputSequence.canonical() produces."""
+    """Inverse of encode_int_rows for one row of Python ints (``tolist()``
+    of a code row), yielding the same canonical key
+    OutputSequence.canonical() produces."""
+    names = _TOP_NAMES[mechanism]
+    with_gap = mechanism != SVT_CLASSIC
     out = []
     for c in row:
-        c = int(c)
         if c == STATUS_ABSENT:
             break
         if c == STATUS_BOT:
             out.append("bot")
-        elif mechanism == SVT_CLASSIC:
-            out.append("top")
+        elif with_gap:
+            out.append((names[c & 3], c >> 2))
         else:
-            branch_code = c & 3
-            gap = c >> 2
-            if mechanism == SVT_GAP:
-                out.append(("plain", gap))
-            else:
-                out.append(("first" if branch_code == STATUS_TOP else "second", gap))
+            out.append(names[c & 3])
     return tuple(out)
 
 

@@ -8,7 +8,7 @@ Three families of evidence, in increasing strength on small instances:
 * an exact output-distribution oracle under integer (discrete Laplace)
   noise over a box of tapes, built output by output from each query's
   distribution given the threshold draw, that checks the likelihood-ratio
-  bound directly;
+  bound directly on the two sides' masses, joined once into aligned arrays;
 * a Monte Carlo estimator used both to cross-check the enumeration and as a
   falsification heuristic on instances too large to enumerate.
 
@@ -679,10 +679,11 @@ def _enumerate_per_query(mechanism, w, side, budget, axes) -> dict:
     impossible ones and are dropped.
 
     Each step's table has one column per threshold draw and one row per
-    point of a query's grid (the kernel), per code up to a query's largest
-    (its answers' masses) or per (live prefix, answer) pair (a position); a
-    row counts at least ``KEY_CELLS`` cells.  A table past ``ENUM_CELL_CAP``
-    cells raises ``GridBudgetExceeded``, a position's before it is built."""
+    point of a query's grid (the kernel), per code from a query's least to
+    its largest (its answers' masses) or per (live prefix, answer) pair (a
+    position); a row counts at least ``KEY_CELLS`` cells.  A table past
+    ``ENUM_CELL_CAP`` cells raises ``GridBudgetExceeded``, a position's
+    before it is built."""
     n = len(w)
     threshold = axes[0]
 
@@ -703,16 +704,23 @@ def _enumerate_per_query(mechanism, w, side, budget, axes) -> dict:
         """The codes query ``i`` can answer, and each code's mass over the
         query's in-box draws given each threshold draw: (codes, draws)."""
         wi = Workload(w.pairs[i : i + 1], w.threshold, w.k, w.epsilon, w.sigma)
-        # one kernel call per threshold draw keeps its arrays at one query grid
+        # one kernel call per threshold draw keeps its arrays at one query grid;
+        # each draw's masses are counted from its least code
         cols = []
+        lo, top = math.inf, -math.inf  # the least code, and one past the largest
         for e in threshold.values:
             status, gaps = run_status_gaps(mechanism, wi, side, budget, e, per_query)
-            cols.append(np.bincount(encode_int_rows(mechanism, status, gaps)[:, 0], weights=query_pmf))
-            charge(len(cols[-1]))  # one row per code up to the largest
-        width = max(map(len, cols))
-        cond = np.stack([np.pad(col, (0, width - len(col))) for col in cols], axis=1)
-        codes = np.flatnonzero(cond.any(axis=1))
-        return codes, cond[codes]
+            codes = encode_int_rows(mechanism, status, gaps)[:, 0]
+            least = int(codes.min())
+            col = np.bincount(codes - least, weights=query_pmf)
+            cols.append((least, col))
+            lo, top = min(lo, least), max(top, least + len(col))
+            charge(top - lo)  # one row per code from the least to the largest
+        cond = np.zeros((top - lo, len(cols)))
+        for j, (least, col) in enumerate(cols):
+            cond[least - lo : least - lo + len(col), j] = col
+        hit = np.flatnonzero(cond.any(axis=1))
+        return hit + lo, cond[hit]
 
     # live output prefixes: code rows, mass per threshold draw, run state
     rows = np.zeros((1, 0), dtype=np.int64)
@@ -735,7 +743,7 @@ def _enumerate_per_query(mechanism, w, side, budget, axes) -> dict:
     masses = {}
     for out_rows, out_mass in done:
         hit = out_mass > 0.0
-        keys = (decode_row(mechanism, row) for row in out_rows[hit].tolist())
+        keys = map(decode_row, itertools.repeat(mechanism), out_rows[hit].tolist())
         masses.update(zip(keys, out_mass[hit].tolist()))
     return masses
 
@@ -817,14 +825,26 @@ def _union_keys(a: dict, b: dict) -> list:
     Output keys are tuples of strings, whose hashes change with every
     interpreter, so iterating a set of them would sum floats in a different
     order, and to different last bits, on every run."""
-    return [*a, *(k for k in b if k not in a)]
+    return list({**a, **b})
+
+
+def _joined(a: dict, b: dict) -> tuple[list, np.ndarray, np.ndarray]:
+    """The union keys of two mass dicts, in ``_union_keys`` order, and each
+    side's masses over them as one float array, 0 where it lacks the key.
+
+    Merging dicts reuses the hashes they store, so no key is hashed again."""
+    joined = dict.fromkeys(a, 0.0)
+    joined.update(b)  # b's masses, at a's positions for the keys both have
+    ma = np.zeros(len(joined))
+    ma[: len(a)] = np.fromiter(a.values(), float, len(a))
+    return list(joined), ma, np.fromiter(joined.values(), float, len(joined))
 
 
 def tv_distance(a: OutputDistribution, b: OutputDistribution) -> float:
     """Total variation over the union of outputs, with unassigned (tail)
     mass treated as one extra bucket."""
-    keys = _union_keys(a.masses, b.masses)
-    s = sum(abs(a.masses.get(k, 0.0) - b.masses.get(k, 0.0)) for k in keys)
+    _, ma, mb = _joined(a.masses, b.masses)
+    s = sum(np.abs(ma - mb).tolist())  # the builtin sum, in key order, for the same last bits
     s += abs(a.truncation_loss - b.truncation_loss)
     return 0.5 * s
 
@@ -843,7 +863,8 @@ class PrivacyLossResult:
     upper-bound certificate: if the mechanism really is eps-DP then
     certified_max <= eps up to float error, truncation notwithstanding.
     one_sided lists outputs whose mass exceeds tau on one side while absent
-    on the other; any such output is verdict material.
+    on the other; any such output is verdict material.  outputs counts the
+    outputs of either side.
     """
 
     padded_max: float
@@ -851,46 +872,59 @@ class PrivacyLossResult:
     certified_max: float
     tau: float
     one_sided: tuple
+    outputs: int
 
     def material_one_sided(self) -> bool:
         return len(self.one_sided) > 0
 
 
+def _largest_log(ratios: np.ndarray) -> float:
+    """The largest ``math.log`` of the ratios, -inf when there are none.
+
+    log is monotone, so only the largest ratio is taken to ``math.log``:
+    the figure is the one a per-output loop of ``math.log`` would reach."""
+    return math.log(ratios.max()) if len(ratios) else -math.inf
+
+
+def _largest_abs_log(ratios: np.ndarray) -> float:
+    """The largest ``abs(math.log(r))`` of the ratios, at least 0."""
+    return max(0.0, _largest_log(ratios), -math.log(ratios.min()) if len(ratios) else 0.0)
+
+
 def max_privacy_loss(p: OutputDistribution, q: OutputDistribution) -> PrivacyLossResult:
+    """The three maxima over the outputs of either side, compared as aligned
+    mass arrays: numpy forms every ratio, and ``math.log`` takes only the
+    extreme ones.  A zero denominator is an infinite ratio."""
     if p.mechanism != q.mechanism:
         raise DomainMismatch(f"distributions from {p.mechanism!r} vs {q.mechanism!r}")
     tau = max(p.truncation_loss, q.truncation_loss)
-    padded_max = 0.0
-    raw_max = 0.0
-    certified_max = 0.0
-    one_sided = []
-    for key in _union_keys(p.masses, q.masses):
-        pm = p.masses.get(key, 0.0)
-        qm = q.masses.get(key, 0.0)
-        if pm + qm <= 0.0:
-            continue
+    keys, pm, qm = _joined(p.masses, q.masses)
+    seen = pm + qm > 0.0
+    in_p, in_q = pm > 0.0, qm > 0.0
+    both = in_p & in_q
+    with np.errstate(divide="ignore", over="ignore"):
+        raw_max = _largest_abs_log(pm[both] / qm[both])
         if tau > 0.0:
-            padded = abs(math.log((pm + tau) / (qm + tau)))
-        elif pm > 0.0 and qm > 0.0:
-            padded = abs(math.log(pm / qm))
+            padded_max = _largest_abs_log((pm[seen] + tau) / (qm[seen] + tau))
         else:
-            padded = math.inf
-        padded_max = max(padded_max, padded)
-        if pm > 0.0 and qm > 0.0:
-            raw_max = max(raw_max, abs(math.log(pm / qm)))
-        if pm > 0.0:
-            certified_max = max(certified_max, math.log(pm / (qm + tau)) if qm + tau > 0 else math.inf)
-        if qm > 0.0:
-            certified_max = max(certified_max, math.log(qm / (pm + tau)) if pm + tau > 0 else math.inf)
-        if (pm == 0.0 and qm > tau) or (qm == 0.0 and pm > tau):
-            one_sided.append((key, "d" if pm > 0 else "dprime", max(pm, qm)))
-    certified_max = max(certified_max, 0.0)
-    return PrivacyLossResult(padded_max, raw_max, certified_max, tau, tuple(one_sided))
+            padded_max = math.inf if np.any(seen & ~both) else raw_max
+        certified_max = max(
+            0.0,
+            _largest_log(pm[in_p] / (qm[in_p] + tau)),
+            _largest_log(qm[in_q] / (pm[in_q] + tau)),
+        )
+    one = np.flatnonzero(((pm == 0.0) & (qm > tau)) | ((qm == 0.0) & (pm > tau)))
+    one_sided = tuple(
+        (keys[i], "d" if a > 0 else "dprime", max(a, b)) for i, a, b in zip(one.tolist(), pm[one].tolist(), qm[one].tolist())
+    )
+    return PrivacyLossResult(padded_max, raw_max, certified_max, tau, one_sided, len(keys))
 
 
 def check_dp_exact(mechanism: str, w: Workload) -> tuple[PrivacyReport, PrivacyLossResult]:
     """Enumerate both sides of an integer workload and compare the maximum
-    log likelihood ratio against epsilon; ``GridBudgetExceeded`` as there."""
+    log likelihood ratio against epsilon; ``GridBudgetExceeded`` as there.
+    ``max_privacy_loss`` joins the sides and counts their outputs
+    (``checks_run``), so all the comparison's work is inside its call."""
     p = enumerate_output_dist(mechanism, w, Side.D)
     q = enumerate_output_dist(mechanism, w, Side.DPRIME)
     loss = max_privacy_loss(p, q)
@@ -904,7 +938,7 @@ def check_dp_exact(mechanism: str, w: Workload) -> tuple[PrivacyReport, PrivacyL
         "dp-exact",
         mechanism,
         trials=1,
-        checks_run=len(set(p.masses) | set(q.masses)),
+        checks_run=loss.outputs,
         max_log_ratio=loss.padded_max,
         truncation_loss=p.truncation_loss + q.truncation_loss,
         notes={

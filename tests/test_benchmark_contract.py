@@ -127,3 +127,35 @@ def test_enum_work_unit_is_the_box_size(monkeypatch):
         report, _ = verifier.check_dp_exact(mechanism, w)
         bounds = verifier.enumerate_output_dist(mechanism, w, gapsvt.Side.D).meta["bounds"]
         assert report.notes["grid_points"] == math.prod(2 * b + 1 for b in bounds)
+
+
+def test_dp_exact_joins_its_sides_inside_the_traced_loss(monkeypatch):
+    """The tracer times ``verifier.loss_s`` as the span of
+    ``verifier.max_privacy_loss``: ``check_dp_exact`` has to call it, and
+    ``enumerate_output_dist`` for each side, through the module's names, and
+    the join of the two sides has to run inside that span."""
+    calls = {"enumerate_output_dist": 0, "max_privacy_loss": 0, "joins": 0, "joins_outside_loss": 0}
+    inside = []
+    for name in ("enumerate_output_dist", "max_privacy_loss"):
+        real = getattr(verifier, name)
+
+        def spy(*args, name=name, real=real):
+            calls[name] += 1
+            inside.append(name)
+            try:
+                return real(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(verifier, name, spy)
+    join = verifier._joined
+
+    def spy_join(*args):
+        calls["joins"] += 1
+        calls["joins_outside_loss"] += inside != ["max_privacy_loss"]
+        return join(*args)
+
+    monkeypatch.setattr(verifier, "_joined", spy_join)
+    w = gapsvt.default_enumeration_instances(gapsvt.SVT_GAP)[0]
+    verifier.check_dp_exact(gapsvt.SVT_GAP, w)
+    assert calls == {"enumerate_output_dist": 2, "max_privacy_loss": 1, "joins": 1, "joins_outside_loss": 0}

@@ -328,6 +328,19 @@ class TestInputGate:
         code, out, _ = run_cli(capsys, ["run", "--mechanism", "svt-gap", "--workload", workload_file(payload)])
         assert code == 0 and strict_json_lines(out)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "--mechanism", "svt-gap"], ["verify", "--suite", "dp-mc", "--mechanism", "svt-gap", "--trials", "10000"]],
+        ids=["run", "dp-mc"],
+    )
+    def test_subnormal_epsilon_exits_2_naming_the_role(self, capsys, workload_file, argv):
+        # 1/epsilon of the threshold role's 5e-321 is past the largest float
+        payload = {"pairs": [[1, 0], [0, 1]], "threshold": 0, "k": 1, "epsilon": 1e-320, "noise": "dlap"}
+        code, out, err = run_cli(capsys, [*argv, "--workload", workload_file(payload)])
+        assert code == 2
+        assert out == ""
+        assert "noise role 'threshold' has epsilon 5e-321" in err
+
     def test_integer_noise_whose_p_rounds_to_one_is_zero(self, capsys, workload_file):
         # at epsilon 100 the threshold role's epsilon is 50: 1 - exp(-50)
         # rounds to p = 1, both geometrics are certain and the noise is 0

@@ -10,6 +10,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gapsvt import (
     ADAPTIVE_GAP,
@@ -291,6 +292,26 @@ class TestEnumeration:
         for side in Side:
             assert enumerate_output_dist(mechanism, w, side).normalization_defect() < 1e-12
 
+    def test_answer_tables_start_at_the_least_code(self):
+        """A query far above the threshold answers only codes near 4 * 100000.
+        Its answer-mass table spans those codes alone, so the oracle takes
+        it on (a table from code 0 would pass the cell cap at 4.4e7 cells),
+        and its masses match the per-tape runs of the same box."""
+        w = Workload.from_values([(100000, 99999)], 0, 1, 1.0)
+        start = time.perf_counter()
+        report, loss = check_dp_exact(SVT_GAP, w)
+        elapsed = time.perf_counter() - start
+        assert report.passed and elapsed < 1.0
+        outputs = set()
+        for side in Side:
+            a = enumerate_output_dist(SVT_GAP, w, side, method="per-tape")
+            b = enumerate_output_dist(SVT_GAP, w, side)
+            assert set(a.masses) == set(b.masses)
+            for key in a.masses:
+                assert a.masses[key] == pytest.approx(b.masses[key], rel=1e-13, abs=0)
+            outputs |= set(b.masses)
+        assert report.checks_run == loss.outputs == len(outputs) == 332
+
     def test_per_tape_reference_keeps_its_box_cap(self):
         w = Workload.from_values([(1, 0), (0, 1)], 0, 1, 1.0)
         with pytest.raises(GridBudgetExceeded) as info:
@@ -339,6 +360,42 @@ class TestEnumeration:
         assert abs(bot + tops + dist.truncation_loss - 1.0) < 1e-9
 
 
+# masses in [0, 1] with zeros, subnormals and extremes; tails 0 or positive
+_MASS = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1e-12, 0.5, 1.0]), st.floats(0.0, 1.0))
+_TAIL = st.one_of(st.just(0.0), st.sampled_from([1e-300, 1e-12]), st.floats(0.0, 1e-2))
+
+
+def _per_key_loss(p: OutputDistribution, q: OutputDistribution) -> tuple:
+    """max_privacy_loss as a loop over the union keys with ``math.log`` per
+    key: the reference the array computation must equal."""
+    tau = max(p.truncation_loss, q.truncation_loss)
+    padded_max = 0.0
+    raw_max = 0.0
+    certified_max = 0.0
+    one_sided = []
+    for key in [*p.masses, *(k for k in q.masses if k not in p.masses)]:
+        pm = p.masses.get(key, 0.0)
+        qm = q.masses.get(key, 0.0)
+        if pm + qm <= 0.0:
+            continue
+        if tau > 0.0:
+            padded = abs(math.log((pm + tau) / (qm + tau)))
+        elif pm > 0.0 and qm > 0.0:
+            padded = abs(math.log(pm / qm))
+        else:
+            padded = math.inf
+        padded_max = max(padded_max, padded)
+        if pm > 0.0 and qm > 0.0:
+            raw_max = max(raw_max, abs(math.log(pm / qm)))
+        if pm > 0.0:
+            certified_max = max(certified_max, math.log(pm / (qm + tau)) if qm + tau > 0 else math.inf)
+        if qm > 0.0:
+            certified_max = max(certified_max, math.log(qm / (pm + tau)) if pm + tau > 0 else math.inf)
+        if (pm == 0.0 and qm > tau) or (qm == 0.0 and pm > tau):
+            one_sided.append((key, "d" if pm > 0 else "dprime", max(pm, qm)))
+    return padded_max, raw_max, max(certified_max, 0.0), tau, tuple(one_sided)
+
+
 class TestPrivacyLoss:
     def test_equal_distributions_have_zero_loss(self):
         d = OutputDistribution(SVT_GAP, "d", {("bot",): 0.4, (("plain", 1),): 0.6}, 0.0)
@@ -373,6 +430,33 @@ class TestPrivacyLoss:
         assert loss.certified_max <= w.epsilon + 1e-9
         assert loss.padded_max <= w.epsilon + 1e-4
         assert not loss.material_one_sided()
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        p_masses=st.dictionaries(st.integers(0, 9), _MASS),
+        q_masses=st.dictionaries(st.integers(0, 9), _MASS),
+        disjoint=st.booleans(),
+        p_tail=_TAIL,
+        q_tail=_TAIL,
+    )
+    def test_array_loss_equals_the_per_key_loop(self, p_masses, q_masses, disjoint, p_tail, q_tail):
+        """The three maxima, one_sided in its order and the output count are
+        those of a loop over the union keys, bit for bit, for tau = 0 and
+        tau > 0, zero masses, one-sided keys and disjoint supports; the TV
+        distance is the loop's sum in the same order."""
+        if disjoint:
+            q_masses = {k + 10: m for k, m in q_masses.items()}
+        p = OutputDistribution(SVT_GAP, "d", p_masses, p_tail)
+        q = OutputDistribution(SVT_GAP, "dprime", q_masses, q_tail)
+        got = max_privacy_loss(p, q)
+        want = _per_key_loss(p, q)
+        assert (got.padded_max, got.raw_max, got.certified_max, got.tau) == want[:4]
+        assert got.one_sided == want[4]
+        assert got.outputs == len(set(p_masses) | set(q_masses))
+        keys = [*p_masses, *(k for k in q_masses if k not in p_masses)]
+        tv = sum(abs(p_masses.get(k, 0.0) - q_masses.get(k, 0.0)) for k in keys)
+        assert tv_distance(p, q) == 0.5 * (tv + abs(p_tail - q_tail))
 
 
 def _assert_keys_order_like_rows(codes):
@@ -465,6 +549,14 @@ class TestMonteCarlo:
         codes[250:] = codes[:250]  # every row appears twice
         codes[::7, 5] = 0
         _assert_keys_order_like_rows(codes)
+
+    @pytest.mark.parametrize("kind", [NoiseKind.DLAP, NoiseKind.LAPLACE])
+    def test_subnormal_epsilon_is_a_domain_error_naming_the_role(self, kind):
+        """At epsilon 1e-320 the threshold role's scale 1/epsilon is past the
+        largest float."""
+        w = Workload.from_values([(1, 0), (0, 1)], 0, 1, 1e-320)
+        with pytest.raises(DomainError, match="noise role 'threshold' has epsilon 5e-321"):
+            mc_output_dist(SVT_GAP, w, Side.D, 100, seed=1, kind=kind)
 
     @pytest.mark.parametrize("mechanism", MECHANISMS)
     def test_laplace_counts_equal_per_tape_runs(self, mechanism):
