@@ -7,6 +7,7 @@ import sys
 import time
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from gapsvt import (
     NonPositiveBudget,
     NoiseTape,
     OutputDistribution,
+    OutputSequence,
     SVT_CLASSIC,
     SVT_GAP,
     Side,
@@ -48,6 +50,7 @@ from gapsvt import (
 )
 import gapsvt
 from gapsvt import mechanisms, vectorized, verifier
+from gapsvt.core import Branch, top_gap
 from gapsvt.verifier import trial_rng
 
 
@@ -197,6 +200,90 @@ class TestTrialSuites:
         report = check_alignment_soundness(plan)
         payload = json.dumps(report.to_json_dict())
         assert "witness" in payload
+
+
+def _adaptive_ledger_case():
+    """A real adaptive run with two charged events, a first-branch positive
+    and then a second-branch one, after which the guard stops the run."""
+    w = Workload.from_values([(10, 9), (5, 5), (3, 3)], 4, 2, 1.0, sigma=2)
+    budget = default_budget(ADAPTIVE_GAP, w)
+    tape = NoiseTape(0, ((0, 0),) * 3, TapeLayout.PAIRED)
+    result = run_mechanism(ADAPTIVE_GAP, w, tape, Side.D, budget)
+    assert [e.branch.value for e in result.ledger.events] == ["first", "second"]
+    return w, budget, tape, result
+
+
+def _ledger_verdict(ledger, output=None):
+    """The cost predicate's verdict on the real run with ``ledger`` (and
+    ``output``) in place of its own."""
+    w, budget, tape, result = _adaptive_ledger_case()
+    run = mechanisms.RunResult(output or result.output, result.consumed, ledger)
+    aligned = verifier._align_for(ADAPTIVE_GAP)(tape, run.output, w, None)
+    return verifier._cost_failure(ADAPTIVE_GAP, w, tape, aligned, run, budget, True)[1]
+
+
+class TestLedgerDrills:
+    """Each defect the exact ledger check names, drilled on a corrupted copy
+    of a real adaptive ledger; the messages are the check's own."""
+
+    @staticmethod
+    def _real():
+        return _adaptive_ledger_case()[3].ledger
+
+    def _events(self, **changes):
+        ledger = self._real()
+        events = list(ledger.events)
+        for step, fields in changes.items():
+            events[int(step[1:])] = dataclasses.replace(events[int(step[1:])], **fields)
+        return dataclasses.replace(ledger, events=events)
+
+    def test_real_ledger_passes(self):
+        assert _ledger_verdict(self._real()) is None
+
+    def test_wrong_initial(self):
+        ledger = dataclasses.replace(self._real(), initial=Fraction(9, 16))
+        assert _ledger_verdict(ledger) == "ledger starts at 9/16, expected epsilon0 1/2"
+
+    def test_event_at_the_wrong_index(self):
+        ledger = self._events(e1={"index": 2})
+        assert _ledger_verdict(ledger) == "ledger event 1 is (2, 1/4), expected (1, 1/4)"
+
+    def test_wrong_increment(self):
+        ledger = self._events(e0={"increment": Fraction(1, 4)})
+        assert _ledger_verdict(ledger) == "ledger event 0 is (0, 1/4), expected (0, 1/8)"
+
+    def test_missing_event(self):
+        ledger = self._real()
+        ledger = dataclasses.replace(ledger, events=ledger.events[:1])
+        assert _ledger_verdict(ledger) == "missing ledger event for positive answer at query 1"
+
+    def test_extra_event(self):
+        ledger = self._real()
+        extra = dataclasses.replace(ledger.events[0], index=2)
+        ledger = dataclasses.replace(ledger, events=[*ledger.events, extra])
+        assert _ledger_verdict(ledger) == "ledger has more events than positive answers"
+
+    def test_prefix_sum_diverges(self):
+        ledger = self._real()
+        bad = dataclasses.replace(ledger)
+        bad.cost_at = lambda step: ledger.cost_at(step) + (step == 1) * Fraction(1, 16)
+        assert _ledger_verdict(bad) == "ledger prefix cost after 1 events diverges"
+
+    def test_wrong_final_running_cost(self):
+        ledger = self._real()
+        ledger = dataclasses.replace(ledger, running_cost=ledger.running_cost + Fraction(1, 16))
+        assert _ledger_verdict(ledger) == "final ledger cost does not match the per-event sum"
+
+    def test_query_processed_past_the_guard(self):
+        # an output that answers the third query after the guard should have stopped the run
+        output = OutputSequence((*self._real_output(), top_gap(1, Branch.SECOND)))
+        assert _ledger_verdict(self._real(), output) == (
+            "query 2 was processed with running cost 7/8 above the guard limit"
+        )
+
+    @staticmethod
+    def _real_output():
+        return _adaptive_ledger_case()[3].output.answers
 
 
 class TestEnumeration:
