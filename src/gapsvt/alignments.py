@@ -25,6 +25,10 @@ from .core import Branch, NoiseTape, OutputSequence, TapeLayout, Workload
 from .errors import LayoutMismatch
 from .mechanisms import AdaptiveBudget, SvtBudget
 
+# module aliases: a member lookup on an Enum class costs several times a global's
+_SINGLE, _PAIRED = TapeLayout.SINGLE, TapeLayout.PAIRED
+_SECOND = Branch.SECOND
+
 
 @dataclass(frozen=True)
 class IndexSets:
@@ -43,7 +47,7 @@ def index_sets(omega: OutputSequence) -> IndexSets:
     first, second = [], []
     for i, a in enumerate(omega.answers):
         if a.top:
-            (second if a.branch is Branch.SECOND else first).append(i)
+            (second if a.branch is _SECOND else first).append(i)
     return IndexSets(frozenset(first), frozenset(second))
 
 
@@ -90,14 +94,14 @@ def align_svt_gap(tape: NoiseTape, omega: OutputSequence, w: Workload, mutation:
     ``omega``: threshold draw up by one, positive-answer draws up by
     ``1 + delta_i``, everything else untouched.  A paired tape raises
     LayoutMismatch."""
-    return tape.shifted_by(shift_for_output(omega, w.deltas(), TapeLayout.SINGLE, mutation))
+    return tape.shifted_by(shift_for_output(omega, w.deltas(), _SINGLE, mutation))
 
 
 def align_adaptive(tape: NoiseTape, omega: OutputSequence, w: Workload, mutation: Mutation | None = None) -> NoiseTape:
     """Paired-layout rewrite: first-branch positives shift their first draw,
     second-branch positives their second draw, both by ``1 + delta_i``.  A
     single-layout tape raises LayoutMismatch."""
-    return tape.shifted_by(shift_for_output(omega, w.deltas(), TapeLayout.PAIRED, mutation))
+    return tape.shifted_by(shift_for_output(omega, w.deltas(), _PAIRED, mutation))
 
 
 def alignment_cost(tape: NoiseTape, aligned: NoiseTape, budget: SvtBudget | AdaptiveBudget) -> float:
@@ -108,10 +112,8 @@ def alignment_cost(tape: NoiseTape, aligned: NoiseTape, budget: SvtBudget | Adap
     n = len(tape.per_query)
     if n != len(aligned.per_query):
         raise LayoutMismatch(f"tape lengths differ: {n} vs {len(aligned.per_query)}")
-    role_weights = budget.weights
-    weights = [role_weights["threshold"], *[role_weights[r] for r in budget.layout.query_roles] * n]
     cost = 0.0
-    for weight, a, b in zip(weights, tape.flat(), aligned.flat()):
+    for weight, a, b in zip(budget.flat_weights(n), tape.flat(), aligned.flat()):
         cost += weight * abs(b - a)
     return cost
 

@@ -55,6 +55,10 @@ class TapeLayout(str, Enum):
         return ("query",) if self is TapeLayout.SINGLE else ("query_first", "query_second")
 
 
+# module aliases: a member lookup on an Enum class costs several times a global's
+_SINGLE = TapeLayout.SINGLE
+
+
 class NoiseKind(str, Enum):
     LAPLACE = "laplace"  # continuous Laplace, inverse-CDF sampled
     DLAP = "dlap"        # discrete (integer) Laplace
@@ -82,13 +86,18 @@ class QueryPair:
 
 @dataclass(frozen=True)
 class Workload:
-    """An adjacent pair of query value sequences plus mechanism parameters."""
+    """An adjacent pair of query value sequences plus mechanism parameters.
+
+    ``check_workload`` marks an instance that passed it, so a workload
+    that every layer of a run gates is checked once."""
 
     pairs: tuple[QueryPair, ...]
     threshold: float
     k: int
     epsilon: float
     sigma: float | None = None  # adaptive first-attempt margin
+
+    _checked = False  # not a field: set on the instance by check_workload
 
     @classmethod
     def from_values(
@@ -114,14 +123,18 @@ class Workload:
         return tuple([p.value_d - p.value_dprime for p in self.pairs])
 
     def swapped(self) -> "Workload":
-        """The same workload with the two sides exchanged."""
-        return Workload(
+        """The same workload with the two sides exchanged; it passes
+        ``check_workload`` exactly when this one does."""
+        w = Workload(
             tuple([QueryPair(p.value_dprime, p.value_d) for p in self.pairs]),
             self.threshold,
             self.k,
             self.epsilon,
             self.sigma,
         )
+        if self._checked:
+            object.__setattr__(w, "_checked", True)
+        return w
 
     def is_integer_valued(self) -> bool:
         return float(self.threshold).is_integer() and all(
@@ -156,8 +169,11 @@ def check_workload(w: Workload) -> Workload:
     Raises the first violation found; returns the workload unchanged when it
     is valid so call sites can chain on it.  Every number must be a finite
     float: NaN, infinities and ints beyond the float range are rejected with
-    the field named.
+    the field named.  A workload that passed once is frozen, so it is not
+    checked again.
     """
+    if w._checked:
+        return w
     if len(w.pairs) == 0:
         raise EmptyWorkload("workload has no query pairs")
     isfinite = math.isfinite
@@ -184,6 +200,7 @@ def check_workload(w: Workload) -> Workload:
     if bad_pair is not None:
         p = w.pairs[bad_pair]
         raise SensitivityViolation(bad_pair, p.value_d - p.value_dprime)
+    object.__setattr__(w, "_checked", True)
     return w
 
 
@@ -334,7 +351,7 @@ class NoiseTape:
         per, moves = self.per_query, shift.per_query
         if len(per) < len(moves):
             raise LayoutMismatch(f"tape has {len(per)} entries, shift needs {len(moves)}")
-        if self.layout is TapeLayout.SINGLE:
+        if self.layout is _SINGLE:
             moved = [a + s for a, s in zip(per, moves)]
         else:
             moved = [(a + s, b + t) for (a, b), (s, t) in zip(per, moves)]
@@ -342,7 +359,7 @@ class NoiseTape:
 
     def flat(self) -> tuple[float, ...]:
         """Tape coordinates in consumption order (threshold first)."""
-        if self.layout is TapeLayout.SINGLE:
+        if self.layout is _SINGLE:
             return (self.threshold_noise, *self.per_query)
         return (self.threshold_noise, *chain.from_iterable(self.per_query))
 

@@ -40,6 +40,10 @@ MECHANISMS = (SVT_CLASSIC, SVT_GAP, ADAPTIVE_GAP)
 
 Rational = Union[int, float, Fraction]
 
+# module aliases: a member lookup on an Enum class costs several times a global's
+_SINGLE, _PAIRED = TapeLayout.SINGLE, TapeLayout.PAIRED
+_FIRST, _SECOND = Branch.FIRST, Branch.SECOND
+
 
 def _fraction(x: Rational, name: str) -> Fraction:
     f = Fraction(x)
@@ -61,6 +65,20 @@ class _RoleBudget:
     def weights(self) -> dict:
         """``pieces`` as floats: what the alignment cost weighs each role's shift by."""
         return {role: float(eps) for role, eps in self.pieces.items()}
+
+    @cached_property
+    def _flat_weights(self) -> dict:
+        return {}
+
+    def flat_weights(self, length: int) -> tuple[float, ...]:
+        """``weights`` in the coordinate order of ``NoiseTape.flat`` for a
+        tape of ``length`` queries, built once per length and budget."""
+        weights = self._flat_weights.get(length)
+        if weights is None:
+            role = self.weights
+            weights = (role["threshold"], *[role[r] for r in self.layout.query_roles] * length)
+            self._flat_weights[length] = weights
+        return weights
 
     def noise_spec(self, kind: NoiseKind = NoiseKind.LAPLACE) -> NoiseSpec:
         """Each role's noise scale, ``1 / epsilon`` as a float; a subnormal
@@ -145,21 +163,24 @@ class AdaptiveBudget(_RoleBudget):
         return 2 * self.epsilon2
 
     @cached_property
+    def piece_units(self) -> tuple[int, int, int, int, int]:
+        """``(d, epsilon0, epsilon1, epsilon2, epsilon)``: the pieces as
+        integer multiples of ``1/d``, d their least common denominator."""
+        pieces = (self.epsilon0, self.epsilon1, self.epsilon2, self.epsilon)
+        d = math.lcm(*(f.denominator for f in pieces))
+        return (d, *(f.numerator * (d // f.denominator) for f in pieces))
+
+    @cached_property
     def guard_units(self) -> tuple[int, int, int]:
         """``(first, second, headroom)``: the two charges and
-        ``guard_limit - epsilon0`` as integers over one common denominator.
+        ``guard_limit - epsilon0`` in the units of ``piece_units``.
 
         After j1 first-branch and j2 second-branch positives the running cost
         exceeds the guard limit exactly when ``j1*first + j2*second >
         headroom``, so a run evaluates its guard without rational arithmetic.
         """
-        headroom = self.guard_limit - self.epsilon0
-        d = math.lcm(self.charge_first.denominator, self.charge_second.denominator, headroom.denominator)
-        return (
-            self.charge_first.numerator * (d // self.charge_first.denominator),
-            self.charge_second.numerator * (d // self.charge_second.denominator),
-            headroom.numerator * (d // headroom.denominator),
-        )
+        _, eps0, eps1, eps2, eps = self.piece_units
+        return 2 * eps1, 2 * eps2, eps - 2 * eps2 - eps0
 
     @cached_property
     def _costs_after(self) -> dict:
@@ -213,6 +234,7 @@ class LedgerEvent:
     index: int
     branch: Branch
     increment: Fraction
+    running_cost: Fraction  # the ledger's running cost after this event
 
 
 @dataclass
@@ -225,8 +247,9 @@ class CostLedger:
     events: list = field(default_factory=list)
 
     def cost_at(self, step: int) -> Fraction:
-        """Running cost after the first ``step`` charged events."""
-        return sum((e.increment for e in self.events[:step]), self.initial)
+        """Running cost after the first ``step`` charged events, as the
+        ledger recorded it."""
+        return self.events[step - 1].running_cost if step else self.initial
 
 
 def svt_gap_run(w: Workload, tape: NoiseTape, side: Side = Side.D) -> OutputSequence:
@@ -244,7 +267,7 @@ def svt_classic_run(w: Workload, tape: NoiseTape, side: Side = Side.D) -> Output
 
 def _svt_run(w: Workload, tape: NoiseTape, side: Side, with_gap: bool):
     check_workload(w)
-    if tape.layout is not TapeLayout.SINGLE:
+    if tape.layout is not _SINGLE:
         raise LayoutMismatch("single draw requested from a paired tape")
     draws = tape.per_query
     values = w.values(side)
@@ -283,7 +306,7 @@ def adaptive_svt_gap_run(
 
 
 def _adaptive_run(w: Workload, budget: AdaptiveBudget, tape: NoiseTape, side: Side):
-    if tape.layout is not TapeLayout.PAIRED:
+    if tape.layout is not _PAIRED:
         raise LayoutMismatch("paired draw requested from a single-layout tape")
     draws = tape.per_query
     values = w.values(side)
@@ -303,17 +326,17 @@ def _adaptive_run(w: Workload, budget: AdaptiveBudget, tape: NoiseTape, side: Si
         consumed += 2
         first_gap = q + first_noise - noisy_threshold
         if first_gap >= sigma:
-            answers.append(top_gap(first_gap, Branch.FIRST))
-            events.append(LedgerEvent(i, Branch.FIRST, budget.charge_first))
+            answers.append(top_gap(first_gap, _FIRST))
             spent += first_units
             j1 += 1
+            events.append(LedgerEvent(i, _FIRST, budget.charge_first, budget.cost_after(j1, j2)))
         else:
             second_gap = q + second_noise - noisy_threshold
             if second_gap >= 0:
-                answers.append(top_gap(second_gap, Branch.SECOND))
-                events.append(LedgerEvent(i, Branch.SECOND, budget.charge_second))
+                answers.append(top_gap(second_gap, _SECOND))
                 spent += second_units
                 j2 += 1
+                events.append(LedgerEvent(i, _SECOND, budget.charge_second, budget.cost_after(j1, j2)))
             else:
                 answers.append(BOT)
         if spent > headroom:

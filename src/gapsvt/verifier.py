@@ -39,6 +39,7 @@ from .alignments import (
 )
 from .core import _draw as _draw_block  # the one noise sampler; the benchmark tracer hooks this name
 from .core import (
+    Branch,
     NoiseKind,
     NoiseSpec,
     NoiseTape,
@@ -86,6 +87,15 @@ PER_DRAW_TAIL = 1e-12  # enumeration box: largest mass any one tape coordinate l
 ENUM_CELL_CAP = 1 << 24  # exact oracle: most cells (rows x threshold draws) one step may take on
 KEY_CELLS = 64  # exact oracle: cells one output key weighs (about 500 B a side, as much as 64 float64 masses)
 WILSON_Z = 6.0  # Monte Carlo falsifier: z of the Wilson intervals around each output's frequency
+# PCG64 draws between the starts of consecutive trials' streams: PCG64.jumped's
+# step, about (phi - 1) * 2**128.  A power of two would leave the low half of
+# the 128-bit state equal in every trial, and the trials' first draws correlated.
+TRIAL_JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
+
+# module aliases: a member lookup on an Enum class costs several times a global's
+_SINGLE = TapeLayout.SINGLE
+_FIRST = Branch.FIRST
+_DLAP, _LAPLACE = NoiseKind.DLAP, NoiseKind.LAPLACE
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +111,9 @@ class WorkloadGenSpec:
     cost and alignment inequalities are tight.  ``real_fraction`` of the
     rest use real-valued queries and continuous noise; the remainder are
     integer-valued with integer noise so outputs can be compared exactly.
+    ``n_range`` and ``k_range`` are inclusive, and so are the integer
+    values of ``value_range``; a real sigma lies in ``sigma_range`` and an
+    integer one is an integer of it, the upper end excluded.
     """
 
     n_range: tuple = (1, 6)
@@ -128,44 +141,80 @@ class TrialPlan:
 
 
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
-    """Independent substream per (master seed, trial index)."""
-    return np.random.default_rng((master_seed, trial_index))
+    """Trial ``trial_index``'s stream: PCG64 seeded with ``master_seed`` and
+    advanced by ``trial_index * TRIAL_JUMP`` draws, the stream of
+    ``PCG64(master_seed).jumped(trial_index)``."""
+    bits = np.random.PCG64(master_seed)
+    bits.advance(trial_index * TRIAL_JUMP)
+    return np.random.Generator(bits)
+
+
+def _trial_streams(master_seed: int, trials: int):
+    """``trial_rng(master_seed, i)`` for each trial index i in turn, as one
+    generator reset to the plan's start and advanced to each trial."""
+    rng = trial_rng(master_seed, 0)
+    bits = rng.bit_generator
+    start = bits.state
+    for idx in range(trials):
+        if idx:
+            bits.state = start
+            bits.advance(idx * TRIAL_JUMP)
+        yield idx, rng
+
+
+def _pick(u: float, lo: int, count: int) -> int:
+    # one of the count integers from lo on; u * count < count for every
+    # u < 1 that rng.random gives, so the pick never reaches lo + count
+    return lo + int(u * count)
 
 
 def generate_workload(plan: TrialPlan, rng: np.random.Generator) -> tuple[Workload, NoiseKind]:
+    """One workload and its noise kind from one block of ``6 + 2 *
+    n_range[1]`` uniforms, whatever the mode and length: ``u[0:6]`` pick n,
+    k, epsilon, the mode, the threshold and sigma, and ``u[6 + 2j]`` and
+    ``u[7 + 2j]`` the value on D and the delta of pair j."""
     g = plan.gen
-    n = int(rng.integers(g.n_range[0], g.n_range[1] + 1))
-    k = int(rng.integers(g.k_range[0], g.k_range[1] + 1))
-    epsilon = float(g.epsilons[rng.integers(0, len(g.epsilons))])
+    n_lo, n_hi = g.n_range
+    u = rng.random(6 + 2 * n_hi).tolist()
+    n = _pick(u[0], n_lo, n_hi - n_lo + 1)
+    k = _pick(u[1], g.k_range[0], g.k_range[1] - g.k_range[0] + 1)
+    epsilon = float(g.epsilons[_pick(u[2], 0, len(g.epsilons))])
     lo, hi = g.value_range
-    mode = rng.random()
-    if mode < g.boundary_fraction:
-        threshold = int(rng.integers(int(lo), int(hi) + 1))
-        pairs = []
-        for _ in range(n):
-            vd = threshold + int(rng.integers(-1, 2))  # straddle the threshold
-            delta = (-1, 1)[rng.integers(0, 2)]  # same draw as rng.choice((-1, 1)), cheaper
-            pairs.append(QueryPair(vd, vd - delta))
-        sigma = int(rng.integers(0, 4)) if plan.mechanism == ADAPTIVE_GAP else None
-        kind = NoiseKind.DLAP
-    elif mode < g.boundary_fraction + (1 - g.boundary_fraction) * g.real_fraction:
-        threshold = float(rng.uniform(lo, hi))
-        pairs = []
-        for _ in range(n):
-            vd = float(rng.uniform(lo, hi))
-            delta = float(rng.uniform(-1.0, 1.0))
-            pairs.append(QueryPair(vd, vd - delta))
-        sigma = float(rng.uniform(*g.sigma_range)) if plan.mechanism == ADAPTIVE_GAP else None
-        kind = NoiseKind.LAPLACE
+    mode = u[3]
+    boundary = mode < g.boundary_fraction
+    real = not boundary and mode < g.boundary_fraction + (1 - g.boundary_fraction) * g.real_fraction
+    values = u[6 : 6 + 2 * n : 2]
+    deltas = u[7 : 7 + 2 * n : 2]
+    pairs = []
+    if real:
+        span = hi - lo
+        threshold = lo + span * u[4]
+        for a, b in zip(values, deltas):
+            vd = lo + span * a
+            pairs.append(QueryPair(vd, vd - (2.0 * b - 1.0)))
+        kind = _LAPLACE
     else:
-        threshold = int(rng.integers(int(lo), int(hi) + 1))
-        pairs = []
-        for _ in range(n):
-            vd = int(rng.integers(int(lo), int(hi) + 1))
-            delta = int(rng.integers(-1, 2))
-            pairs.append(QueryPair(vd, vd - delta))
-        sigma = int(rng.integers(0, 4)) if plan.mechanism == ADAPTIVE_GAP else None
-        kind = NoiseKind.DLAP
+        v_lo, v_count = int(lo), int(hi) - int(lo) + 1
+        threshold = _pick(u[4], v_lo, v_count)
+        if boundary:
+            for a, b in zip(values, deltas):
+                vd = _pick(a, threshold - 1, 3)  # straddle the threshold
+                pairs.append(QueryPair(vd, vd - (1 if b < 0.5 else -1)))
+        else:
+            for a, b in zip(values, deltas):
+                vd = _pick(a, v_lo, v_count)
+                pairs.append(QueryPair(vd, vd - _pick(b, -1, 3)))
+        kind = _DLAP
+    sigma = None
+    if plan.mechanism == ADAPTIVE_GAP:
+        sigma_lo, sigma_hi = g.sigma_range
+        if real:
+            sigma = sigma_lo + (sigma_hi - sigma_lo) * u[5]
+        else:
+            first, count = math.ceil(sigma_lo), math.ceil(sigma_hi) - math.ceil(sigma_lo)
+            if count < 1:
+                raise DomainError(f"sigma_range {g.sigma_range} holds no integer sigma")
+            sigma = _pick(u[5], first, count)
     w = Workload(tuple(pairs), threshold, k, epsilon, sigma)
     return check_workload(w), kind
 
@@ -289,14 +338,6 @@ def _budget_and_spec(mechanism: str, epsilon: float, k: int, kind: NoiseKind):
     return budget, budget.noise_spec(kind)
 
 
-def _trial_setup(plan: TrialPlan, idx: int):
-    rng = trial_rng(plan.master_seed, idx)
-    w, kind = generate_workload(plan, rng)
-    budget, spec = _budget_and_spec(plan.mechanism, w.epsilon, w.k, kind)
-    tape = draw_tape(spec, len(w), rng)
-    return rng, w, kind, budget, spec, tape
-
-
 # ---------------------------------------------------------------------------
 # Check predicates, shared by the trial loop and witness replay
 
@@ -315,8 +356,9 @@ def _cost_failure(mechanism: str, w: Workload, tape, aligned, result, budget, ex
     epsilon and equal the closed form (exactly on integer workloads), and
     the first broken predicate, the adaptive ledger's included, or None."""
     omega = result.output
+    sets = index_sets(omega)
     cost = alignment_cost(tape, aligned, budget)
-    closed = cost_closed_form(index_sets(omega), w.deltas(), budget)
+    closed = cost_closed_form(sets, w.deltas(), budget)
     if cost > w.epsilon + COST_TOL:
         return cost, f"alignment cost {cost} exceeds epsilon {w.epsilon}"
     if exact and closed != cost:
@@ -324,7 +366,7 @@ def _cost_failure(mechanism: str, w: Workload, tape, aligned, result, budget, ex
     if not exact and abs(closed - cost) > COST_TOL:
         return cost, f"closed-form cost {closed} deviates from generic cost {cost}"
     if mechanism == ADAPTIVE_GAP:
-        return cost, _verify_ledger(w, budget, omega, result.ledger)
+        return cost, _verify_ledger(budget, omega, result.ledger, sets)
     return cost, None
 
 
@@ -338,10 +380,11 @@ def run_trial_suites(plan: TrialPlan, suites=TRIAL_SUITES) -> dict:
     """Drive any subset of the randomized suites over one shared trial
     stream, so a combined run pays for workload/tape generation once.
 
-    Returns a dict suite name -> PrivacyReport.  The same trial indices
-    produce the same workloads and tapes regardless of which suites are
-    requested, so single-suite runs see exactly the trials a combined run
-    does."""
+    Returns a dict suite name -> PrivacyReport.  Trial i reads the stream
+    ``trial_rng(plan.master_seed, i)``: its workload, then its tape.  The
+    same trial indices produce the same workloads and tapes regardless of
+    which suites are requested, so single-suite runs see exactly the trials
+    a combined run does."""
     unknown = [s for s in suites if s not in TRIAL_SUITES]
     if unknown:
         raise DomainError(f"unknown trial suite {unknown[0]!r}")
@@ -353,12 +396,14 @@ def run_trial_suites(plan: TrialPlan, suites=TRIAL_SUITES) -> dict:
             "distributional regularity of the noise density is assumed, not executable here"
         )
     align = _align_for(plan.mechanism)
-    for idx in range(plan.trials):
-        rng, w, kind, budget, spec, tape = _trial_setup(plan, idx)
-        exact = kind is NoiseKind.DLAP
+    for idx, rng in _trial_streams(plan.master_seed, plan.trials):
         active = [s for s in suites if reports[s].verdict == "pass"]
         if not active:
             break
+        w, kind = generate_workload(plan, rng)
+        budget, spec = _budget_and_spec(plan.mechanism, w.epsilon, w.k, kind)
+        tape = draw_tape(spec, len(w), rng)
+        exact = kind is _DLAP
         forward = None  # the run on (w, tape, D), shared with the structural trial
         if "align" in active or "cost" in active:
             for orientation, ww in (("forward", w), ("reverse", w.swapped())):
@@ -435,46 +480,46 @@ def check_alignment_soundness(plan: TrialPlan) -> PrivacyReport:
     return run_trial_suites(plan, ("align",))["align"]
 
 
-def _verify_ledger(w: Workload, budget: AdaptiveBudget, omega: OutputSequence, ledger) -> str | None:
-    """Exact re-derivation of the adaptive ledger from the output.
+def _verify_ledger(budget: AdaptiveBudget, omega: OutputSequence, ledger, sets) -> str | None:
+    """Exact re-derivation of the adaptive ledger from the output and its
+    index sets ``sets``.
 
     Costs are counted in integer multiples of 1/d, d the common denominator
-    of the budget pieces, and every ledger entry is compared with them
-    exactly.  Returns None when consistent, else a description of the first
-    defect.
+    of the budget pieces, and every ledger entry, each recorded running cost
+    included, is compared with them exactly: one pass over the answers, no
+    rational arithmetic.  Returns None when consistent, else a description
+    of the first defect.
     """
     if ledger.initial != budget.epsilon0:
         return f"ledger starts at {ledger.initial}, expected epsilon0 {budget.epsilon0}"
-    pieces = (budget.epsilon0, budget.epsilon1, budget.epsilon2, budget.epsilon)
-    d = math.lcm(*(f.denominator for f in pieces))
-    eps0, eps1, eps2, eps = (f.numerator * (d // f.denominator) for f in pieces)
+    d, eps0, eps1, eps2, eps = budget.piece_units
 
     def same(f, units: int) -> bool:  # f == units / d, exactly
         return f.numerator * d == units * f.denominator
 
     limit = eps - 2 * eps2
+    events = ledger.events
     running = eps0
     step = 0
-    for i, a in enumerate(omega):
+    for i, a in enumerate(omega.answers):
         if running > limit:
             return f"query {i} was processed with running cost {Fraction(running, d)} above the guard limit"
         if not a.top:
             continue
-        expected_inc = 2 * (eps1 if a.branch.value == "first" else eps2)
-        if step >= len(ledger.events):
+        expected_inc = 2 * (eps1 if a.branch is _FIRST else eps2)
+        if step >= len(events):
             return f"missing ledger event for positive answer at query {i}"
-        ev = ledger.events[step]
+        ev = events[step]
         if ev.index != i or not same(ev.increment, expected_inc):
             return f"ledger event {step} is ({ev.index}, {ev.increment}), expected ({i}, {Fraction(expected_inc, d)})"
         running += expected_inc
         step += 1
         if not same(ledger.cost_at(step), running):
             return f"ledger prefix cost after {step} events diverges"
-    if step != len(ledger.events):
+    if step != len(events):
         return "ledger has more events than positive answers"
     if not same(ledger.running_cost, running):
         return "final ledger cost does not match the per-event sum"
-    sets = index_sets(omega)
     if not same(ledger.running_cost, eps0 + 2 * eps1 * len(sets.top_first) + 2 * eps2 * len(sets.top_second)):
         return "final ledger cost does not match the index-set formula"
     if running > eps:
@@ -496,7 +541,7 @@ def _structural_trial(report, plan, idx, rng, w, kind, budget, spec, tape, forwa
     elif any(a.top and a.gap is not None and a.gap < 0 for a in omega):
         failure = "negative gap released"
     elif plan.mechanism == ADAPTIVE_GAP and any(
-        a.top and a.branch.value == "first" and a.gap < w.sigma for a in omega
+        a.top and a.branch is _FIRST and a.gap < w.sigma for a in omega
     ):
         failure = "first-branch gap below sigma"
     elif plan.mechanism != ADAPTIVE_GAP and omega.top_count() > w.k:
@@ -511,7 +556,7 @@ def _structural_trial(report, plan, idx, rng, w, kind, budget, spec, tape, forwa
             shift2 = shift_for_output(omega2, w.deltas(), layout)
             if shift2.flat() != shift.flat():
                 failure = "equal index sets produced different shift vectors"
-    if failure is None and layout is TapeLayout.SINGLE:
+    if failure is None and layout is _SINGLE:
         # the trial's own mechanism has already run on this tape as omega
         gap_out = omega if plan.mechanism == SVT_GAP else svt_gap_run(w, tape, Side.D)
         classic_out = omega if plan.mechanism == SVT_CLASSIC else svt_classic_run(w, tape, Side.D)

@@ -12,6 +12,8 @@ import math
 import os
 import sys
 
+import pytest
+
 import gapsvt
 from gapsvt import verifier
 
@@ -159,3 +161,60 @@ def test_dp_exact_joins_its_sides_inside_the_traced_loss(monkeypatch):
     w = gapsvt.default_enumeration_instances(gapsvt.SVT_GAP)[0]
     verifier.check_dp_exact(gapsvt.SVT_GAP, w)
     assert calls == {"enumerate_output_dist": 2, "max_privacy_loss": 1, "joins": 1, "joins_outside_loss": 0}
+
+
+@pytest.mark.parametrize("mechanism", gapsvt.MECHANISMS)
+def test_trial_loop_runs_per_tape_through_the_traced_names(monkeypatch, mechanism):
+    """The ``trials`` workload's traced counts need ``verifier.run_mechanism``,
+    ``draw_tape`` and ``check_workload`` calls; its
+    ``countability_hit_ratio`` needs exactly one ``draw_tape`` inside each
+    passing ``_structural_trial``; its no-work prediction needs no call of
+    the array kernel or the output keying.  And trial i's workload and tape
+    are the first draws of ``trial_rng(master_seed, i)``, so a witness's
+    ``trial_index`` addresses its trial."""
+    names = ("run_mechanism", "draw_tape", "check_workload", "generate_workload", "_structural_trial")
+    forbidden = ("run_status_gaps", "encode_int_rows", "canonical_rows", "decode_row")
+    calls = dict.fromkeys(names + forbidden, 0)
+    inside = []
+    structural_draws = []
+    trials = []  # (state of the stream at generation, workload, tape) per trial
+
+    def spy(name, real):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            if name == "generate_workload":
+                trials.append([args[1].bit_generator.state])
+            if name == "_structural_trial":
+                structural_draws.append(0)
+            elif name == "draw_tape" and inside == ["_structural_trial"]:
+                structural_draws[-1] += 1
+            inside.append(name)
+            try:
+                result = real(*args, **kwargs)
+            finally:
+                inside.pop()
+            if name == "generate_workload":
+                trials[-1].append(result)
+            elif name == "draw_tape" and not inside:
+                trials[-1].append(result)
+            return result
+
+        return wrapped
+
+    for name in names + forbidden:
+        monkeypatch.setattr(verifier, name, spy(name, getattr(verifier, name)))
+    plan = gapsvt.TrialPlan(mechanism, trials=40, master_seed=77)
+    reports = verifier.run_trial_suites(plan)
+    assert all(r.passed for r in reports.values())
+    assert min(calls[name] for name in ("run_mechanism", "draw_tape", "check_workload")) >= 1
+    assert calls["generate_workload"] == calls["_structural_trial"] == plan.trials
+    assert structural_draws == [1] * plan.trials
+    assert [calls[name] for name in forbidden] == [0] * len(forbidden)
+    assert len(trials) == plan.trials
+    for i, (state, generated, tape) in enumerate(trials):
+        rng = verifier.trial_rng(plan.master_seed, i)
+        assert rng.bit_generator.state == state
+        again = gapsvt.generate_workload(plan, rng)
+        assert again == generated
+        budget, spec = verifier._budget_and_spec(mechanism, again[0].epsilon, again[0].k, again[1])
+        assert gapsvt.core.draw_tape(spec, len(again[0]), rng) == tape

@@ -80,6 +80,109 @@ class TestWorkloadGeneration:
             w, _ = generate_workload(plan, trial_rng(7, idx))
             assert w.sigma is not None and w.sigma >= 0
 
+    @staticmethod
+    def _mode(seed, idx):
+        # the mode's uniform is the fourth of the workload's block
+        return trial_rng(seed, idx).random(4)[3]
+
+    def test_default_spec_support_and_mode_shares(self):
+        gen = WorkloadGenSpec()
+        plan = TrialPlan(ADAPTIVE_GAP, trials=1, master_seed=0)
+        lo, hi = gen.value_range
+        total = 4000
+        modes = Counter()
+        seen = {"n": set(), "k": set(), "epsilon": set(), "int_sigma": set()}
+        for idx in range(total):
+            w, kind = generate_workload(plan, trial_rng(11, idx))
+            seen["n"].add(len(w))
+            seen["k"].add(w.k)
+            seen["epsilon"].add(w.epsilon)
+            u = self._mode(11, idx)
+            deltas = w.deltas()
+            if u < gen.boundary_fraction:
+                modes["boundary"] += 1
+                assert kind is NoiseKind.DLAP and lo <= w.threshold <= hi
+                assert all(d in (-1, 1) for d in deltas)
+                assert all(abs(p.value_d - w.threshold) <= 1 for p in w.pairs)
+            elif u < gen.boundary_fraction + (1 - gen.boundary_fraction) * gen.real_fraction:
+                modes["real"] += 1
+                assert kind is NoiseKind.LAPLACE and lo <= w.threshold < hi
+                assert all(lo <= p.value_d < hi for p in w.pairs)
+                assert all(-1 <= d <= 1 for d in deltas)
+                assert gen.sigma_range[0] <= w.sigma < gen.sigma_range[1]
+            else:
+                modes["integer"] += 1
+                assert kind is NoiseKind.DLAP and lo <= w.threshold <= hi
+                assert all(lo <= p.value_d <= hi for p in w.pairs)
+                assert all(d in (-1, 0, 1) for d in deltas)
+            if kind is NoiseKind.DLAP:
+                assert all(isinstance(x, int) for p in w.pairs for x in (p.value_d, p.value_dprime))
+                seen["int_sigma"].add(w.sigma)
+        assert seen["n"] == set(range(gen.n_range[0], gen.n_range[1] + 1))
+        assert seen["k"] == set(range(gen.k_range[0], gen.k_range[1] + 1))
+        assert seen["epsilon"] == set(gen.epsilons)
+        assert seen["int_sigma"] == {0, 1, 2, 3}
+        # binomial standard deviations are about 0.008 at 4000 trials
+        for mode, share in (("boundary", 0.25), ("real", 0.375), ("integer", 0.375)):
+            assert abs(modes[mode] / total - share) < 0.035, (mode, modes)
+
+    @pytest.mark.parametrize(
+        "gen,check",
+        [
+            (
+                WorkloadGenSpec(boundary_fraction=1.0),
+                lambda w, kind: kind is NoiseKind.DLAP
+                and all(d in (-1, 1) for d in w.deltas())
+                and all(abs(p.value_d - w.threshold) <= 1 for p in w.pairs),
+            ),
+            (
+                WorkloadGenSpec(boundary_fraction=0.0, real_fraction=1.0),
+                lambda w, kind: kind is NoiseKind.LAPLACE and all(-1 <= d <= 1 for d in w.deltas()),
+            ),
+        ],
+        ids=["boundary-only", "real-only"],
+    )
+    def test_single_mode_specs(self, gen, check):
+        plan = TrialPlan(SVT_GAP, trials=1, master_seed=0, gen=gen)
+        for idx in range(1000):
+            assert check(*generate_workload(plan, trial_rng(13, idx)))
+
+    def test_sigma_range_is_honoured_by_every_mode(self):
+        """Integer trials draw sigma from the integers of ``[lo, hi)``, real
+        ones from the interval itself."""
+        plan = TrialPlan(ADAPTIVE_GAP, trials=1, master_seed=0, gen=WorkloadGenSpec(sigma_range=(5.0, 8.0)))
+        integer, real = set(), []
+        for idx in range(2000):
+            w, kind = generate_workload(plan, trial_rng(17, idx))
+            if kind is NoiseKind.DLAP:
+                integer.add(w.sigma)
+            else:
+                real.append(w.sigma)
+        assert integer == {5, 6, 7}
+        assert real and all(5.0 <= s < 8.0 for s in real)
+
+    def test_sigma_range_without_an_integer_is_a_domain_error(self):
+        plan = TrialPlan(ADAPTIVE_GAP, trials=1, master_seed=0, gen=WorkloadGenSpec(sigma_range=(0.25, 0.75)))
+        with pytest.raises(DomainError, match="sigma_range"):
+            for idx in range(100):
+                generate_workload(plan, trial_rng(19, idx))
+
+    def test_trial_streams_are_pcg64_jumps_of_the_master_seed(self):
+        for i in (0, 1, 7, 12345):
+            jumped = np.random.Generator(np.random.PCG64(42).jumped(i))
+            assert np.array_equal(trial_rng(42, i).random(8), jumped.random(8))
+
+    def test_first_draws_are_uniform_across_trials(self):
+        """Trials whose streams start 2**64 draws apart share the low half of
+        PCG64's state, and the uniforms that open their workload blocks
+        bunch: chi-square 19 to 168 on 9 degrees of freedom over 10**4 trials
+        of this seed, depending on the position.  The jump's streams stay
+        under the bound (p about 1e-6) at every position."""
+        heads = np.array([rng.random(6) for _, rng in verifier._trial_streams(20240801, 10**4)])
+        for column in heads.T:
+            counts = np.histogram(column, bins=10, range=(0.0, 1.0))[0]
+            assert ((counts - 1000) ** 2 / 1000).sum() < 45
+
 
 class TestTrialSuites:
     @pytest.mark.parametrize("mechanism", MECHANISMS)
@@ -268,6 +371,10 @@ class TestLedgerDrills:
         bad = dataclasses.replace(ledger)
         bad.cost_at = lambda step: ledger.cost_at(step) + (step == 1) * Fraction(1, 16)
         assert _ledger_verdict(bad) == "ledger prefix cost after 1 events diverges"
+
+    def test_recorded_running_cost_diverges(self):
+        ledger = self._events(e0={"running_cost": Fraction(9, 16)})
+        assert _ledger_verdict(ledger) == "ledger prefix cost after 1 events diverges"
 
     def test_wrong_final_running_cost(self):
         ledger = self._real()
