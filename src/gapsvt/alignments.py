@@ -84,9 +84,12 @@ def shift_for_output(
     # a positive answer shifts the draw of the role that fired: the first
     # query role for plain and first-branch positives, the second for
     # second-branch ones
-    fired = (sets.top_first, second)[: len(layout.query_roles)]
-    columns = [[top_shift[i] if i in f else 0 for i in range(len(deltas))] for f in fired]
-    return NoiseTape.from_columns(threshold_shift, columns, layout)
+    r = len(layout.query_roles)
+    shift = [threshold_shift] + [0] * (r * len(deltas))
+    for j, fired in enumerate((sets.top_first, second)[:r]):
+        for i in fired:
+            shift[1 + r * i + j] = top_shift[i]
+    return NoiseTape.from_flat(shift, layout)
 
 
 def align_svt_gap(tape: NoiseTape, omega: OutputSequence, w: Workload, mutation: Mutation | None = None) -> NoiseTape:
@@ -109,9 +112,9 @@ def alignment_cost(tape: NoiseTape, aligned: NoiseTape, budget: SvtBudget | Adap
     change at the epsilon of its noise role, the budget's piece."""
     if tape.layout is not aligned.layout or tape.layout is not budget.layout:
         raise LayoutMismatch("tape, aligned tape and budget must share a layout")
-    n = len(tape.per_query)
-    if n != len(aligned.per_query):
-        raise LayoutMismatch(f"tape lengths differ: {n} vs {len(aligned.per_query)}")
+    n = len(tape)
+    if n != len(aligned):
+        raise LayoutMismatch(f"tape lengths differ: {n} vs {len(aligned)}")
     cost = 0.0
     for weight, a, b in zip(budget.flat_weights(n), tape.flat(), aligned.flat()):
         cost += weight * abs(b - a)

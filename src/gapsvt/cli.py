@@ -15,7 +15,7 @@ import os
 import sys
 from typing import Sequence
 
-from .core import NoiseKind, NoiseTape, Side, TapeLayout, Workload, _finite, check_workload
+from .core import NoiseKind, NoiseTape, Side, Workload
 from .errors import GapSvtError
 from .mechanisms import (
     ADAPTIVE_GAP,
@@ -35,90 +35,34 @@ from .verifier import (
     run_trial_suites,
 )
 
-WORKLOAD_FIELDS = {"pairs", "threshold", "k", "epsilon", "sigma", "noise"}
-TAPE_FIELDS = {"threshold", "per_query", "layout"}
+def load_workload_dict(data) -> tuple[Workload, NoiseKind]:
+    """A workload file's JSON: the fields ``Workload.from_json_dict`` reads,
+    plus the ``noise`` its runs draw."""
+    if isinstance(data, dict) and "noise" in data:
+        data = dict(data)
+        noise = data.pop("noise")
+        try:
+            kind = NoiseKind(noise)
+        except ValueError:
+            raise GapSvtError(f"field 'noise' must be 'laplace' or 'dlap', got {noise!r}")
+    else:
+        kind = None
+    w = Workload.from_json_dict(data)
+    if kind is None:
+        raise GapSvtError("workload field 'noise' is missing")
+    return w, kind
 
 
-def load_workload_dict(data: dict) -> tuple[Workload, NoiseKind]:
-    if not isinstance(data, dict):
-        raise GapSvtError("workload file must contain a JSON object")
-    unknown = sorted(set(data) - WORKLOAD_FIELDS)
-    if unknown:
-        raise GapSvtError(f"unknown workload field {unknown[0]!r}")
-    for name in ("pairs", "threshold", "k", "epsilon", "noise"):
-        if name not in data:
-            raise GapSvtError(f"workload field {name!r} is missing")
-    try:
-        kind = NoiseKind(data["noise"])
-    except ValueError:
-        raise GapSvtError(f"field 'noise' must be 'laplace' or 'dlap', got {data['noise']!r}")
-    pairs = data["pairs"]
-    if not isinstance(pairs, list):
-        raise GapSvtError("field 'pairs' must be an array of [qD, qDprime] pairs")
-    for i, entry in enumerate(pairs):
-        if (
-            not isinstance(entry, (list, tuple))
-            or len(entry) != 2
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)
-        ):
-            raise GapSvtError(f"field 'pairs' entry {i} must be a pair of numbers")
-    for name in ("threshold", "epsilon"):
-        if not isinstance(data[name], (int, float)) or isinstance(data[name], bool):
-            raise GapSvtError(f"field {name!r} must be a number")
-    if not isinstance(data["k"], int) or isinstance(data["k"], bool):
-        raise GapSvtError("field 'k' must be an integer")
-    sigma = data.get("sigma")
-    if sigma is not None and (not isinstance(sigma, (int, float)) or isinstance(sigma, bool)):
-        raise GapSvtError("field 'sigma' must be a number")
-    w = Workload.from_values(pairs, data["threshold"], data["k"], data["epsilon"], sigma)
-    return check_workload(w), kind
+def _load_json(path: str, what: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as e:
+            raise GapSvtError(f"{what} file {path} is not valid JSON: {e}")
 
 
 def load_workload_file(path: str) -> tuple[Workload, NoiseKind]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise GapSvtError(f"workload file {path} is not valid JSON: {e}")
-    return load_workload_dict(data)
-
-
-def _finite_number(x) -> bool:
-    """A JSON number a tape can hold: not a bool, and finite as a float."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and _finite(x)
-
-
-def load_tape_file(path: str, layout: TapeLayout, n_queries: int) -> NoiseTape:
-    """A tape in the format a witness carries: ``threshold``, ``per_query``
-    and, optionally, ``layout``, which must be the mechanism's."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise GapSvtError(f"tape file {path} is not valid JSON: {e}")
-    if not isinstance(data, dict) or "threshold" not in data or "per_query" not in data:
-        raise GapSvtError("tape file needs fields 'threshold' and 'per_query'")
-    unknown = sorted(set(data) - TAPE_FIELDS)
-    if unknown:
-        raise GapSvtError(f"unknown tape field {unknown[0]!r}")
-    if data.get("layout", layout.value) != layout.value:
-        raise GapSvtError(f"tape field 'layout' must be {layout.value!r} for this mechanism, got {data['layout']!r}")
-    if not _finite_number(data["threshold"]):
-        raise GapSvtError("tape field 'threshold' must be a finite number")
-    per_raw = data["per_query"]
-    if not isinstance(per_raw, list) or len(per_raw) < n_queries:
-        raise GapSvtError(f"tape field 'per_query' must list at least {n_queries} entries")
-    if layout is TapeLayout.SINGLE:
-        for i, v in enumerate(per_raw):
-            if not _finite_number(v):
-                raise GapSvtError(f"tape entry {i} must be a finite number for this mechanism")
-        per = tuple(per_raw)
-    else:
-        for i, v in enumerate(per_raw):
-            if not isinstance(v, list) or len(v) != 2 or not all(map(_finite_number, v)):
-                raise GapSvtError(f"tape entry {i} must be a [first, second] pair of finite numbers for this mechanism")
-        per = tuple(tuple(v) for v in per_raw)
-    return NoiseTape(data["threshold"], per, layout)
+    return load_workload_dict(_load_json(path, "workload"))
 
 
 def _dumps(obj, **kwargs) -> str:
@@ -163,7 +107,8 @@ def cmd_run(args) -> int:
     side = Side.D if args.side == "d" else Side.DPRIME
     mechanism = args.mechanism
     budget = default_budget(mechanism, w)
-    injected = load_tape_file(args.tape, budget.layout, len(w)) if args.tape else None
+    # a tape in the format a witness carries
+    injected = NoiseTape.from_json_dict(_load_json(args.tape, "tape"), budget.layout, len(w)) if args.tape else None
     for r in range(args.runs):
         seed_r = args.seed + r
         if injected is not None:

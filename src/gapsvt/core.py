@@ -1,10 +1,14 @@
 """Workloads, noise tapes and noise distributions.
 
 A mechanism in this package is a deterministic function of a workload and a
-noise tape.  The tape holds the threshold draw plus one entry per query:
-a single draw for the plain SVT variants, a pair of draws for the adaptive
-variant.  Keeping the randomness explicit is what makes output sequences
-replayable and alignments testable.
+noise tape.  A workload stores its two sides as one value tuple each, ``d``
+and ``dprime``.  A tape stores one flat tuple of draws in consumption order:
+the threshold draw, then each query's draws, one for the plain SVT
+variants and a pair for the adaptive variant.  Keeping the randomness
+explicit is what makes output sequences replayable and alignments testable.
+Both types write and read the JSON dicts a witness carries
+(``to_json_dict`` and ``from_json_dict``); the reader rejects a malformed
+dict with a ``DomainError`` naming the field.
 
 Each draw has a noise role: ``threshold``, then the layout's
 ``query_roles`` for every query.  The roles are the one table the rest of
@@ -56,7 +60,7 @@ class TapeLayout(str, Enum):
 
 
 # module aliases: a member lookup on an Enum class costs several times a global's
-_SINGLE = TapeLayout.SINGLE
+_D, _SINGLE = Side.D, TapeLayout.SINGLE
 
 
 class NoiseKind(str, Enum):
@@ -73,25 +77,15 @@ class Branch(str, Enum):
 
 
 @dataclass(frozen=True)
-class QueryPair:
-    """One query evaluated on both adjacent inputs."""
-
-    value_d: float
-    value_dprime: float
-
-    @property
-    def delta(self) -> float:
-        return self.value_d - self.value_dprime
-
-
-@dataclass(frozen=True)
 class Workload:
     """An adjacent pair of query value sequences plus mechanism parameters.
 
-    ``check_workload`` marks an instance that passed it, so a workload
-    that every layer of a run gates is checked once."""
+    The two sides are stored as one value tuple each, ``d`` and ``dprime``,
+    named like ``Side``.  ``check_workload`` marks an instance that passed
+    it, so a workload that every layer of a run gates is checked once."""
 
-    pairs: tuple[QueryPair, ...]
+    d: tuple
+    dprime: tuple
     threshold: float
     k: int
     epsilon: float
@@ -101,46 +95,76 @@ class Workload:
 
     @classmethod
     def from_values(
-        cls,
-        pairs: Sequence[Sequence[float]],
-        threshold: float,
-        k: int,
-        epsilon: float,
-        sigma: float | None = None,
+        cls, pairs: Sequence[Sequence[float]], threshold: float, k: int, epsilon: float, sigma: float | None = None
     ) -> "Workload":
-        qp = tuple(QueryPair(a, b) for a, b in pairs)
-        return cls(qp, threshold, k, epsilon, sigma)
+        """A workload from its ``(value on D, value on D')`` pairs."""
+        pairs = [(a, b) for a, b in pairs]
+        return cls(tuple([a for a, _ in pairs]), tuple([b for _, b in pairs]), threshold, k, epsilon, sigma)
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.d)
 
-    def values(self, side: Side) -> tuple[float, ...]:
-        if side is Side.D:
-            return tuple([p.value_d for p in self.pairs])
-        return tuple([p.value_dprime for p in self.pairs])
+    def values(self, side: Side) -> tuple:
+        return self.d if side is _D else self.dprime
 
-    def deltas(self) -> tuple[float, ...]:
-        return tuple([p.value_d - p.value_dprime for p in self.pairs])
+    @cached_property
+    def _deltas(self) -> tuple:
+        return tuple([a - b for a, b in zip(self.d, self.dprime)])
+
+    def deltas(self) -> tuple:
+        """``d[i] - dprime[i]`` per query, computed once per workload."""
+        return self._deltas
 
     def swapped(self) -> "Workload":
         """The same workload with the two sides exchanged; it passes
         ``check_workload`` exactly when this one does."""
-        w = Workload(
-            tuple([QueryPair(p.value_dprime, p.value_d) for p in self.pairs]),
-            self.threshold,
-            self.k,
-            self.epsilon,
-            self.sigma,
-        )
+        w = Workload(self.dprime, self.d, self.threshold, self.k, self.epsilon, self.sigma)
         if self._checked:
             object.__setattr__(w, "_checked", True)
         return w
 
     def is_integer_valued(self) -> bool:
-        return float(self.threshold).is_integer() and all(
-            float(p.value_d).is_integer() and float(p.value_dprime).is_integer()
-            for p in self.pairs
-        )
+        return float(self.threshold).is_integer() and all(float(x).is_integer() for x in (*self.d, *self.dprime))
+
+    def to_json_dict(self) -> dict:
+        """The workload as a witness carries it: ``pairs`` of ``[value on D,
+        value on D']``, then the parameters."""
+        pairs = [[a, b] for a, b in zip(self.d, self.dprime)]
+        return {"pairs": pairs, "threshold": self.threshold, "k": self.k, "epsilon": self.epsilon, "sigma": self.sigma}
+
+    @classmethod
+    def from_json_dict(cls, data) -> "Workload":
+        """Inverse of ``to_json_dict`` for any decoded JSON value: a field
+        missing, unknown or of the wrong type is a ``DomainError`` naming it,
+        and the workload must pass ``check_workload``."""
+        if not isinstance(data, dict):
+            raise DomainError("workload file must contain a JSON object")
+        unknown = sorted(set(data) - {"pairs", "threshold", "k", "epsilon", "sigma"})
+        if unknown:
+            raise DomainError(f"unknown workload field {unknown[0]!r}")
+        for name in ("pairs", "threshold", "k", "epsilon"):
+            if name not in data:
+                raise DomainError(f"workload field {name!r} is missing")
+        pairs = data["pairs"]
+        if not isinstance(pairs, list):
+            raise DomainError("field 'pairs' must be an array of [qD, qDprime] pairs")
+        for i, entry in enumerate(pairs):
+            if not isinstance(entry, (list, tuple)) or len(entry) != 2 or not all(map(_number, entry)):
+                raise DomainError(f"field 'pairs' entry {i} must be a pair of numbers")
+        for name in ("threshold", "epsilon"):
+            if not _number(data[name]):
+                raise DomainError(f"field {name!r} must be a number")
+        if not isinstance(data["k"], int) or isinstance(data["k"], bool):
+            raise DomainError("field 'k' must be an integer")
+        sigma = data.get("sigma")
+        if sigma is not None and not _number(sigma):
+            raise DomainError("field 'sigma' must be a number")
+        return check_workload(cls.from_values(pairs, data["threshold"], data["k"], data["epsilon"], sigma))
+
+
+def _number(x) -> bool:
+    """A JSON number: an int or a float, not a bool."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def _finite(x) -> bool:
@@ -156,8 +180,8 @@ def _non_finite_field(w: Workload) -> str | None:
         x = getattr(w, name)
         if x is not None and not _finite(x):
             return name
-    for i, p in enumerate(w.pairs):
-        for j, x in enumerate((p.value_d, p.value_dprime)):
+    for i, pair in enumerate(zip(w.d, w.dprime)):
+        for j, x in enumerate(pair):
             if not _finite(x):
                 return f"pairs[{i}][{j}]"
     return None
@@ -174,14 +198,15 @@ def check_workload(w: Workload) -> Workload:
     """
     if w._checked:
         return w
-    if len(w.pairs) == 0:
+    if len(w.d) == 0:
         raise EmptyWorkload("workload has no query pairs")
+    if len(w.dprime) != len(w.d):
+        raise DomainError(f"workload sides hold {len(w.d)} and {len(w.dprime)} values")
     isfinite = math.isfinite
     bad_pair = None
     try:
         finite = isfinite(w.threshold) and isfinite(w.epsilon) and (w.sigma is None or isfinite(w.sigma))
-        for i, p in enumerate(w.pairs):
-            a, b = p.value_d, p.value_dprime
+        for i, (a, b) in enumerate(zip(w.d, w.dprime)):
             if not (abs(a - b) <= 1 and isfinite(a) and isfinite(b)):
                 bad_pair = i
                 break
@@ -198,8 +223,7 @@ def check_workload(w: Workload) -> Workload:
     if w.sigma is not None and w.sigma < 0:
         raise NonPositiveBudget(f"sigma must be >= 0, got {w.sigma}")
     if bad_pair is not None:
-        p = w.pairs[bad_pair]
-        raise SensitivityViolation(bad_pair, p.value_d - p.value_dprime)
+        raise SensitivityViolation(bad_pair, w.d[bad_pair] - w.dprime[bad_pair])
     object.__setattr__(w, "_checked", True)
     return w
 
@@ -313,55 +337,99 @@ class NoiseSpec:
         raise LayoutMismatch(f"unexpected noise roles {sorted(roles)}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class NoiseTape:
-    """The randomness a mechanism consumes: threshold draw + per-query draws.
+    """The randomness a mechanism consumes, stored once as one flat tuple in
+    consumption order: the threshold draw, then each query's draws in
+    ``layout.query_roles`` order, role j of query i at ``1 + r*i + j`` for r
+    roles.  The positional constructor takes the per-query form: scalars for
+    the single layout, ``(first, second)`` pairs for the paired one.  Tapes
+    are finite; reading past the end raises TapeExhausted, never resamples."""
 
-    ``per_query`` entries are scalars for the single layout and
-    ``(first, second)`` pairs for the paired layout.  Tapes are finite;
-    reading past the end raises TapeExhausted rather than resampling.
-    """
+    _flat: tuple
+    layout: TapeLayout
 
-    threshold_noise: float
-    per_query: tuple
-    layout: TapeLayout = TapeLayout.SINGLE
-
-    @classmethod
-    def from_columns(cls, threshold_noise, columns, layout: TapeLayout) -> "NoiseTape":
-        """A tape from one sequence of draws per query role, in
-        ``layout.query_roles`` order."""
-        per = columns[0] if len(columns) == 1 else zip(*columns)
-        return cls(threshold_noise, tuple(per), layout)
+    def __init__(self, threshold_noise, per_query, layout: TapeLayout = TapeLayout.SINGLE):
+        per_query = tuple(per_query)
+        draws = per_query if layout is _SINGLE else tuple(chain.from_iterable(per_query))
+        if len(draws) != len(layout.query_roles) * len(per_query):
+            raise LayoutMismatch(f"a {layout.value} tape needs {len(layout.query_roles)} draws per query")
+        object.__setattr__(self, "_flat", (threshold_noise, *draws))
+        object.__setattr__(self, "layout", layout)
 
     @classmethod
     def from_flat(cls, flat, layout: TapeLayout) -> "NoiseTape":
-        """Inverse of ``flat``."""
-        r = len(layout.query_roles)
-        per = flat[1:] if r == 1 else zip(*[flat[1 + j :: r] for j in range(r)])
-        return cls(flat[0], tuple(per), layout)
+        """The tape whose ``flat()`` is ``flat``."""
+        tape = object.__new__(cls)
+        object.__setattr__(tape, "_flat", tuple(flat))
+        object.__setattr__(tape, "layout", layout)
+        return tape
+
+    def flat(self) -> tuple:
+        """Tape coordinates in consumption order (threshold first)."""
+        return self._flat
+
+    @property
+    def threshold_noise(self):
+        return self._flat[0]
+
+    @property
+    def per_query(self) -> tuple:
+        """One entry per query: its draw, or its tuple of draws in role order."""
+        r = len(self.layout.query_roles)
+        flat = self._flat
+        return flat[1:] if r == 1 else tuple(zip(*[flat[1 + j :: r] for j in range(r)]))
 
     def __len__(self) -> int:
-        return len(self.per_query)
+        return (len(self._flat) - 1) // len(self.layout.query_roles)
 
     def shifted_by(self, shift: "NoiseTape") -> "NoiseTape":
         """This tape plus ``shift``, coordinate by coordinate; draws past the
         shift's length stay as they are."""
         if shift.layout is not self.layout:
             raise LayoutMismatch(f"shift has layout {shift.layout.value}, tape has {self.layout.value}")
-        per, moves = self.per_query, shift.per_query
-        if len(per) < len(moves):
-            raise LayoutMismatch(f"tape has {len(per)} entries, shift needs {len(moves)}")
-        if self.layout is _SINGLE:
-            moved = [a + s for a, s in zip(per, moves)]
-        else:
-            moved = [(a + s, b + t) for (a, b), (s, t) in zip(per, moves)]
-        return NoiseTape(self.threshold_noise + shift.threshold_noise, (*moved, *per[len(moves) :]), self.layout)
+        flat, moves = self._flat, shift._flat
+        if len(flat) < len(moves):
+            raise LayoutMismatch(f"tape has {len(self)} entries, shift needs {len(shift)}")
+        return NoiseTape.from_flat([*[a + s for a, s in zip(flat, moves)], *flat[len(moves) :]], self.layout)
 
-    def flat(self) -> tuple[float, ...]:
-        """Tape coordinates in consumption order (threshold first)."""
-        if self.layout is _SINGLE:
-            return (self.threshold_noise, *self.per_query)
-        return (self.threshold_noise, *chain.from_iterable(self.per_query))
+    def to_json_dict(self) -> dict:
+        """The tape as a witness carries it: ``threshold``, ``per_query`` as
+        numbers or ``[first, second]`` pairs, and ``layout``."""
+        per = self.per_query if len(self.layout.query_roles) == 1 else map(list, self.per_query)
+        return {"threshold": self.threshold_noise, "per_query": list(per), "layout": self.layout.value}
+
+    @classmethod
+    def from_json_dict(cls, data, layout: TapeLayout, n_queries: int) -> "NoiseTape":
+        """Inverse of ``to_json_dict`` for a mechanism of ``layout`` over
+        ``n_queries`` queries, for any decoded JSON value.  ``layout`` may be
+        left out but must be the mechanism's; every draw must be a finite
+        number, and ``per_query`` must cover every query.  Anything else is
+        a ``DomainError`` naming the field or entry."""
+        if not isinstance(data, dict) or "threshold" not in data or "per_query" not in data:
+            raise DomainError("tape file needs fields 'threshold' and 'per_query'")
+        unknown = sorted(set(data) - {"threshold", "per_query", "layout"})
+        if unknown:
+            raise DomainError(f"unknown tape field {unknown[0]!r}")
+        if data.get("layout", layout.value) != layout.value:
+            raise DomainError(f"tape field 'layout' must be {layout.value!r} for this mechanism, got {data['layout']!r}")
+        if not _finite_number(data["threshold"]):
+            raise DomainError("tape field 'threshold' must be a finite number")
+        per = data["per_query"]
+        if not isinstance(per, list) or len(per) < n_queries:
+            raise DomainError(f"tape field 'per_query' must list at least {n_queries} entries")
+        r = len(layout.query_roles)
+        for i, v in enumerate(per):
+            if r == 1 and not _finite_number(v):
+                raise DomainError(f"tape entry {i} must be a finite number for this mechanism")
+            if r > 1 and not (isinstance(v, list) and len(v) == r and all(map(_finite_number, v))):
+                raise DomainError(f"tape entry {i} must be a [first, second] pair of finite numbers for this mechanism")
+        return cls(data["threshold"], per, layout)
+
+
+def _finite_number(x) -> bool:
+    """A JSON number a tape can hold: not a bool, and finite as a float."""
+    return _number(x) and _finite(x)
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +577,12 @@ def draw_tape(spec: NoiseSpec, length: int, rng: np.random.Generator) -> NoiseTa
             first, second = e[lo : lo + size], e[lo + size : lo + 2 * size]
             values += [ceil(a / rate) - ceil(b / rate) for a, b in zip(first, second)]
             lo += 2 * size
-    columns = [values[1 + j * length : 1 + (j + 1) * length] for j in range(len(query_roles))]
-    return NoiseTape.from_columns(values[0], columns, layout)
+    # drawn role by role, held query by query: role j of query i at 1 + r*i + j
+    r = len(query_roles)
+    flat = values[:1] * len(values)
+    for j in range(r):
+        flat[1 + j :: r] = values[1 + j * length : 1 + (j + 1) * length]
+    return NoiseTape.from_flat(flat, layout)
 
 
 def sample_tape(spec: NoiseSpec, length: int, seed: int) -> NoiseTape:

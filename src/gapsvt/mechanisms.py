@@ -269,13 +269,13 @@ def _svt_run(w: Workload, tape: NoiseTape, side: Side, with_gap: bool):
     check_workload(w)
     if tape.layout is not _SINGLE:
         raise LayoutMismatch("single draw requested from a paired tape")
-    draws = tape.per_query
+    draws = tape.flat()
     values = w.values(side)
-    noisy_threshold = w.threshold + tape.threshold_noise
+    noisy_threshold = w.threshold + draws[0]
     consumed = 1  # the threshold draw
     answers = []
     count = 0
-    for q, eta_i in zip(values, draws):
+    for q, eta_i in zip(values, draws[1:]):
         consumed += 1
         gap = q + eta_i - noisy_threshold  # same draw decides and is released
         if gap >= 0:
@@ -286,8 +286,8 @@ def _svt_run(w: Workload, tape: NoiseTape, side: Side, with_gap: bool):
         else:
             answers.append(BOT)
     else:
-        if len(draws) < len(values):
-            raise TapeExhausted(f"tape has only {len(draws)} per-query entries")
+        if len(draws) <= len(values):
+            raise TapeExhausted(f"tape has only {len(tape)} per-query entries")
     return OutputSequence(tuple(answers)), consumed
 
 
@@ -308,17 +308,19 @@ def adaptive_svt_gap_run(
 def _adaptive_run(w: Workload, budget: AdaptiveBudget, tape: NoiseTape, side: Side):
     if tape.layout is not _PAIRED:
         raise LayoutMismatch("paired draw requested from a single-layout tape")
-    draws = tape.per_query
+    flat = tape.flat()
+    draws = iter(flat)
     values = w.values(side)
     sigma = w.sigma
-    noisy_threshold = w.threshold + tape.threshold_noise
+    noisy_threshold = w.threshold + next(draws)
     consumed = 1  # the threshold draw
     # the guard `running cost > guard_limit`, exactly, in integer units
     first_units, second_units, headroom = budget.guard_units
     spent = j1 = j2 = 0
     answers = []
     events = []
-    for i, (q, (first_noise, second_noise)) in enumerate(zip(values, draws)):
+    # each query reads its first draw, then its second
+    for i, (q, first_noise, second_noise) in enumerate(zip(values, draws, draws)):
         if spent > headroom:
             raise BudgetInvariantViolation(
                 f"query {i} reached with running cost {budget.cost_after(j1, j2)} > {budget.guard_limit}"
@@ -342,8 +344,8 @@ def _adaptive_run(w: Workload, budget: AdaptiveBudget, tape: NoiseTape, side: Si
         if spent > headroom:
             break
     else:
-        if len(draws) < len(values):
-            raise TapeExhausted(f"tape has only {len(draws)} per-query entries")
+        if len(flat) < 1 + 2 * len(values):
+            raise TapeExhausted(f"tape has only {len(tape)} per-query entries")
     ledger = CostLedger(budget.epsilon0, budget.cost_after(j1, j2), events)
     if spent > headroom + second_units:  # running cost > epsilon
         raise BudgetInvariantViolation(

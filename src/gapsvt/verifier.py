@@ -44,7 +44,6 @@ from .core import (
     NoiseSpec,
     NoiseTape,
     OutputSequence,
-    QueryPair,
     Side,
     TapeLayout,
     Workload,
@@ -185,25 +184,21 @@ def generate_workload(plan: TrialPlan, rng: np.random.Generator) -> tuple[Worklo
     real = not boundary and mode < g.boundary_fraction + (1 - g.boundary_fraction) * g.real_fraction
     values = u[6 : 6 + 2 * n : 2]
     deltas = u[7 : 7 + 2 * n : 2]
-    pairs = []
     if real:
         span = hi - lo
         threshold = lo + span * u[4]
-        for a, b in zip(values, deltas):
-            vd = lo + span * a
-            pairs.append(QueryPair(vd, vd - (2.0 * b - 1.0)))
+        d = [lo + span * a for a in values]
+        dprime = [vd - (2.0 * b - 1.0) for vd, b in zip(d, deltas)]
         kind = _LAPLACE
     else:
         v_lo, v_count = int(lo), int(hi) - int(lo) + 1
         threshold = _pick(u[4], v_lo, v_count)
         if boundary:
-            for a, b in zip(values, deltas):
-                vd = _pick(a, threshold - 1, 3)  # straddle the threshold
-                pairs.append(QueryPair(vd, vd - (1 if b < 0.5 else -1)))
+            d = [_pick(a, threshold - 1, 3) for a in values]  # straddle the threshold
+            dprime = [vd - (1 if b < 0.5 else -1) for vd, b in zip(d, deltas)]
         else:
-            for a, b in zip(values, deltas):
-                vd = _pick(a, v_lo, v_count)
-                pairs.append(QueryPair(vd, vd - _pick(b, -1, 3)))
+            d = [_pick(a, v_lo, v_count) for a in values]
+            dprime = [vd - _pick(b, -1, 3) for vd, b in zip(d, deltas)]
         kind = _DLAP
     sigma = None
     if plan.mechanism == ADAPTIVE_GAP:
@@ -215,7 +210,7 @@ def generate_workload(plan: TrialPlan, rng: np.random.Generator) -> tuple[Worklo
             if count < 1:
                 raise DomainError(f"sigma_range {g.sigma_range} holds no integer sigma")
             sigma = _pick(u[5], first, count)
-    w = Workload(tuple(pairs), threshold, k, epsilon, sigma)
+    w = Workload(tuple(d), tuple(dprime), threshold, k, epsilon, sigma)
     return check_workload(w), kind
 
 
@@ -282,31 +277,6 @@ def _jsonable(x):
     if isinstance(x, tuple):
         return [_jsonable(v) for v in x]
     return x
-
-
-def _serialize_workload(w: Workload) -> dict:
-    return {
-        "pairs": [[p.value_d, p.value_dprime] for p in w.pairs],
-        "threshold": w.threshold,
-        "k": w.k,
-        "epsilon": w.epsilon,
-        "sigma": w.sigma,
-    }
-
-
-def _deserialize_workload(d: dict) -> Workload:
-    return Workload.from_values(d["pairs"], d["threshold"], d["k"], d["epsilon"], d.get("sigma"))
-
-
-def _serialize_tape(tape: NoiseTape) -> dict:
-    per = [list(e) for e in tape.per_query] if tape.layout is TapeLayout.PAIRED else list(tape.per_query)
-    return {"threshold": tape.threshold_noise, "per_query": per, "layout": tape.layout.value}
-
-
-def _deserialize_tape(d: dict) -> NoiseTape:
-    layout = TapeLayout(d["layout"])
-    per = tuple(tuple(e) for e in d["per_query"]) if layout is TapeLayout.PAIRED else tuple(d["per_query"])
-    return NoiseTape(d["threshold"], per, layout)
 
 
 def outputs_equal(a: OutputSequence, b: OutputSequence, exact: bool) -> bool:
@@ -463,8 +433,8 @@ def _record_failure(report, plan, *, kind, noise, trial_index, orientation, work
             mechanism=plan.mechanism,
             noise=noise.value,
             orientation=orientation,
-            workload=_serialize_workload(workload),
-            tape=_serialize_tape(tape),
+            workload=workload.to_json_dict(),
+            tape=tape.to_json_dict(),
             expected=expected,
             got=got,
             detail=detail,
@@ -588,17 +558,25 @@ def replay_witness(witness: Witness) -> bool:
     re-runs ``check_dp_exact`` on the workload, within the oracle's fixed
     ``ENUM_CELL_CAP`` as when it was recorded.  ``structural`` and
     ``dp-mc`` raise DomainError: the first needs the trial's second tape,
-    the second the seed and sample count, and a witness carries neither."""
-    w = _deserialize_workload(witness.workload)
+    the second the seed and sample count, and a witness carries neither.
+    The workload and tape are read by ``Workload.from_json_dict`` and
+    ``NoiseTape.from_json_dict``, the tape at the mechanism's layout, so a
+    malformed witness raises DomainError too."""
+    if witness.mechanism not in MECHANISMS:
+        raise DomainError(f"unknown mechanism {witness.mechanism!r}")
+    w = Workload.from_json_dict(witness.workload)
     if witness.kind == "dp-exact":
         return not check_dp_exact(witness.mechanism, w)[0].passed
     if witness.kind not in ("soundness", "cost"):
         raise DomainError(f"cannot replay witness kind {witness.kind!r}")
-    tape = _deserialize_tape(witness.tape)
-    kind = NoiseKind(witness.noise)
-    exact = kind is NoiseKind.DLAP
+    try:
+        kind = NoiseKind(witness.noise)
+        mutation = Mutation(witness.mutation) if witness.mutation else None
+    except ValueError as e:
+        raise DomainError(f"witness field: {e}") from None
+    exact = kind is _DLAP
     budget, _ = _budget_and_spec(witness.mechanism, w.epsilon, w.k, kind)
-    mutation = Mutation(witness.mutation) if witness.mutation else None
+    tape = NoiseTape.from_json_dict(witness.tape, budget.layout, len(w))
     result = run_mechanism(witness.mechanism, w, tape, Side.D, budget)
     aligned = _align_for(witness.mechanism)(tape, result.output, w, mutation)
     if witness.kind == "soundness":
@@ -659,10 +637,10 @@ def enumerate_output_dist(
     """Exact output distribution under integer Laplace noise.
 
     The tapes of the per-role integer box, ``[-box, box]`` on every
-    coordinate or by default each role's smallest box leaving less than
-    ``PER_DRAW_TAIL`` outside, are weighted by their product pmf and their
-    masses summed per canonical output; the mass outside the box is
-    ``truncation_loss``.  The default ``method='per-query'`` conditions on
+    coordinate (a negative ``box`` is a ``DomainError``) or by default each
+    role's smallest box leaving less than ``PER_DRAW_TAIL`` outside, are
+    weighted by their product pmf and their masses summed per canonical
+    output; the mass outside the box is ``truncation_loss``.  The default ``method='per-query'`` conditions on
     the threshold draw, under which every answer depends on its own query's
     draws alone: the array kernels run one query at a time over that query's
     grid, and outputs are built one position at a time (see
@@ -672,6 +650,8 @@ def enumerate_output_dist(
     as the independent check.  ``meta["grid_points"]`` is the box size.
     """
     check_workload_for(mechanism, w)
+    if box is not None and not box >= 0:
+        raise DomainError(f"enumeration box must be >= 0, got {box}")
     if not w.is_integer_valued():
         raise DomainError("exact enumeration needs integer query values and threshold")
     if mechanism == ADAPTIVE_GAP and not float(w.sigma).is_integer():
@@ -748,7 +728,7 @@ def _enumerate_per_query(mechanism, w, side, budget, axes) -> dict:
     def conditionals(i):
         """The codes query ``i`` can answer, and each code's mass over the
         query's in-box draws given each threshold draw: (codes, draws)."""
-        wi = Workload(w.pairs[i : i + 1], w.threshold, w.k, w.epsilon, w.sigma)
+        wi = Workload(w.d[i : i + 1], w.dprime[i : i + 1], w.threshold, w.k, w.epsilon, w.sigma)
         # one kernel call per threshold draw keeps its arrays at one query grid;
         # each draw's masses are counted from its least code
         cols = []
@@ -832,7 +812,7 @@ def mc_output_dist(
     if not (_finite(scale_epsilon_factor) and _finite(w.epsilon * scale_epsilon_factor)):
         raise DomainError(f"scale_epsilon_factor must be a finite number, got {scale_epsilon_factor}")
     budget = default_budget(mechanism, w)
-    scaled = Workload(w.pairs, w.threshold, w.k, w.epsilon * scale_epsilon_factor, w.sigma)
+    scaled = Workload(w.d, w.dprime, w.threshold, w.k, w.epsilon * scale_epsilon_factor, w.sigma)
     spec = default_budget(mechanism, scaled).noise_spec(kind)
     rng = np.random.default_rng(seed)
     n = len(w)
@@ -864,20 +844,15 @@ def mc_output_dist(
     )
 
 
-def _union_keys(a: dict, b: dict) -> list:
-    """The keys of ``a``, then the keys only ``b`` has, both in dict order.
+def _joined(a: dict, b: dict) -> tuple[list, np.ndarray, np.ndarray]:
+    """The union keys of two mass (or count) dicts, the keys of ``a`` then
+    those only ``b`` has, both in dict order, and each side's values over
+    them as one float array, 0 where it lacks the key.
 
     Output keys are tuples of strings, whose hashes change with every
     interpreter, so iterating a set of them would sum floats in a different
-    order, and to different last bits, on every run."""
-    return list({**a, **b})
-
-
-def _joined(a: dict, b: dict) -> tuple[list, np.ndarray, np.ndarray]:
-    """The union keys of two mass dicts, in ``_union_keys`` order, and each
-    side's masses over them as one float array, 0 where it lacks the key.
-
-    Merging dicts reuses the hashes they store, so no key is hashed again."""
+    order, and to different last bits, on every run.  Merging dicts reuses
+    the hashes they store, so no key is hashed again."""
     joined = dict.fromkeys(a, 0.0)
     joined.update(b)  # b's masses, at a's positions for the keys both have
     ma = np.zeros(len(joined))
@@ -992,7 +967,7 @@ def check_dp_exact(mechanism: str, w: Workload) -> tuple[PrivacyReport, PrivacyL
             "raw_max": loss.raw_max,
             "tau": loss.tau,
             "grid_points": p.meta["grid_points"],
-            "workload": _serialize_workload(w),
+            "workload": w.to_json_dict(),
         },
     )
     if not ok:
@@ -1002,7 +977,7 @@ def check_dp_exact(mechanism: str, w: Workload) -> tuple[PrivacyReport, PrivacyL
             mechanism=mechanism,
             noise=NoiseKind.DLAP.value,
             orientation="forward",
-            workload=_serialize_workload(w),
+            workload=w.to_json_dict(),
             tape=None,
             expected=None,
             got=None,
@@ -1046,10 +1021,9 @@ def mc_privacy_estimate(
     eps = w.epsilon
     flagged = []
     max_ratio = 0.0
-    keys = _union_keys(p.masses, q.masses)
-    for key in keys:
-        cp = p.meta["counts"].get(key, 0)
-        cq = q.meta["counts"].get(key, 0)
+    keys, counts_p, counts_q = _joined(p.meta["counts"], q.meta["counts"])
+    # counts stay below 2**53, so the float arrays hold them exactly
+    for key, cp, cq in zip(keys, map(int, counts_p.tolist()), map(int, counts_q.tolist())):
         if cp > 0 and cq > 0:
             max_ratio = max(max_ratio, abs(math.log((cp / samples) / (cq / samples))))
         lp, up = _wilson_bounds(cp, samples, WILSON_Z)
@@ -1082,7 +1056,7 @@ def mc_privacy_estimate(
             mechanism=mechanism,
             noise=kind.value,
             orientation="forward",
-            workload=_serialize_workload(w),
+            workload=w.to_json_dict(),
             tape=None,
             expected=None,
             got=key,

@@ -6,8 +6,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gapsvt.cli import load_workload_dict, main
 from gapsvt.core import NoiseKind, Side, Workload
-from gapsvt.errors import GapSvtError
+from gapsvt.errors import DomainError, GapSvtError
 from gapsvt.mechanisms import sample_run
+from gapsvt.verifier import Witness, replay_witness
 
 
 @pytest.fixture
@@ -183,6 +184,86 @@ class TestTapeFileGate:
             assert code == 0
             outs.append(out)
         assert outs[0] == outs[1]
+
+
+_WITNESS_WORKLOAD = {"pairs": [[1, 0], [0, 1]], "threshold": 0, "k": 1, "epsilon": 1.0, "sigma": None}
+_WITNESS_INPUTS = {
+    "svt-gap": (_WITNESS_WORKLOAD, {"threshold": 0, "per_query": [0, 0], "layout": "single"}),
+    "adaptive-gap": ({**_WITNESS_WORKLOAD, "sigma": 1}, {"threshold": 0, "per_query": [[0, 0], [0, 0]], "layout": "paired"}),
+}
+
+DROP = object()  # an edit that removes the field
+
+# (mechanism, workload edits, tape edits, named): an edit under the key
+# "whole" replaces the whole dict
+BAD_WITNESS_INPUTS = {
+    "paired-tape-scalar-entry": ("adaptive-gap", {}, {"per_query": [0, [0, 0]]}, "entry 0"),
+    "paired-tape-long-entry": ("adaptive-gap", {}, {"per_query": [[0, 0, 0], [0, 0]]}, "entry 0"),
+    "single-tape-pair-entry": ("svt-gap", {}, {"per_query": [[0, 0], 0]}, "entry 0"),
+    "tape-nan-draw": ("svt-gap", {}, {"per_query": [0, math.nan]}, "entry 1"),
+    "tape-nan-threshold": ("adaptive-gap", {}, {"threshold": math.nan}, "'threshold'"),
+    "tape-string-threshold": ("svt-gap", {}, {"threshold": "0"}, "'threshold'"),
+    "tape-too-short": ("svt-gap", {}, {"per_query": [0]}, "at least 2"),
+    "tape-wrong-layout": ("svt-gap", {}, {"layout": "paired"}, "'layout'"),
+    "tape-unknown-field": ("adaptive-gap", {}, {"note": 1}, "'note'"),
+    "tape-not-an-object": ("svt-gap", {}, {"whole": [0, 0, 0]}, "'per_query'"),
+    "nan-threshold": ("svt-gap", {"threshold": math.nan}, {}, "'threshold'"),
+    "infinite-value": ("adaptive-gap", {"pairs": [[1, math.inf], [0, 1]]}, {}, "pairs[0][1]"),
+    "three-value-pair": ("svt-gap", {"pairs": [[1, 0, 1], [0, 1]]}, {}, "entry 0"),
+    "string-epsilon": ("svt-gap", {"epsilon": "1"}, {}, "'epsilon'"),
+    "bool-k": ("svt-gap", {"k": True}, {}, "'k'"),
+    "string-sigma": ("adaptive-gap", {"sigma": "1"}, {}, "'sigma'"),
+    "missing-k": ("svt-gap", {"k": DROP}, {}, "'k'"),
+    "unknown-workload-field": ("svt-gap", {"note": 1}, {}, "'note'"),
+    "workload-not-an-object": ("adaptive-gap", {"whole": [[1, 0]]}, {}, "JSON object"),
+}
+
+
+def _edited(base: dict, edits: dict):
+    if "whole" in edits:
+        return edits["whole"]
+    out = {**base, **edits}
+    return {k: v for k, v in out.items() if v is not DROP}
+
+
+class TestMalformedWitnessInputs:
+    """One table of bad workload and tape dicts: ``run --tape`` exits 2 and
+    ``replay_witness`` raises ``DomainError``, with the same message."""
+
+    @staticmethod
+    def _inputs(name):
+        mechanism, workload_edits, tape_edits, named = BAD_WITNESS_INPUTS[name]
+        workload, tape = _WITNESS_INPUTS[mechanism]
+        return mechanism, _edited(workload, workload_edits), _edited(tape, tape_edits), named
+
+    @pytest.mark.parametrize("name", sorted(BAD_WITNESS_INPUTS))
+    def test_run_with_tape_exits_2_and_replay_raises(self, capsys, workload_file, tmp_path, name):
+        mechanism, workload, tape, named = self._inputs(name)
+        payload = {**workload, "noise": "dlap"} if isinstance(workload, dict) else workload
+        tape_path = tmp_path / "tape.json"
+        tape_path.write_text(json.dumps(tape))
+        code, out, err = run_cli(
+            capsys, ["run", "--mechanism", mechanism, "--workload", workload_file(payload), "--tape", str(tape_path)]
+        )
+        assert (code, out) == (2, "")
+        assert named in err
+        witness = Witness("soundness", 0, mechanism, "dlap", "forward", workload, tape, None, None, "")
+        with pytest.raises(DomainError) as info:
+            replay_witness(witness)
+        assert err == f"error: {info.value}\n"
+
+    @pytest.mark.parametrize("mechanism", sorted(_WITNESS_INPUTS))
+    def test_the_table_base_runs_and_replays(self, capsys, workload_file, tmp_path, mechanism):
+        workload, tape = _WITNESS_INPUTS[mechanism]
+        tape_path = tmp_path / "tape.json"
+        tape_path.write_text(json.dumps(tape))
+        code, _, _ = run_cli(
+            capsys,
+            ["run", "--mechanism", mechanism, "--workload", workload_file({**workload, "noise": "dlap"}), "--tape", str(tape_path)],
+        )
+        assert code == 0
+        witness = Witness("soundness", 0, mechanism, "dlap", "forward", workload, tape, None, None, "")
+        assert replay_witness(witness) is False
 
 
 class TestWorkloadFileValidation:

@@ -15,6 +15,7 @@ from gapsvt import (
     NonPositiveBudget,
     LayoutMismatch,
     SensitivityViolation,
+    Side,
     TapeLayout,
     Workload,
     check_workload,
@@ -55,7 +56,7 @@ class TestCheckWorkload:
 
     def test_empty_workload(self):
         with pytest.raises(EmptyWorkload):
-            check_workload(Workload((), 4, 1, 1.0))
+            check_workload(Workload((), (), 4, 1, 1.0))
 
     def test_nonpositive_epsilon(self):
         with pytest.raises(NonPositiveBudget):
@@ -296,3 +297,50 @@ class TestDiscreteLaplacePmf:
 def test_flat_order():
     paired = NoiseTape(9.0, ((1.0, 2.0), (3.0, 4.0)), TapeLayout.PAIRED)
     assert paired.flat() == (9.0, 1.0, 2.0, 3.0, 4.0)
+
+
+def test_tape_stores_one_flat_tuple_and_reads_back_per_query():
+    paired = NoiseTape(9.0, ((1.0, 2.0), (3.0, 4.0)), TapeLayout.PAIRED)
+    assert paired.flat() is paired.flat()
+    assert paired.threshold_noise == 9.0 and paired.per_query == ((1.0, 2.0), (3.0, 4.0))
+    assert len(paired) == 2 and NoiseTape.from_flat(paired.flat(), TapeLayout.PAIRED) == paired
+    single = NoiseTape(0, [1, 2, 3])
+    assert single.per_query == (1, 2, 3) and len(single) == 3
+
+
+@pytest.mark.parametrize("per_query", [((1.0, 2.0, 3.0),), ((1.0, 2.0), (3.0,))])
+def test_paired_entries_must_hold_two_draws(per_query):
+    with pytest.raises(LayoutMismatch):
+        NoiseTape(0.0, per_query, TapeLayout.PAIRED)
+
+
+def test_workload_stores_one_value_tuple_per_side():
+    w = Workload.from_values([(5, 4), (3, 3), (7, 8)], 4, 1, 1.0)
+    assert w.d == (5, 3, 7) and w.dprime == (4, 3, 8)
+    assert w.values(Side.D) is w.d and w.values(Side.DPRIME) is w.dprime
+    assert w.deltas() == (1, 0, -1) and w.deltas() is w.deltas()
+    s = w.swapped()
+    assert (s.d, s.dprime) == (w.dprime, w.d) and s.deltas() == (-1, 0, 1)
+
+
+def test_workload_sides_of_different_lengths_are_rejected():
+    with pytest.raises(DomainError, match="sides hold 2 and 1 values"):
+        check_workload(Workload((1, 2), (1,), 0, 1, 1.0))
+
+
+@pytest.mark.parametrize(
+    "w",
+    [Workload.from_values([(5, 4), (3.5, 3.25)], 4, 2, 1.0), Workload.from_values([(1, 0)], 0, 1, 0.5, sigma=2)],
+)
+def test_workload_json_round_trip(w):
+    assert Workload.from_json_dict(w.to_json_dict()) == w
+
+
+@pytest.mark.parametrize(
+    "tape",
+    [NoiseTape(0.5, (1, -2.25)), NoiseTape(-1, ((1, 2), (3.5, -4)), TapeLayout.PAIRED)],
+)
+def test_tape_json_round_trip(tape):
+    data = tape.to_json_dict()
+    assert data["layout"] == tape.layout.value
+    assert NoiseTape.from_json_dict(data, tape.layout, len(tape)) == tape

@@ -93,9 +93,7 @@ def test_sampled_real_tapes_agreement(mechanism):
     rng = np.random.default_rng(99)
     for w in WORKLOADS[mechanism]:
         # real-valued twin of the workload, keeping |delta| <= 1
-        pairs = [
-            (p.value_d + 0.25, p.value_d + 0.25 - (p.delta * 0.9 + 0.05)) for p in w.pairs
-        ]
+        pairs = [(v + 0.25, v + 0.25 - (delta * 0.9 + 0.05)) for v, delta in zip(w.d, w.deltas())]
         wr = Workload.from_values(pairs, w.threshold + 0.1, w.k, w.epsilon, w.sigma)
         budget = default_budget(mechanism, wr)
         n = len(wr)
@@ -170,7 +168,8 @@ def test_sampled_integer_tapes_at_five_queries(mechanism, k):
     eta0 = rng.integers(-3, 4, size=rows)
     draws = tuple(rng.integers(-6, 7, size=(rows, 5)) for _ in layout.query_roles)
     got = batch_canonical(mechanism, w, Side.D, budget, eta0, draws)
-    tapes = [NoiseTape.from_columns(int(eta0[r]), [d[r].tolist() for d in draws], layout) for r in range(rows)]
+    columns = [[d[r].tolist() for d in draws] for r in range(rows)]  # per row, one draw list per role
+    tapes = [NoiseTape(int(eta0[r]), c[0] if len(c) == 1 else zip(*c), layout) for r, c in enumerate(columns)]
     want = per_tape_canonical(mechanism, w, Side.D, budget, tapes)
     assert got == want
     stopped = [key for key in want if len(key) < 5]

@@ -59,8 +59,8 @@ class TestWorkloadGeneration:
         plan = TrialPlan(SVT_GAP, trials=1, master_seed=0)
         for idx in range(2000):
             w, kind = generate_workload(plan, trial_rng(3, idx))
-            assert all(abs(p.delta) <= 1 for p in w.pairs)
-            assert len(w.pairs) >= 1 and w.k >= 1 and w.epsilon > 0
+            assert all(abs(d) <= 1 for d in w.deltas())
+            assert len(w.d) == len(w.dprime) >= 1 and w.k >= 1 and w.epsilon > 0
 
     def test_boundary_fraction_roughly_respected(self):
         plan = TrialPlan(SVT_GAP, trials=1, master_seed=0)
@@ -68,8 +68,8 @@ class TestWorkloadGeneration:
         total = 4000
         for idx in range(total):
             w, kind = generate_workload(plan, trial_rng(5, idx))
-            if kind is NoiseKind.DLAP and all(abs(p.delta) == 1 for p in w.pairs) and all(
-                abs(p.value_d - w.threshold) <= 1 for p in w.pairs
+            if kind is NoiseKind.DLAP and all(abs(d) == 1 for d in w.deltas()) and all(
+                abs(v - w.threshold) <= 1 for v in w.d
             ):
                 boundary += 1
         assert 0.18 < boundary / total < 0.35
@@ -103,20 +103,20 @@ class TestWorkloadGeneration:
                 modes["boundary"] += 1
                 assert kind is NoiseKind.DLAP and lo <= w.threshold <= hi
                 assert all(d in (-1, 1) for d in deltas)
-                assert all(abs(p.value_d - w.threshold) <= 1 for p in w.pairs)
+                assert all(abs(v - w.threshold) <= 1 for v in w.d)
             elif u < gen.boundary_fraction + (1 - gen.boundary_fraction) * gen.real_fraction:
                 modes["real"] += 1
                 assert kind is NoiseKind.LAPLACE and lo <= w.threshold < hi
-                assert all(lo <= p.value_d < hi for p in w.pairs)
+                assert all(lo <= v < hi for v in w.d)
                 assert all(-1 <= d <= 1 for d in deltas)
                 assert gen.sigma_range[0] <= w.sigma < gen.sigma_range[1]
             else:
                 modes["integer"] += 1
                 assert kind is NoiseKind.DLAP and lo <= w.threshold <= hi
-                assert all(lo <= p.value_d <= hi for p in w.pairs)
+                assert all(lo <= v <= hi for v in w.d)
                 assert all(d in (-1, 0, 1) for d in deltas)
             if kind is NoiseKind.DLAP:
-                assert all(isinstance(x, int) for p in w.pairs for x in (p.value_d, p.value_dprime))
+                assert all(isinstance(x, int) for x in (*w.d, *w.dprime))
                 seen["int_sigma"].add(w.sigma)
         assert seen["n"] == set(range(gen.n_range[0], gen.n_range[1] + 1))
         assert seen["k"] == set(range(gen.k_range[0], gen.k_range[1] + 1))
@@ -133,7 +133,7 @@ class TestWorkloadGeneration:
                 WorkloadGenSpec(boundary_fraction=1.0),
                 lambda w, kind: kind is NoiseKind.DLAP
                 and all(d in (-1, 1) for d in w.deltas())
-                and all(abs(p.value_d - w.threshold) <= 1 for p in w.pairs),
+                and all(abs(v - w.threshold) <= 1 for v in w.d),
             ),
             (
                 WorkloadGenSpec(boundary_fraction=0.0, real_fraction=1.0),
@@ -293,7 +293,7 @@ class TestTrialSuites:
 
     @pytest.mark.parametrize("kind", ["structural", "dp-mc"])
     def test_witness_kinds_without_replay_raise(self, kind):
-        w = verifier._serialize_workload(default_enumeration_instances(SVT_GAP)[0])
+        w = default_enumeration_instances(SVT_GAP)[0].to_json_dict()
         witness = Witness(kind, 0, SVT_GAP, "dlap", "forward", w, None, None, None, "")
         with pytest.raises(DomainError):
             replay_witness(witness)
@@ -511,6 +511,13 @@ class TestEnumeration:
         with pytest.raises(GridBudgetExceeded) as info:
             enumerate_output_dist(SVT_GAP, w, Side.D, method="per-tape")
         assert info.value.budget == 2_000_000 < info.value.needed
+
+    @pytest.mark.parametrize("method", ["per-query", "per-tape"])
+    def test_negative_box_is_a_domain_error(self, method):
+        w = Workload.from_values([(1, 0)], 0, 1, 1.0)
+        with pytest.raises(DomainError, match="box must be >= 0"):
+            enumerate_output_dist(SVT_GAP, w, Side.D, box=-1, method=method)
+        assert enumerate_output_dist(SVT_GAP, w, Side.D, box=0, method=method).masses
 
     @pytest.mark.parametrize(
         "call",
@@ -855,6 +862,7 @@ class TestMonteCarlo:
         report = mc_privacy_estimate(SVT_GAP, w, 10**6, seed=21, scale_epsilon_factor=2.0)
         assert report.verdict == "fail"
         assert report.notes["flagged"]
+        assert all(type(cp) is int and type(cq) is int for _, cp, cq in report.notes["flagged"])
         assert report.witness is not None
 
 
