@@ -13,9 +13,9 @@ from gapsvt import (
     Side,
     TapeLayout,
     Workload,
-    adaptive_svt_gap_run,
     budget_split_adaptive,
     budget_split_svt,
+    run_mechanism,
     sample_run,
     svt_classic_run,
     svt_gap_run,
@@ -51,7 +51,8 @@ wa = Workload.from_values([(10, 9), (5, 4), (0, 1)], 4, 1, 1.0, sigma=2)
 budget = budget_split_adaptive(wa.epsilon, wa.k)
 print(f"eps0={budget.epsilon0} eps1={budget.epsilon1} eps2={budget.epsilon2}")
 tape = NoiseTape(0, ((0, 0), (0, 0), (0, 0)), TapeLayout.PAIRED)
-out, ledger = adaptive_svt_gap_run(wa, budget, tape, Side.D)
+result = run_mechanism(ADAPTIVE_GAP, wa, tape, Side.D, budget)
+out, ledger = result.output, result.ledger
 print("answers:", out)
 print("ledger events:", [(e.index, e.branch.value, str(e.increment)) for e in ledger.events])
 print(f"final cost {ledger.running_cost} <= epsilon {wa.epsilon}")

@@ -29,7 +29,6 @@ from .core import (
     discrete_laplace_tail,
     draw_tape,
     laplace_inverse_cdf,
-    sample_tape,
     top_gap,
     top_marker,
 )
@@ -39,7 +38,6 @@ from .mechanisms import (
     SVT_CLASSIC,
     SVT_GAP,
     AdaptiveBudget,
-    adaptive_svt_gap_run,
     budget_split_adaptive,
     budget_split_svt,
     default_budget,

@@ -112,7 +112,7 @@ def cmd_run(args) -> int:
     for r in range(args.runs):
         seed_r = args.seed + r
         if injected is not None:
-            result = run_mechanism(mechanism, w, injected, side, budget if mechanism == ADAPTIVE_GAP else None)
+            result = run_mechanism(mechanism, w, injected, side, budget)
             record_seed = None
         else:
             result, _ = sample_run(mechanism, w, side, seed_r, kind)

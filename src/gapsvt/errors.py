@@ -5,7 +5,12 @@ class GapSvtError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class SensitivityViolation(GapSvtError):
+class DomainError(GapSvtError):
+    """Numeric argument outside the function's domain; every rejected input
+    is one or a subclass."""
+
+
+class SensitivityViolation(DomainError):
     """A query pair differs by more than 1 between the two sides."""
 
     def __init__(self, index: int, delta: float):
@@ -16,11 +21,11 @@ class SensitivityViolation(GapSvtError):
         )
 
 
-class EmptyWorkload(GapSvtError):
+class EmptyWorkload(DomainError):
     """Workload has no query pairs."""
 
 
-class NonPositiveBudget(GapSvtError):
+class NonPositiveBudget(DomainError):
     """Privacy budget (or a derived piece of it) is not strictly positive."""
 
 
@@ -30,10 +35,6 @@ class TapeExhausted(GapSvtError):
 
 class LayoutMismatch(GapSvtError):
     """A tape (or shift vector) has the wrong layout for the requested operation."""
-
-
-class DomainError(GapSvtError):
-    """Numeric argument outside the function's domain."""
 
 
 class GridBudgetExceeded(GapSvtError):

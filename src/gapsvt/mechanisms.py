@@ -31,7 +31,7 @@ from .core import (
     top_gap,
     top_marker,
 )
-from .errors import BudgetInvariantViolation, DomainError, GapSvtError, LayoutMismatch, NonPositiveBudget, TapeExhausted
+from .errors import BudgetInvariantViolation, DomainError, LayoutMismatch, NonPositiveBudget, TapeExhausted
 
 SVT_CLASSIC = "svt"
 SVT_GAP = "svt-gap"
@@ -80,18 +80,26 @@ class _RoleBudget:
             self._flat_weights[length] = weights
         return weights
 
+    @cached_property
+    def _noise_specs(self) -> dict:
+        return {}
+
     def noise_spec(self, kind: NoiseKind = NoiseKind.LAPLACE) -> NoiseSpec:
-        """Each role's noise scale, ``1 / epsilon`` as a float; a subnormal
-        epsilon has none, a ``DomainError`` naming the role."""
-        scales = {}
-        for role, eps in self.pieces.items():
-            try:
-                scales[role] = float(1 / eps)
-            except OverflowError:
-                raise DomainError(
-                    f"noise role {role!r} has epsilon {float(eps)!r}, too small for a float noise scale 1/epsilon"
-                ) from None
-        return NoiseSpec(kind, scales)
+        """Each role's noise scale, ``1 / epsilon`` as a float, built once per
+        kind and budget; a subnormal epsilon has none, a ``DomainError``
+        naming the role, raised on every call."""
+        spec = self._noise_specs.get(kind)
+        if spec is None:
+            scales = {}
+            for role, eps in self.pieces.items():
+                try:
+                    scales[role] = float(1 / eps)
+                except OverflowError:
+                    raise DomainError(
+                        f"noise role {role!r} has epsilon {float(eps)!r}, too small for a float noise scale 1/epsilon"
+                    ) from None
+            spec = self._noise_specs[kind] = NoiseSpec(kind, scales)
+        return spec
 
 
 @dataclass(frozen=True)
@@ -255,18 +263,15 @@ class CostLedger:
 def svt_gap_run(w: Workload, tape: NoiseTape, side: Side = Side.D) -> OutputSequence:
     """Report which queries clear the noisy threshold, with the positive
     answers carrying their noisy margin; stops after the k-th positive."""
-    out, _ = _svt_run(w, tape, side, with_gap=True)
-    return out
+    return run_mechanism(SVT_GAP, w, tape, side).output
 
 
 def svt_classic_run(w: Workload, tape: NoiseTape, side: Side = Side.D) -> OutputSequence:
     """Same loop as svt_gap_run but positives are bare markers (no margin)."""
-    out, _ = _svt_run(w, tape, side, with_gap=False)
-    return out
+    return run_mechanism(SVT_CLASSIC, w, tape, side).output
 
 
 def _svt_run(w: Workload, tape: NoiseTape, side: Side, with_gap: bool):
-    check_workload(w)
     if tape.layout is not _SINGLE:
         raise LayoutMismatch("single draw requested from a paired tape")
     draws = tape.flat()
@@ -291,21 +296,11 @@ def _svt_run(w: Workload, tape: NoiseTape, side: Side, with_gap: bool):
     return OutputSequence(tuple(answers)), consumed
 
 
-def adaptive_svt_gap_run(
-    w: Workload,
-    budget: AdaptiveBudget,
-    tape: NoiseTape,
-    side: Side = Side.D,
-) -> tuple[OutputSequence, CostLedger]:
+def _adaptive_run(w: Workload, budget: AdaptiveBudget, tape: NoiseTape, side: Side):
     """Two-attempt variant: a wide-noise first test must clear the threshold
     by at least sigma (cheap answer), otherwise a narrow-noise second test
     must clear it at all (expensive answer).  Below-threshold answers are
     free; the run stops once the ledger cannot afford a worst-case query."""
-    result = run_mechanism(ADAPTIVE_GAP, w, tape, side, budget)
-    return result.output, result.ledger
-
-
-def _adaptive_run(w: Workload, budget: AdaptiveBudget, tape: NoiseTape, side: Side):
     if tape.layout is not _PAIRED:
         raise LayoutMismatch("paired draw requested from a single-layout tape")
     flat = tape.flat()
@@ -368,32 +363,35 @@ def run_mechanism(
     w: Workload,
     tape: NoiseTape,
     side: Side = Side.D,
-    budget: AdaptiveBudget | None = None,
+    budget: SvtBudget | AdaptiveBudget | None = None,
 ) -> RunResult:
-    """Dispatch a deterministic run and capture the consumed-draw count."""
-    if mechanism in (SVT_GAP, SVT_CLASSIC):
-        out, consumed = _svt_run(w, tape, side, with_gap=mechanism == SVT_GAP)
-        return RunResult(out, consumed)
+    """The one entry of a per-tape run: gate ``w`` by ``check_workload_for``,
+    run ``mechanism`` on ``tape`` and capture the consumed-draw count.
+    ``budget`` is the mechanism's, ``default_budget`` when left out; only
+    the adaptive run reads it, for its guard and ledger."""
+    check_workload_for(mechanism, w)
     if mechanism == ADAPTIVE_GAP:
-        check_workload_for(mechanism, w)
         if budget is None:
-            budget = budget_split_adaptive(w.epsilon, w.k)
+            budget = default_budget(mechanism, w)
         out, ledger, consumed = _adaptive_run(w, budget, tape, side)
         return RunResult(out, consumed, ledger)
-    raise GapSvtError(f"unknown mechanism {mechanism!r}, expected one of {MECHANISMS}")
+    out, consumed = _svt_run(w, tape, side, mechanism == SVT_GAP)
+    return RunResult(out, consumed)
 
 
 def check_workload_for(mechanism: str, w: Workload) -> None:
     """``check_workload`` plus what ``mechanism`` needs of ``w``: the one
-    gate the per-tape adaptive run, the exact oracle and Monte Carlo share."""
+    gate every per-tape run, the exact oracle and Monte Carlo share."""
     check_workload(w)
     if mechanism not in MECHANISMS:
         raise DomainError(f"unknown mechanism {mechanism!r}")
     if mechanism == ADAPTIVE_GAP and w.sigma is None:
-        raise GapSvtError("adaptive mechanism requires workload.sigma")
+        raise DomainError("adaptive mechanism requires workload.sigma")
 
 
-def default_budget(mechanism: str, w: Workload):
+def default_budget(mechanism: str, w: Workload) -> SvtBudget | AdaptiveBudget:
+    """The budget a run of ``mechanism`` on ``w`` uses, the one place a
+    budget is chosen: the default split of ``w.epsilon`` over ``w.k``."""
     if mechanism == ADAPTIVE_GAP:
         return budget_split_adaptive(w.epsilon, w.k)
     return budget_split_svt(w.epsilon, w.k)
@@ -408,8 +406,7 @@ def sample_run(
 ) -> tuple[RunResult, NoiseTape]:
     """Sample a tape at the mechanism's scales and run; fully determined by
     the seed."""
-    check_workload(w)
-    spec = default_budget(mechanism, w).noise_spec(kind)
-    rng = np.random.default_rng(seed)
-    tape = draw_tape(spec, len(w), rng)
-    return run_mechanism(mechanism, w, tape, side), tape
+    check_workload_for(mechanism, w)
+    budget = default_budget(mechanism, w)
+    tape = draw_tape(budget.noise_spec(kind), len(w), np.random.default_rng(seed))
+    return run_mechanism(mechanism, w, tape, side, budget), tape

@@ -148,22 +148,21 @@ def encode_int_rows(mechanism: str, status: np.ndarray, gaps: np.ndarray) -> np.
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def sorted_groups(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct values of a 1-D array and each element's index
-    into them: ``np.unique(a, return_inverse=True)`` by one unstable sort,
-    an adjacent-difference mask and a binary search."""
-    s = np.sort(a)
+def key_groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the elements of a 1-D key array by value, groups in key order:
+    each element's group (the dense rank of its key) and, per group, the
+    index of one element that stands for it.  One unstable sort, an
+    adjacent-difference mask and a binary search."""
+    s = np.sort(keys)
     first = np.empty(len(s), dtype=bool)
     first[:1] = True
     np.not_equal(s[1:], s[:-1], out=first[1:])
     uniq = s[first]
-    return uniq, np.searchsorted(uniq, a)
-
-
-def _dense_rank(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """Order-preserving dense rank of a 1-D array and the number of ranks."""
-    uniq, inverse = sorted_groups(a)
-    return inverse, len(uniq)
+    del s, first  # freed before the scatter below allocates as much again
+    inverse = np.searchsorted(uniq, keys)
+    rows = np.empty(len(uniq), dtype=np.int64)
+    rows[inverse] = np.arange(len(keys))  # any element of a group stands for it
+    return inverse, rows
 
 
 def int_row_keys(codes: np.ndarray) -> np.ndarray:
@@ -184,10 +183,11 @@ def int_row_keys(codes: np.ndarray) -> np.ndarray:
         lo = int(col.min())
         span = int(col.max()) - lo + 1
         if radix * span > _INT64_MAX:
-            key, radix = _dense_rank(key)
+            key, groups = key_groups(key)
+            radix = len(groups)
             if radix * span > _INT64_MAX:
-                col, span = _dense_rank(col)
-                lo = 0
+                col, groups = key_groups(col)
+                span, lo = len(groups), 0
         key = key * span + (col - lo)
         radix *= span
     return key
@@ -295,9 +295,7 @@ def canonical_rows(mechanism: str, status, gaps, gap_ndigits: int | None = None)
     rows are grouped by ``int_row_keys`` and only the distinct keys built."""
     status = np.asarray(status)
     if mechanism == SVT_CLASSIC and len(status):
-        uniq, inverse = sorted_groups(int_row_keys(status))
-        row_of = np.empty(len(uniq), dtype=np.int64)
-        row_of[inverse] = np.arange(len(status))  # any row of a key stands for it
-        keys = _column_keys(mechanism, status[row_of], None, None)
+        inverse, rows = key_groups(int_row_keys(status))
+        keys = _column_keys(mechanism, status[rows], None, None)
         return [keys[i] for i in inverse.tolist()]
     return _column_keys(mechanism, status, gaps, gap_ndigits)

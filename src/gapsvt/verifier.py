@@ -22,9 +22,9 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -60,8 +60,6 @@ from .mechanisms import (
     SVT_CLASSIC,
     SVT_GAP,
     AdaptiveBudget,
-    budget_split_adaptive,
-    budget_split_svt,
     check_workload_for,
     default_budget,
     run_mechanism,
@@ -73,9 +71,9 @@ from .vectorized import (
     decode_row,
     encode_int_rows,
     int_row_keys,
+    key_groups,
     run_state_table,
     run_status_gaps,
-    sorted_groups,
 )
 
 GAP_TOL = 1e-9  # per-gap equality tolerance for real-valued workloads
@@ -253,30 +251,8 @@ class PrivacyReport:
         return self.verdict == "pass"
 
     def to_json_dict(self) -> dict:
-        d = {
-            "verdict": self.verdict,
-            "suite": self.suite,
-            "mechanism": self.mechanism,
-            "trials": self.trials,
-            "checks_run": self.checks_run,
-            "max_cost": self.max_cost,
-            "max_log_ratio": self.max_log_ratio,
-            "truncation_loss": self.truncation_loss,
-            "witness": None,
-            "notes": self.notes,
-        }
-        if self.witness is not None:
-            wd = dict(self.witness.__dict__)
-            wd["expected"] = _jsonable(self.witness.expected)
-            wd["got"] = _jsonable(self.witness.got)
-            d["witness"] = wd
-        return d
-
-
-def _jsonable(x):
-    if isinstance(x, tuple):
-        return [_jsonable(v) for v in x]
-    return x
+        """The report and its witness as nested dicts, fields in order."""
+        return asdict(self)
 
 
 def outputs_equal(a: OutputSequence, b: OutputSequence, exact: bool) -> bool:
@@ -297,15 +273,6 @@ def outputs_equal(a: OutputSequence, b: OutputSequence, exact: bool) -> bool:
 
 def _align_for(mechanism: str):
     return align_adaptive if mechanism == ADAPTIVE_GAP else align_svt_gap
-
-
-@lru_cache(maxsize=1024)
-def _budget_and_spec(mechanism: str, epsilon: float, k: int, kind: NoiseKind):
-    if mechanism == ADAPTIVE_GAP:
-        budget = budget_split_adaptive(epsilon, k)
-    else:
-        budget = budget_split_svt(epsilon, k)
-    return budget, budget.noise_spec(kind)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +338,8 @@ def run_trial_suites(plan: TrialPlan, suites=TRIAL_SUITES) -> dict:
         if not active:
             break
         w, kind = generate_workload(plan, rng)
-        budget, spec = _budget_and_spec(plan.mechanism, w.epsilon, w.k, kind)
+        budget = default_budget(plan.mechanism, w)
+        spec = budget.noise_spec(kind)
         tape = draw_tape(spec, len(w), rng)
         exact = kind is _DLAP
         forward = None  # the run on (w, tape, D), shared with the structural trial
@@ -575,7 +543,7 @@ def replay_witness(witness: Witness) -> bool:
     except ValueError as e:
         raise DomainError(f"witness field: {e}") from None
     exact = kind is _DLAP
-    budget, _ = _budget_and_spec(witness.mechanism, w.epsilon, w.k, kind)
+    budget = default_budget(witness.mechanism, w)
     tape = NoiseTape.from_json_dict(witness.tape, budget.layout, len(w))
     result = run_mechanism(witness.mechanism, w, tape, Side.D, budget)
     aligned = _align_for(witness.mechanism)(tape, result.output, w, mutation)
@@ -637,8 +605,9 @@ def enumerate_output_dist(
     """Exact output distribution under integer Laplace noise.
 
     The tapes of the per-role integer box, ``[-box, box]`` on every
-    coordinate (a negative ``box`` is a ``DomainError``) or by default each
-    role's smallest box leaving less than ``PER_DRAW_TAIL`` outside, are
+    coordinate (a ``box`` that is not a non-negative ``int`` is a
+    ``DomainError``) or by default each role's smallest box leaving less
+    than ``PER_DRAW_TAIL`` outside, are
     weighted by their product pmf and their masses summed per canonical
     output; the mass outside the box is ``truncation_loss``.  The default ``method='per-query'`` conditions on
     the threshold draw, under which every answer depends on its own query's
@@ -650,8 +619,11 @@ def enumerate_output_dist(
     as the independent check.  ``meta["grid_points"]`` is the box size.
     """
     check_workload_for(mechanism, w)
-    if box is not None and not box >= 0:
-        raise DomainError(f"enumeration box must be >= 0, got {box}")
+    if box is not None:
+        if type(box) is not int:  # a bool, float or numpy integer too
+            raise DomainError(f"enumeration box must be an int, got {box!r}")
+        if box < 0:
+            raise DomainError(f"enumeration box must be >= 0, got {box}")
     if not w.is_integer_valued():
         raise DomainError("exact enumeration needs integer query values and threshold")
     if mechanism == ADAPTIVE_GAP and not float(w.sigma).is_integer():
@@ -826,10 +798,8 @@ def mc_output_dist(
         status, gaps = run_status_gaps(mechanism, w, side, budget, eta0, per_query)
         if int_outputs:
             codes = encode_int_rows(mechanism, status, gaps)
-            uniq, inverse = sorted_groups(int_row_keys(codes))
-            row_of = np.empty(len(uniq), dtype=np.int64)
-            row_of[inverse] = np.arange(rows)  # any row of a key stands for it
-            for row, c in zip(codes[row_of].tolist(), np.bincount(inverse).tolist()):
+            inverse, key_rows = key_groups(int_row_keys(codes))
+            for row, c in zip(codes[key_rows].tolist(), np.bincount(inverse).tolist()):
                 counts[decode_row(mechanism, row)] += c
         else:
             counts.update(canonical_rows(mechanism, status, gaps, GAP_NDIGITS))
@@ -1044,7 +1014,7 @@ def mc_privacy_estimate(
             "method": "monte-carlo falsification heuristic; a clean run is not a proof",
             "z": WILSON_Z,
             "noise": kind.value,
-            "flagged": [[_jsonable(k), cp, cq] for k, cp, cq in flagged[:10]],
+            "flagged": [[[list(a) if isinstance(a, tuple) else a for a in k], cp, cq] for k, cp, cq in flagged[:10]],
             "epsilon": eps,
         },
     )

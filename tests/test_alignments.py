@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gapsvt import (
+    ADAPTIVE_GAP,
     BOT,
     Branch,
     LayoutMismatch,
@@ -10,7 +11,6 @@ from gapsvt import (
     Side,
     TapeLayout,
     Workload,
-    adaptive_svt_gap_run,
     align_adaptive,
     align_svt_gap,
     alignment_cost,
@@ -18,6 +18,7 @@ from gapsvt import (
     budget_split_svt,
     cost_closed_form,
     index_sets,
+    run_mechanism,
     shift_for_output,
     svt_gap_run,
     top_gap,
@@ -27,6 +28,12 @@ from gapsvt.alignments import Mutation
 
 def zero_paired(n):
     return NoiseTape(0, tuple([(0, 0)] * n), TapeLayout.PAIRED)
+
+
+def adaptive_run(w, budget, tape, side=Side.D):
+    """The adaptive run's output and cost ledger."""
+    result = run_mechanism(ADAPTIVE_GAP, w, tape, side, budget)
+    return result.output, result.ledger
 
 
 class TestIndexSets:
@@ -102,34 +109,34 @@ class TestAlignAdaptive:
         w = Workload.from_values([(10, 9)], 4, 1, 1.0, sigma=2)
         budget = budget_split_adaptive(1.0, 1)
         tape = zero_paired(1)
-        omega, _ = adaptive_svt_gap_run(w, budget, tape, Side.D)
+        omega, _ = adaptive_run(w, budget, tape, Side.D)
         aligned = align_adaptive(tape, omega, w)
         assert aligned.threshold_noise == 1
         assert aligned.per_query == ((2, 0),)
-        again, _ = adaptive_svt_gap_run(w, budget, aligned, Side.DPRIME)
+        again, _ = adaptive_run(w, budget, aligned, Side.DPRIME)
         assert again == omega
 
     def test_second_branch_example(self):
         w = Workload.from_values([(5, 4)], 4, 1, 1.0, sigma=2)
         budget = budget_split_adaptive(1.0, 1)
         tape = zero_paired(1)
-        omega, _ = adaptive_svt_gap_run(w, budget, tape, Side.D)
+        omega, _ = adaptive_run(w, budget, tape, Side.D)
         assert omega.answers[0].branch is Branch.SECOND
         aligned = align_adaptive(tape, omega, w)
         assert aligned.per_query == ((0, 2),)
-        again, _ = adaptive_svt_gap_run(w, budget, aligned, Side.DPRIME)
+        again, _ = adaptive_run(w, budget, aligned, Side.DPRIME)
         assert again == omega
 
     def test_all_bot_keeps_queries(self):
         w = Workload.from_values([(0, 0), (1, 1)], 4, 1, 1.0, sigma=2)
         budget = budget_split_adaptive(1.0, 1)
         tape = NoiseTape(0.5, ((0.1, -0.2), (0.3, 0.4)), TapeLayout.PAIRED)
-        omega, _ = adaptive_svt_gap_run(w, budget, tape, Side.D)
+        omega, _ = adaptive_run(w, budget, tape, Side.D)
         assert all(not a.top for a in omega)
         aligned = align_adaptive(tape, omega, w)
         assert aligned.threshold_noise == tape.threshold_noise + 1
         assert aligned.per_query == tape.per_query
-        again, _ = adaptive_svt_gap_run(w, budget, aligned, Side.DPRIME)
+        again, _ = adaptive_run(w, budget, aligned, Side.DPRIME)
         assert again == omega
 
 
@@ -153,7 +160,7 @@ class TestAlignmentCost:
         w = Workload.from_values([(5, 4)], 4, 1, 1.0, sigma=2)
         budget = budget_split_adaptive(1.0, 1)
         tape = zero_paired(1)
-        omega, _ = adaptive_svt_gap_run(w, budget, tape, Side.D)
+        omega, _ = adaptive_run(w, budget, tape, Side.D)
         aligned = align_adaptive(tape, omega, w)
         cost = alignment_cost(tape, aligned, budget)
         assert cost == 1.0

@@ -216,5 +216,5 @@ def test_trial_loop_runs_per_tape_through_the_traced_names(monkeypatch, mechanis
         assert rng.bit_generator.state == state
         again = gapsvt.generate_workload(plan, rng)
         assert again == generated
-        budget, spec = verifier._budget_and_spec(mechanism, again[0].epsilon, again[0].k, again[1])
+        spec = verifier.default_budget(mechanism, again[0]).noise_spec(again[1])
         assert gapsvt.core.draw_tape(spec, len(again[0]), rng) == tape

@@ -216,6 +216,11 @@ BAD_WITNESS_INPUTS = {
     "missing-k": ("svt-gap", {"k": DROP}, {}, "'k'"),
     "unknown-workload-field": ("svt-gap", {"note": 1}, {}, "'note'"),
     "workload-not-an-object": ("adaptive-gap", {"whole": [[1, 0]]}, {}, "JSON object"),
+    # well formed, but failing the workload gate
+    "empty-pairs": ("svt-gap", {"pairs": []}, {}, "workload has no query pairs"),
+    "zero-epsilon": ("svt-gap", {"epsilon": 0}, {}, "epsilon must be positive, got 0"),
+    "sensitivity-violation": ("svt-gap", {"pairs": [[3, 0]]}, {}, "query pair 0 violates the sensitivity-1 contract"),
+    "adaptive-without-sigma": ("adaptive-gap", {"sigma": None}, {}, "adaptive mechanism requires workload.sigma"),
 }
 
 
@@ -251,6 +256,14 @@ class TestMalformedWitnessInputs:
         with pytest.raises(DomainError) as info:
             replay_witness(witness)
         assert err == f"error: {info.value}\n"
+
+    @pytest.mark.parametrize("name", sorted(name for name, row in BAD_WITNESS_INPUTS.items() if row[1]))
+    def test_dp_exact_replay_of_a_bad_workload_raises(self, name):
+        mechanism, workload, _, named = self._inputs(name)
+        witness = Witness("dp-exact", 0, mechanism, "dlap", "forward", workload, None, None, None, "")
+        with pytest.raises(DomainError) as info:
+            replay_witness(witness)
+        assert named in str(info.value)
 
     @pytest.mark.parametrize("mechanism", sorted(_WITNESS_INPUTS))
     def test_the_table_base_runs_and_replays(self, capsys, workload_file, tmp_path, mechanism):

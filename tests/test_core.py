@@ -24,9 +24,13 @@ from gapsvt import (
     discrete_laplace_tail,
     draw_tape,
     laplace_inverse_cdf,
-    sample_tape,
 )
 from gapsvt.core import _draw
+
+
+def sample_tape(spec, length, seed):
+    """A tape drawn from a fresh generator seeded with ``seed``."""
+    return draw_tape(spec, length, np.random.default_rng(seed))
 
 
 def single_spec(threshold_scale=1.0, query_scale=1.0, kind=NoiseKind.LAPLACE):
@@ -96,6 +100,15 @@ class TestNoiseSpec:
         with pytest.raises(NonPositiveBudget, match="'query'"):
             NoiseSpec(NoiseKind.DLAP, scales)
         assert NoiseSpec(NoiseKind.LAPLACE, scales).scales == scales
+
+    def test_kind_given_by_value_is_the_member(self):
+        """A spec stores its kind as the member, which draw_tape's identity
+        tests need: "laplace" given as a string draws Laplace noise."""
+        spec = NoiseSpec("laplace", {"threshold": 1.0, "query": 1.0})
+        assert spec.kind is NoiseKind.LAPLACE
+        assert not all(isinstance(x, int) for x in draw_tape(spec, 3, np.random.default_rng(0)).flat())
+        with pytest.raises(ValueError, match="gauss"):
+            NoiseSpec("gauss", {"threshold": 1.0, "query": 1.0})
 
 
 class TestSampleTape:

@@ -9,17 +9,18 @@ from gapsvt import (
     BOT,
     AdaptiveBudget,
     Branch,
+    DomainError,
     GapSvtError,
     LayoutMismatch,
     NoiseKind,
     NoiseTape,
     NonPositiveBudget,
     SVT_GAP,
+    SensitivityViolation,
     Side,
     TapeExhausted,
     TapeLayout,
     Workload,
-    adaptive_svt_gap_run,
     budget_split_adaptive,
     budget_split_svt,
     run_mechanism,
@@ -38,6 +39,12 @@ def zero_single(n):
 
 def zero_paired(n):
     return NoiseTape(0, tuple([(0, 0)] * n), TapeLayout.PAIRED)
+
+
+def adaptive_run(w, budget, tape, side=Side.D):
+    """The adaptive run's output and cost ledger."""
+    result = run_mechanism(ADAPTIVE_GAP, w, tape, side, budget)
+    return result.output, result.ledger
 
 
 class TestBudgetSplits:
@@ -86,6 +93,15 @@ class TestBudgetSplits:
             budget_split_svt(1.0, 0)
         with pytest.raises(NonPositiveBudget):
             budget_split_adaptive(-2.0, 1)
+
+    def test_noise_spec_is_built_once_per_kind(self):
+        b = budget_split_svt(1.0, 1)
+        assert b.noise_spec(NoiseKind.DLAP) is b.noise_spec(NoiseKind.DLAP)
+        assert b.noise_spec().kind is NoiseKind.LAPLACE
+        tiny = budget_split_svt(5e-324, 1)  # a subnormal epsilon has no float noise scale
+        for _ in range(2):
+            with pytest.raises(DomainError, match="noise role 'threshold'"):
+                tiny.noise_spec()
 
 
 class TestSvtGapRun:
@@ -155,21 +171,21 @@ class TestAdaptiveRun:
     def test_first_branch_then_budget_stop(self):
         w = Workload.from_values([(10, 9)], 4, 1, 1.0, sigma=2)
         budget = budget_split_adaptive(1.0, 1)
-        out, ledger = adaptive_svt_gap_run(w, budget, zero_paired(1))
+        out, ledger = adaptive_run(w, budget, zero_paired(1))
         assert out.answers == (top_gap(6, Branch.FIRST),)
         assert ledger.running_cost == Fraction(3, 4)  # 1/2 + 2 * 1/8
 
     def test_second_branch(self):
         w = Workload.from_values([(5, 4)], 4, 1, 1.0, sigma=2)
         budget = budget_split_adaptive(1.0, 1)
-        out, ledger = adaptive_svt_gap_run(w, budget, zero_paired(1))
+        out, ledger = adaptive_run(w, budget, zero_paired(1))
         assert out.answers == (top_gap(1, Branch.SECOND),)
         assert ledger.running_cost == Fraction(1)
 
     def test_below_threshold_processes_everything(self):
         w = Workload.from_values([(0, 1), (0, 0)], 4, 1, 1.0, sigma=2)
         budget = budget_split_adaptive(1.0, 1)
-        out, ledger = adaptive_svt_gap_run(w, budget, zero_paired(2))
+        out, ledger = adaptive_run(w, budget, zero_paired(2))
         assert out.answers == (BOT, BOT)
         assert ledger.running_cost == Fraction(1, 2)
 
@@ -178,7 +194,7 @@ class TestAdaptiveRun:
         # run must continue; the second one exceeds it and must stop.
         w = Workload.from_values([(5, 5), (5, 5), (5, 5)], 4, 2, 1.0, sigma=2)
         budget = budget_split_adaptive(1.0, 2)
-        out, ledger = adaptive_svt_gap_run(w, budget, zero_paired(3))
+        out, ledger = adaptive_run(w, budget, zero_paired(3))
         assert len(out) == 2
         assert [a.branch for a in out] == [Branch.SECOND, Branch.SECOND]
         assert ledger.running_cost == Fraction(1)
@@ -186,12 +202,12 @@ class TestAdaptiveRun:
     def test_sigma_required(self):
         w = Workload.from_values([(5, 5)], 4, 1, 1.0)
         with pytest.raises(GapSvtError):
-            adaptive_svt_gap_run(w, budget_split_adaptive(1.0, 1), zero_paired(1))
+            adaptive_run(w, budget_split_adaptive(1.0, 1), zero_paired(1))
 
     def test_ledger_events_and_prefixes(self):
         w = Workload.from_values([(10, 9), (5, 5)], 4, 2, 1.0, sigma=2)
         budget = budget_split_adaptive(1.0, 2)
-        out, ledger = adaptive_svt_gap_run(w, budget, zero_paired(2))
+        out, ledger = adaptive_run(w, budget, zero_paired(2))
         assert [e.branch for e in ledger.events] == [Branch.FIRST, Branch.SECOND]
         assert ledger.cost_at(0) == budget.epsilon0
         assert ledger.cost_at(1) == budget.epsilon0 + 2 * budget.epsilon1
@@ -201,7 +217,7 @@ class TestAdaptiveRun:
         # second draw is adversarial; it must not affect a first-branch answer
         w = Workload.from_values([(10, 9)], 4, 1, 1.0, sigma=2)
         budget = budget_split_adaptive(1.0, 1)
-        out, _ = adaptive_svt_gap_run(w, budget, NoiseTape(0, ((0, -50),), TapeLayout.PAIRED))
+        out, _ = adaptive_run(w, budget, NoiseTape(0, ((0, -50),), TapeLayout.PAIRED))
         assert out.answers == (top_gap(6, Branch.FIRST),)
 
 
@@ -236,7 +252,7 @@ class TestAdaptiveGuard:
     def test_run_stops_where_rational_guard_does(self, budget, value):
         n = 8
         w = Workload.from_values([(value, value)] * n, 4, 1, float(budget.epsilon), sigma=2)
-        out, ledger = adaptive_svt_gap_run(w, budget, zero_paired(n))
+        out, ledger = adaptive_run(w, budget, zero_paired(n))
         charge = 2 * (budget.epsilon1 if value == 10 else budget.epsilon2)
         expected = n
         for j in range(1, n + 1):
@@ -277,6 +293,28 @@ class TestRunMechanism:
         with pytest.raises(GapSvtError):
             run_mechanism("noisy-max", w, zero_single(1))
 
+    def test_every_run_is_gated(self):
+        """The one entry gates each mechanism's workload, the two plain runs
+        through it included, and rejects an unknown name as DomainError."""
+        bad = Workload.from_values([(3, 0)], 0, 1, 1.0, sigma=1)
+        runs = [
+            lambda: svt_gap_run(bad, zero_single(1)),
+            lambda: svt_classic_run(bad, zero_single(1)),
+            lambda: run_mechanism(ADAPTIVE_GAP, bad, zero_paired(1)),
+        ]
+        for run in runs:
+            with pytest.raises(SensitivityViolation):
+                run()
+        w = Workload.from_values([(1, 1)], 0, 1, 1.0)
+        with pytest.raises(DomainError, match="unknown mechanism 'noisy-max'"):
+            run_mechanism("noisy-max", w, zero_single(1))
+
+    def test_a_plain_run_ignores_its_budget(self):
+        w = Workload.from_values([(5, 4), (3, 3), (7, 7)], 4, 2, 1.0)
+        tape = NoiseTape(0.25, (0.5, -1.0, 2.0))
+        with_budget = run_mechanism(SVT_GAP, w, tape, Side.D, budget_split_svt(2.0, 1))
+        assert with_budget == run_mechanism(SVT_GAP, w, tape)
+
     def test_prefix_determinism(self):
         # truncating the tape to what was consumed reproduces the output
         w = Workload.from_values([(5, 4), (3, 3), (7, 7)], 4, 1, 1.0)
@@ -289,9 +327,9 @@ class TestRunMechanism:
         w = Workload.from_values([(10, 9), (5, 5), (0, 0)], 4, 1, 1.0, sigma=2)
         budget = budget_split_adaptive(1.0, 1)
         tape = NoiseTape(0.5, ((1.0, 0.0), (0.0, 2.0), (3.0, 1.0)), TapeLayout.PAIRED)
-        out, _ = adaptive_svt_gap_run(w, budget, tape)
+        out, _ = adaptive_run(w, budget, tape)
         truncated = NoiseTape(0.5, tape.per_query[: len(out)], TapeLayout.PAIRED)
-        out2, _ = adaptive_svt_gap_run(w, budget, truncated)
+        out2, _ = adaptive_run(w, budget, truncated)
         assert out2 == out
 
 

@@ -517,6 +517,9 @@ class TestEnumeration:
         w = Workload.from_values([(1, 0)], 0, 1, 1.0)
         with pytest.raises(DomainError, match="box must be >= 0"):
             enumerate_output_dist(SVT_GAP, w, Side.D, box=-1, method=method)
+        for box in (1.5, "3", True):  # a half-integer box would enumerate half-integer noise
+            with pytest.raises(DomainError, match="box must be an int"):
+                enumerate_output_dist(SVT_GAP, w, Side.D, box=box, method=method)
         assert enumerate_output_dist(SVT_GAP, w, Side.D, box=0, method=method).masses
 
     @pytest.mark.parametrize(
@@ -703,7 +706,7 @@ class TestMonteCarlo:
     def test_counts_equal_row_unique_oracle(self, case, monkeypatch):
         mechanism, w = _MC_CASES[case]
         chunks, ranked = [], []
-        encode, rank = verifier.encode_int_rows, vectorized._dense_rank
+        encode, rank = verifier.encode_int_rows, vectorized.key_groups
 
         def spy_encode(*args):
             chunks.append(encode(*args))
@@ -714,7 +717,7 @@ class TestMonteCarlo:
             return rank(a)
 
         monkeypatch.setattr(verifier, "encode_int_rows", spy_encode)
-        monkeypatch.setattr(vectorized, "_dense_rank", spy_rank)
+        monkeypatch.setattr(vectorized, "key_groups", spy_rank)
         # 7000-row chunks split 30000 samples unevenly: 4 full chunks and 2000 rows
         dist = mc_output_dist(mechanism, w, Side.D, 30_000, seed=(5, case), chunk=7_000)
         assert [len(c) for c in chunks] == [7_000] * 4 + [2_000]
