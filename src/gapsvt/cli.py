@@ -16,7 +16,7 @@ import sys
 from typing import Sequence
 
 from .core import NoiseKind, NoiseTape, Side, Workload
-from .errors import GapSvtError
+from .errors import DomainError, GapSvtError
 from .mechanisms import (
     ADAPTIVE_GAP,
     MECHANISMS,
@@ -44,12 +44,12 @@ def load_workload_dict(data) -> tuple[Workload, NoiseKind]:
         try:
             kind = NoiseKind(noise)
         except ValueError:
-            raise GapSvtError(f"field 'noise' must be 'laplace' or 'dlap', got {noise!r}")
+            raise DomainError(f"field 'noise' must be 'laplace' or 'dlap', got {noise!r}")
     else:
         kind = None
     w = Workload.from_json_dict(data)
     if kind is None:
-        raise GapSvtError("workload field 'noise' is missing")
+        raise DomainError("workload field 'noise' is missing")
     return w, kind
 
 
@@ -58,7 +58,7 @@ def _load_json(path: str, what: str):
         try:
             return json.load(fh)
         except json.JSONDecodeError as e:
-            raise GapSvtError(f"{what} file {path} is not valid JSON: {e}")
+            raise DomainError(f"{what} file {path} is not valid JSON: {e}")
 
 
 def load_workload_file(path: str) -> tuple[Workload, NoiseKind]:
@@ -188,7 +188,7 @@ def cmd_verify(args) -> int:
             if args.workload:
                 w, kind = load_workload_file(args.workload)
                 if kind is not NoiseKind.DLAP:
-                    raise GapSvtError("dp-exact needs a workload file with noise='dlap'")
+                    raise DomainError("dp-exact needs a workload file with noise='dlap'")
                 instances = [w]
             else:
                 instances = default_enumeration_instances(args.mechanism)[:4]

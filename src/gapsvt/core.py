@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain
+from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -202,9 +203,21 @@ def check_workload(w: Workload) -> Workload:
         raise EmptyWorkload("workload has no query pairs")
     if len(w.dprime) != len(w.d):
         raise DomainError(f"workload sides hold {len(w.d)} and {len(w.dprime)} values")
-    field = _non_finite_field(w)
-    if field is not None:
-        raise DomainError(f"field {field!r} must be a finite number")
+    isfinite = math.isfinite
+    try:  # fast path; a number that is not finite, overflows or is no number takes the named walk
+        finite = (
+            isfinite(w.threshold)
+            and isfinite(w.epsilon)
+            and (w.sigma is None or isfinite(w.sigma))
+            and all(map(isfinite, w.d))
+            and all(map(isfinite, w.dprime))
+        )
+    except (OverflowError, TypeError):
+        finite = False
+    if not finite:
+        field = _non_finite_field(w)
+        if field is not None:
+            raise DomainError(f"field {field!r} must be a finite number")
     if not w.epsilon > 0:
         raise NonPositiveBudget(f"epsilon must be positive, got {w.epsilon}")
     if w.k < 1:
@@ -304,13 +317,16 @@ class OutputSequence:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Distribution family plus per-role scales (scale b = 1 / epsilon_role)."""
+    """Distribution family plus per-role scales (scale b = 1 / epsilon_role).
+    ``scales`` is a read-only view of a copy of the mapping given, so a spec
+    shared by every caller of a cached budget cannot be changed by one."""
 
     kind: NoiseKind
     scales: Mapping[str, float]
 
     def __post_init__(self):
         object.__setattr__(self, "kind", NoiseKind(self.kind))  # "laplace" is the member: draw_tape tests identity
+        object.__setattr__(self, "scales", MappingProxyType(dict(self.scales)))
         self.layout  # raises LayoutMismatch unless the roles are one layout's
         for role, b in self.scales.items():
             if not b > 0:

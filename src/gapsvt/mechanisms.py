@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import ClassVar, Union
+from types import MappingProxyType
+from typing import ClassVar, Mapping, Union
 
 import numpy as np
 
@@ -56,15 +57,16 @@ class _RoleBudget:
     """What both budgets share: ``pieces`` maps each noise role of
     ``layout`` to its epsilon.  A role's noise scale is the inverse of its
     epsilon, and an alignment pays that epsilon per unit it shifts a draw of
-    the role."""
+    the role.  Budgets are cached and shared process-wide, so ``pieces``,
+    ``weights`` and each spec's ``scales`` are read-only views."""
 
     layout: ClassVar[TapeLayout]
-    pieces: dict
+    pieces: Mapping
 
     @cached_property
-    def weights(self) -> dict:
+    def weights(self) -> Mapping:
         """``pieces`` as floats: what the alignment cost weighs each role's shift by."""
-        return {role: float(eps) for role, eps in self.pieces.items()}
+        return MappingProxyType({role: float(eps) for role, eps in self.pieces.items()})
 
     @cached_property
     def _flat_weights(self) -> dict:
@@ -124,8 +126,8 @@ class SvtBudget(_RoleBudget):
         return self.epsilon0 + 2 * self.k * self.epsilon1 == self.epsilon
 
     @cached_property
-    def pieces(self) -> dict:
-        return {"threshold": self.epsilon0, "query": self.epsilon1}
+    def pieces(self) -> Mapping:
+        return MappingProxyType({"threshold": self.epsilon0, "query": self.epsilon1})
 
 
 @dataclass(frozen=True)
@@ -204,8 +206,10 @@ class AdaptiveBudget(_RoleBudget):
         return cost
 
     @cached_property
-    def pieces(self) -> dict:
-        return {"threshold": self.epsilon0, "query_first": self.epsilon1, "query_second": self.epsilon2}
+    def pieces(self) -> Mapping:
+        return MappingProxyType(
+            {"threshold": self.epsilon0, "query_first": self.epsilon1, "query_second": self.epsilon2}
+        )
 
 
 @lru_cache(maxsize=4096)

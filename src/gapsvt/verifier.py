@@ -216,19 +216,19 @@ def generate_workload(plan: TrialPlan, rng: np.random.Generator) -> tuple[Worklo
 # Reports and witnesses
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Witness:
     """Everything needed to re-trigger a failed check, self-contained."""
 
     kind: str  # soundness | cost | structural | dp-exact | dp-mc
-    trial_index: int
+    trial_index: int = 0
     mechanism: str
     noise: str
-    orientation: str  # forward | reverse
+    orientation: str = "forward"  # forward | reverse
     workload: dict
-    tape: dict | None
-    expected: tuple | None
-    got: tuple | None
+    tape: dict | None = None
+    expected: tuple | None = None
+    got: tuple | None = None
     detail: str
     mutation: str | None = None
 
@@ -342,12 +342,10 @@ def run_trial_suites(plan: TrialPlan, suites=TRIAL_SUITES) -> dict:
         spec = budget.noise_spec(kind)
         tape = draw_tape(spec, len(w), rng)
         exact = kind is _DLAP
-        forward = None  # the run on (w, tape, D), shared with the structural trial
+        forward = run_mechanism(plan.mechanism, w, tape, Side.D, budget)  # the run on (w, tape, D)
         if "align" in active or "cost" in active:
             for orientation, ww in (("forward", w), ("reverse", w.swapped())):
-                result = run_mechanism(plan.mechanism, ww, tape, Side.D, budget)
-                if forward is None:
-                    forward = result
+                result = forward if ww is w else run_mechanism(plan.mechanism, ww, tape, Side.D, budget)
                 omega = result.output
                 aligned = align(tape, omega, ww, plan.mutation)
                 if "align" in active:
@@ -355,56 +353,39 @@ def run_trial_suites(plan: TrialPlan, suites=TRIAL_SUITES) -> dict:
                     report.checks_run += 1
                     again = _soundness_failure(plan.mechanism, ww, omega, aligned, budget, exact)
                     if again is not None:
-                        _record_failure(
-                            report,
-                            plan,
-                            kind="soundness",
-                            noise=kind,
-                            trial_index=idx,
-                            orientation=orientation,
-                            workload=ww,
-                            tape=tape,
-                            expected=omega.canonical(),
-                            got=again.canonical(),
-                            detail="re-run on the adjacent side with the aligned tape changed the output",
-                        )
+                        detail = "re-run on the adjacent side with the aligned tape changed the output"
+                        _record_failure(report, plan, "soundness", idx, orientation, ww, kind, tape, detail, again, omega)
                 if "cost" in active:
                     report = reports["cost"]
                     cost, failure = _cost_failure(plan.mechanism, ww, tape, aligned, result, budget, exact)
                     report.max_cost = max(report.max_cost, cost)
                     report.checks_run += 1
                     if failure is not None:
-                        _record_failure(
-                            report,
-                            plan,
-                            kind="cost",
-                            noise=kind,
-                            trial_index=idx,
-                            orientation=orientation,
-                            workload=ww,
-                            tape=tape,
-                            expected=None,
-                            got=omega.canonical(),
-                            detail=failure,
-                        )
+                        _record_failure(report, plan, "cost", idx, orientation, ww, kind, tape, failure, omega)
         if "structural" in active:
-            _structural_trial(reports["structural"], plan, idx, rng, w, kind, budget, spec, tape, forward)
+            report = reports["structural"]
+            checks, failure = _structural_trial(plan.mechanism, rng, w, budget, spec, tape, forward)
+            report.checks_run += checks
+            if failure is not None:
+                _record_failure(report, plan, "structural", idx, "forward", w, kind, tape, failure, forward.output)
     return reports
 
 
-def _record_failure(report, plan, *, kind, noise, trial_index, orientation, workload, tape, expected, got, detail):
+def _record_failure(report, plan, check, idx, orientation, w, noise, tape, detail, got, expected=None):
+    """Fail ``report``; the first failure's trial becomes its witness, with
+    the outputs ``got`` and ``expected`` in canonical form."""
     report.verdict = "fail"
     if report.witness is None:
         report.witness = Witness(
-            kind=kind,
-            trial_index=trial_index,
+            kind=check,
+            trial_index=idx,
             mechanism=plan.mechanism,
             noise=noise.value,
             orientation=orientation,
-            workload=workload.to_json_dict(),
+            workload=w.to_json_dict(),
             tape=tape.to_json_dict(),
-            expected=expected,
-            got=got,
+            expected=None if expected is None else expected.canonical(),
+            got=got.canonical(),
             detail=detail,
             mutation=plan.mutation.value if plan.mutation else None,
         )
@@ -465,57 +446,44 @@ def _verify_ledger(budget: AdaptiveBudget, omega: OutputSequence, ledger, sets) 
     return None
 
 
-def _structural_trial(report, plan, idx, rng, w, kind, budget, spec, tape, forward=None):
-    """``forward`` is the run on (w, tape, D) when the caller has made it."""
+def _structural_trial(mechanism, rng, w, budget, spec, tape, forward):
+    """The structural side conditions of ``forward``, the run on (w, tape,
+    D), with the countability witness on a second tape drawn from ``rng``:
+    ``(checks, failure)``, the number of checks made and the first broken
+    condition, or None."""
     layout = tape.layout
-    result = forward if forward is not None else run_mechanism(plan.mechanism, w, tape, Side.D, budget)
-    omega = result.output
+    omega = forward.output
+    checks = 1
     failure = None
     expected_draws = 1 + len(layout.query_roles) * len(omega)
     if len(omega) > len(w):
         failure = f"output length {len(omega)} exceeds query count {len(w)}"
-    elif result.consumed != expected_draws:
-        failure = f"consumed {result.consumed} draws, expected {expected_draws}"
+    elif forward.consumed != expected_draws:
+        failure = f"consumed {forward.consumed} draws, expected {expected_draws}"
     elif any(a.top and a.gap is not None and a.gap < 0 for a in omega):
         failure = "negative gap released"
-    elif plan.mechanism == ADAPTIVE_GAP and any(
-        a.top and a.branch is _FIRST and a.gap < w.sigma for a in omega
-    ):
+    elif mechanism == ADAPTIVE_GAP and any(a.top and a.branch is _FIRST and a.gap < w.sigma for a in omega):
         failure = "first-branch gap below sigma"
-    elif plan.mechanism != ADAPTIVE_GAP and omega.top_count() > w.k:
+    elif mechanism != ADAPTIVE_GAP and omega.top_count() > w.k:
         failure = f"{omega.top_count()} positive answers with k={w.k}"
     if failure is None:
         # countability witness: same index sets on a fresh tape => same shift
         shift = shift_for_output(omega, w.deltas(), layout)
         tape2 = draw_tape(spec, len(w), rng)
-        omega2 = run_mechanism(plan.mechanism, w, tape2, Side.D, budget).output
-        report.checks_run += 1
+        omega2 = run_mechanism(mechanism, w, tape2, Side.D, budget).output
+        checks += 1
         if index_sets(omega2) == index_sets(omega):
             shift2 = shift_for_output(omega2, w.deltas(), layout)
             if shift2.flat() != shift.flat():
                 failure = "equal index sets produced different shift vectors"
     if failure is None and layout is _SINGLE:
         # the trial's own mechanism has already run on this tape as omega
-        gap_out = omega if plan.mechanism == SVT_GAP else svt_gap_run(w, tape, Side.D)
-        classic_out = omega if plan.mechanism == SVT_CLASSIC else svt_classic_run(w, tape, Side.D)
-        report.checks_run += 1
+        gap_out = omega if mechanism == SVT_GAP else svt_gap_run(w, tape, Side.D)
+        classic_out = omega if mechanism == SVT_CLASSIC else svt_classic_run(w, tape, Side.D)
+        checks += 1
         if gap_out.erase_gaps() != classic_out:
             failure = "gap run with gaps erased differs from the classic run"
-    report.checks_run += 1
-    if failure is not None:
-        _record_failure(
-            report,
-            plan,
-            kind="structural",
-            noise=kind,
-            trial_index=idx,
-            orientation="forward",
-            workload=w,
-            tape=tape,
-            expected=None,
-            got=omega.canonical(),
-            detail=failure,
-        )
+    return checks, failure
 
 
 def replay_witness(witness: Witness) -> bool:
@@ -943,14 +911,9 @@ def check_dp_exact(mechanism: str, w: Workload) -> tuple[PrivacyReport, PrivacyL
     if not ok:
         report.witness = Witness(
             kind="dp-exact",
-            trial_index=0,
             mechanism=mechanism,
             noise=NoiseKind.DLAP.value,
-            orientation="forward",
             workload=w.to_json_dict(),
-            tape=None,
-            expected=None,
-            got=None,
             detail=(
                 f"max log ratio padded={loss.padded_max} certified={loss.certified_max} "
                 f"vs epsilon={w.epsilon}; one_sided={list(loss.one_sided)[:3]}"
@@ -990,12 +953,9 @@ def mc_privacy_estimate(
     q = mc_output_dist(mechanism, w, Side.DPRIME, samples, (seed, 1), kind, scale_epsilon_factor)
     eps = w.epsilon
     flagged = []
-    max_ratio = 0.0
     keys, counts_p, counts_q = _joined(p.meta["counts"], q.meta["counts"])
     # counts stay below 2**53, so the float arrays hold them exactly
     for key, cp, cq in zip(keys, map(int, counts_p.tolist()), map(int, counts_q.tolist())):
-        if cp > 0 and cq > 0:
-            max_ratio = max(max_ratio, abs(math.log((cp / samples) / (cq / samples))))
         lp, up = _wilson_bounds(cp, samples, WILSON_Z)
         lq, uq = _wilson_bounds(cq, samples, WILSON_Z)
         if lp > 0 and uq > 0 and math.log(lp / uq) > eps:
@@ -1008,7 +968,7 @@ def mc_privacy_estimate(
         mechanism,
         trials=samples,
         checks_run=len(keys),
-        max_log_ratio=max_ratio,
+        max_log_ratio=max_privacy_loss(p, q).raw_max,
         truncation_loss=0.0,
         notes={
             "method": "monte-carlo falsification heuristic; a clean run is not a proof",
@@ -1022,13 +982,9 @@ def mc_privacy_estimate(
         key, cp, cq = flagged[0]
         report.witness = Witness(
             kind="dp-mc",
-            trial_index=0,
             mechanism=mechanism,
             noise=kind.value,
-            orientation="forward",
             workload=w.to_json_dict(),
-            tape=None,
-            expected=None,
             got=key,
             detail=f"output {key!r} seen {cp} vs {cq} times in {samples} samples/side exceeds e^eps",
         )
@@ -1041,7 +997,11 @@ def mc_privacy_estimate(
 
 def default_enumeration_instances(mechanism: str) -> list[Workload]:
     """Small integer workloads whose exact oracle stays within
-    ``ENUM_CELL_CAP`` at the default tail tolerance."""
+    ``ENUM_CELL_CAP`` at the default tail tolerance.  Each list ends with
+    a tight instance, ``[(1, 0)] * 7 + [(0, 1)]`` at threshold 0: its
+    certified loss is above 0.9 epsilon, so noise scaled for 2 epsilon
+    fails it."""
+    tight = [(1, 0)] * 7 + [(0, 1)]
     if mechanism == SVT_GAP:
         return [
             Workload.from_values([(1, 0)], 0, 1, 1.0),
@@ -1053,6 +1013,7 @@ def default_enumeration_instances(mechanism: str) -> list[Workload]:
             Workload.from_values([(1, 0), (2, 1)], 1, 2, 2.0),
             Workload.from_values([(1, 0), (0, 0)], 0, 1, 0.5),
             Workload.from_values([(2, 1), (2, 3)], 2, 2, 2.0),
+            Workload.from_values(tight, 0, 1, 1.0),
         ]
     if mechanism == SVT_CLASSIC:
         return [
@@ -1061,6 +1022,7 @@ def default_enumeration_instances(mechanism: str) -> list[Workload]:
             Workload.from_values([(2, 1), (1, 2)], 1, 2, 1.0),
             Workload.from_values([(1, 1), (0, 1)], 1, 1, 2.0),
             Workload.from_values([(4, 3), (3, 4)], 3, 1, 0.5),
+            Workload.from_values(tight, 0, 1, 1.0),
         ]
     if mechanism == ADAPTIVE_GAP:
         return [
@@ -1072,5 +1034,6 @@ def default_enumeration_instances(mechanism: str) -> list[Workload]:
             Workload.from_values([(1, 0), (0, 1)], 0, 1, 8.0, sigma=1),
             Workload.from_values([(2, 1), (1, 1)], 1, 2, 16.0, sigma=2),
             Workload.from_values([(3, 2), (2, 3)], 2, 1, 8.0, sigma=1),
+            Workload.from_values(tight, 0, 1, 1.0, sigma=2),
         ]
     raise DomainError(f"unknown mechanism {mechanism!r}")

@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from gapsvt.cli import load_workload_dict, main
+from gapsvt.cli import build_parser, load_workload_dict, main
 from gapsvt.core import NoiseKind, Side, Workload
 from gapsvt.errors import DomainError, GapSvtError
 from gapsvt.mechanisms import sample_run
@@ -252,7 +252,7 @@ class TestMalformedWitnessInputs:
         )
         assert (code, out) == (2, "")
         assert named in err
-        witness = Witness("soundness", 0, mechanism, "dlap", "forward", workload, tape, None, None, "")
+        witness = Witness(kind="soundness", mechanism=mechanism, noise="dlap", workload=workload, tape=tape, detail="")
         with pytest.raises(DomainError) as info:
             replay_witness(witness)
         assert err == f"error: {info.value}\n"
@@ -260,7 +260,7 @@ class TestMalformedWitnessInputs:
     @pytest.mark.parametrize("name", sorted(name for name, row in BAD_WITNESS_INPUTS.items() if row[1]))
     def test_dp_exact_replay_of_a_bad_workload_raises(self, name):
         mechanism, workload, _, named = self._inputs(name)
-        witness = Witness("dp-exact", 0, mechanism, "dlap", "forward", workload, None, None, None, "")
+        witness = Witness(kind="dp-exact", mechanism=mechanism, noise="dlap", workload=workload, detail="")
         with pytest.raises(DomainError) as info:
             replay_witness(witness)
         assert named in str(info.value)
@@ -275,7 +275,7 @@ class TestMalformedWitnessInputs:
             ["run", "--mechanism", mechanism, "--workload", workload_file({**workload, "noise": "dlap"}), "--tape", str(tape_path)],
         )
         assert code == 0
-        witness = Witness("soundness", 0, mechanism, "dlap", "forward", workload, tape, None, None, "")
+        witness = Witness(kind="soundness", mechanism=mechanism, noise="dlap", workload=workload, tape=tape, detail="")
         assert replay_witness(witness) is False
 
 
@@ -320,6 +320,32 @@ class TestWorkloadFileValidation:
         )
         assert code == 2
         assert "noise" in err
+        with pytest.raises(DomainError) as info:
+            load_workload_dict(payload)
+        assert err == f"error: {info.value}\n"
+
+    def test_missing_noise(self, capsys, workload_file):
+        payload = {k: v for k, v in GOLDEN.items() if k != "noise"}
+        code, _, err = run_cli(
+            capsys, ["run", "--mechanism", "svt-gap", "--workload", workload_file(payload)]
+        )
+        assert code == 2
+        assert "'noise' is missing" in err
+        with pytest.raises(DomainError) as info:
+            load_workload_dict(payload)
+        assert err == f"error: {info.value}\n"
+
+    def test_invalid_json(self, capsys, tmp_path):
+        path = tmp_path / "workload.json"
+        path.write_text('{"pairs": [[1, 0]],')
+        argv = ["run", "--mechanism", "svt-gap", "--workload", str(path)]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert "is not valid JSON" in err
+        args = build_parser().parse_args(argv)
+        with pytest.raises(DomainError) as info:
+            args.func(args)
+        assert err == f"error: {info.value}\n"
 
     def test_load_fields(self):
         payload = {"pairs": [[1, 0]], "threshold": 0, "k": 1, "epsilon": 2.0,
@@ -584,13 +610,13 @@ class TestVerifyCommand:
 
     def test_dp_exact_requires_dlap(self, capsys, workload_file):
         payload = {"pairs": [[1, 0]], "threshold": 0, "k": 1, "epsilon": 1.0, "noise": "laplace"}
-        code, _, err = run_cli(
-            capsys,
-            ["verify", "--suite", "dp-exact", "--mechanism", "svt-gap",
-             "--workload", workload_file(payload), "--seed", "1"],
-        )
+        argv = ["verify", "--suite", "dp-exact", "--mechanism", "svt-gap", "--workload", workload_file(payload), "--seed", "1"]
+        code, _, err = run_cli(capsys, argv)
         assert code == 2
         assert "dlap" in err
+        args = build_parser().parse_args(argv)
+        with pytest.raises(DomainError, match="dlap"):
+            args.func(args)
 
     def test_over_the_cell_cap_exits_2_with_empty_stdout(self, capsys, workload_file):
         payload = {"pairs": [[1, 0], [0, 1], [1, 1]], "threshold": 0, "k": 3,

@@ -101,6 +101,14 @@ class TestNoiseSpec:
             NoiseSpec(NoiseKind.DLAP, scales)
         assert NoiseSpec(NoiseKind.LAPLACE, scales).scales == scales
 
+    def test_scales_are_a_read_only_copy(self):
+        scales = {"threshold": 1.0, "query": 2.0}
+        spec = NoiseSpec(NoiseKind.LAPLACE, scales)
+        scales["query"] = 99.0
+        assert spec.scales["query"] == 2.0
+        with pytest.raises(TypeError):
+            spec.scales["query"] = 99.0
+
     def test_kind_given_by_value_is_the_member(self):
         """A spec stores its kind as the member, which draw_tape's identity
         tests need: "laplace" given as a string draws Laplace noise."""

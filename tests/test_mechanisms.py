@@ -12,6 +12,7 @@ from gapsvt import (
     DomainError,
     GapSvtError,
     LayoutMismatch,
+    MECHANISMS,
     NoiseKind,
     NoiseTape,
     NonPositiveBudget,
@@ -23,6 +24,7 @@ from gapsvt import (
     Workload,
     budget_split_adaptive,
     budget_split_svt,
+    default_budget,
     run_mechanism,
     sample_run,
     svt_classic_run,
@@ -102,6 +104,21 @@ class TestBudgetSplits:
         for _ in range(2):
             with pytest.raises(DomainError, match="noise role 'threshold'"):
                 tiny.noise_spec()
+
+    @pytest.mark.parametrize("mechanism", MECHANISMS)
+    def test_shared_budgets_are_read_only(self, mechanism):
+        """Budgets are cached process-wide: a write to one caller's pieces,
+        weights or noise scales must not reach the next caller."""
+        w = Workload.from_values([(1, 0)], 0, 1, 1.0, sigma=2)
+        before = default_budget(mechanism, w)
+        fresh = {kind: dict(before.noise_spec(kind).scales) for kind in NoiseKind}
+        pieces, weights = dict(before.pieces), dict(before.weights)
+        for view in (before.pieces, before.weights, before.noise_spec(NoiseKind.DLAP).scales):
+            with pytest.raises(TypeError):
+                view["threshold"] = 99.0
+        after = default_budget(mechanism, w)
+        assert (dict(after.pieces), dict(after.weights)) == (pieces, weights)
+        assert {kind: dict(after.noise_spec(kind).scales) for kind in NoiseKind} == fresh
 
 
 class TestSvtGapRun:

@@ -238,14 +238,14 @@ class TestTrialSuites:
     @pytest.mark.parametrize("mutation", [None, Mutation.THRESHOLD_SHIFT])
     def test_structural_alone_matches_combined_run(self, mechanism, mutation, monkeypatch):
         # with a mutation, align and cost fail early and stop, so the combined
-        # run's later structural trials make their own forward run
+        # run's later structural trials run without them
         plan = TrialPlan(mechanism, trials=300, master_seed=23, mutation=mutation)
         structural_trial = verifier._structural_trial
 
-        def checked(report, plan, idx, rng, w, kind, budget, spec, tape, forward=None):
-            # a run handed over by the align/cost loop is the run on (w, tape, D)
-            assert forward is None or forward == run_mechanism(mechanism, w, tape, Side.D, budget)
-            return structural_trial(report, plan, idx, rng, w, kind, budget, spec, tape, forward)
+        def checked(mechanism, rng, w, budget, spec, tape, forward):
+            # the run handed over by the trial loop is the run on (w, tape, D)
+            assert forward == run_mechanism(mechanism, w, tape, Side.D, budget)
+            return structural_trial(mechanism, rng, w, budget, spec, tape, forward)
 
         monkeypatch.setattr(verifier, "_structural_trial", checked)
         combined = run_trial_suites(plan)["structural"]
@@ -294,7 +294,7 @@ class TestTrialSuites:
     @pytest.mark.parametrize("kind", ["structural", "dp-mc"])
     def test_witness_kinds_without_replay_raise(self, kind):
         w = default_enumeration_instances(SVT_GAP)[0].to_json_dict()
-        witness = Witness(kind, 0, SVT_GAP, "dlap", "forward", w, None, None, None, "")
+        witness = Witness(kind=kind, mechanism=SVT_GAP, noise="dlap", workload=w, detail="")
         with pytest.raises(DomainError):
             replay_witness(witness)
 
@@ -898,6 +898,32 @@ class TestDpExact:
         assert replay_witness(report.witness)
         monkeypatch.undo()
         assert not replay_witness(report.witness)
+
+    @pytest.mark.parametrize("mechanism", MECHANISMS)
+    def test_2x_drill_fails_a_curated_instance(self, mechanism, monkeypatch):
+        """Noise scaled for 2 epsilon, while the guard, the stop rule and the
+        cost stay at epsilon, must fail at least one curated instance, and
+        its witness must replay under the same drill."""
+
+        class UnderNoised:
+            def __init__(self, budget, noisy):
+                self.budget, self.noisy = budget, noisy
+
+            def __getattr__(self, name):
+                return getattr(self.budget, name)
+
+            def noise_spec(self, kind=NoiseKind.LAPLACE):
+                return self.noisy.noise_spec(kind)
+
+        def drill(mechanism, w):
+            doubled = dataclasses.replace(w, epsilon=2 * w.epsilon)
+            return UnderNoised(mechanisms.default_budget(mechanism, w), mechanisms.default_budget(mechanism, doubled))
+
+        monkeypatch.setattr(verifier, "default_budget", drill)
+        reports = [check_dp_exact(mechanism, w)[0] for w in default_enumeration_instances(mechanism)]
+        failed = [r for r in reports if not r.passed]
+        assert failed and failed[0].witness.kind == "dp-exact"
+        assert replay_witness(failed[0].witness)
 
 
 _HASH_SEED_PROBE = """
