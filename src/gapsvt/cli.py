@@ -166,7 +166,7 @@ def _parse_mutation(name: str | None) -> Mutation | None:
     try:
         return Mutation(name)
     except ValueError:
-        raise GapSvtError(
+        raise DomainError(
             f"unknown mutation {name!r}; expected one of "
             f"{', '.join(m.value for m in Mutation)}"
         )
@@ -226,7 +226,7 @@ def _default_seed() -> int:
     try:
         return _seed(os.environ.get("GAPSVT_SEED", "0"))
     except argparse.ArgumentTypeError as e:
-        raise GapSvtError(f"GAPSVT_SEED {e}")
+        raise DomainError(f"GAPSVT_SEED {e}")
 
 
 def _positive_int(text: str) -> int:

@@ -1,17 +1,17 @@
 """Array evaluation of the mechanisms over many tapes at once.
 
 The Monte Carlo cross-checks run millions of tapes, and the exact oracle
-runs every draw of one query's grid per threshold draw, which rules out a
-per-tape Python run.  One kernel, ``run_status_gaps``, replays all three
-mechanisms column-by-column over tape arrays, one array of draws per query
-role, using the very same arithmetic expressions and comparison directions
-as the per-tape runs.  The run state after each answer, and where the run
-stops, come from ``run_state_table``, which the exact oracle reads too;
-the adaptive guard in it is evaluated from the exact rational budget.  The
-kernel's agreement with the per-tape implementations is asserted by
-dedicated equivalence tests (exhaustively on small boxes, sampled on large
-ones), so distribution-level results always rest on the step-by-step
-mechanisms, not on this file alone.
+runs every difference of one query's draws and the threshold draw, which
+rules out a per-tape Python run.  One kernel, ``run_status_gaps``, replays
+all three mechanisms column-by-column over tape arrays, one array of draws
+per query role, using the very same arithmetic expressions and comparison
+directions as the per-tape runs.  The run state after each answer, and
+where the run stops, come from ``run_state_table``, which the exact oracle
+reads too; the adaptive guard in it is evaluated from the exact rational
+budget.  The kernel's agreement with the per-tape implementations is
+asserted by dedicated equivalence tests (exhaustively on small boxes,
+sampled on large ones), so distribution-level results always rest on the
+step-by-step mechanisms, not on this file alone.
 
 Per-tape answers are encoded positionally: 0 = not emitted (run had ended),
 1 = below threshold, and for positive answers ``branch_code + 4 * gap``

@@ -579,8 +579,9 @@ def enumerate_output_dist(
     weighted by their product pmf and their masses summed per canonical
     output; the mass outside the box is ``truncation_loss``.  The default ``method='per-query'`` conditions on
     the threshold draw, under which every answer depends on its own query's
-    draws alone: the array kernels run one query at a time over that query's
-    grid, and outputs are built one position at a time (see
+    draws alone, through their differences with that draw: the array kernel
+    runs once per query over those differences, and outputs are built one
+    position at a time from each query's decoded answers (see
     ``_enumerate_per_query``), and raises ``GridBudgetExceeded`` when a step
     passes ``ENUM_CELL_CAP`` cells, whatever the box size.  ``method='per-tape'``
     runs the per-tape mechanism on every point of a box of at most 2,000,000
@@ -634,33 +635,43 @@ def _enumerate_per_query(mechanism, w, side, budget, axes) -> dict:
     """P(omega) = sum_e p(e) * prod_i P_i(omega_i | e) * (in-box mass of the
     draws of every query after the run stopped), e the threshold draw.
 
-    ``P_i(. | e)`` comes from the array kernel run on query ``i`` alone with
-    the scalar threshold draw ``e``, over that query's own grid (the second
-    adaptive draw is summed over its box whether or not the run reads it).
-    Output prefixes grow one position at a time as code rows with their
-    mass per threshold draw; a prefix leaves by the kernel's own stop rule
-    (the ``stop`` table of ``run_state_table``), and the last position
-    is contracted over ``e`` by one matrix product.  Outputs of mass 0 are
-    impossible ones and are dropped.
+    ``P_i(. | e)`` comes from one array-kernel run on query ``i`` alone.  The
+    kernel reads a query draw x only through ``q + x - (T + e)``, so an
+    answer's code is a function of the difference ``x - e`` alone, exactly
+    so on integers: the kernel runs once, at threshold draw 0, over each
+    role's difference axis (``len(axis) + len(threshold) - 1`` points), and
+    the codes given ``e`` are the window of that grid at offset ``bound -
+    e``, ``bound`` the threshold axis's (the second adaptive draw is summed
+    over its box whether or not the run reads it).  Output prefixes grow
+    one position at a time as key tuples with their mass per threshold
+    draw, each answer decoded once per query; a prefix leaves by the
+    kernel's own stop rule (the ``stop`` table of ``run_state_table``), and
+    the last position is contracted over ``e`` by one matrix product.
+    Outputs of mass 0 are impossible ones and are dropped.
 
     Each step's table has one column per threshold draw and one row per
-    point of a query's grid (the kernel), per code from a query's least to
-    its largest (its answers' masses) or per (live prefix, answer) pair (a
-    position); a row counts at least ``KEY_CELLS`` cells.  A table past
-    ``ENUM_CELL_CAP`` cells raises ``GridBudgetExceeded``, a position's
-    before it is built."""
+    point of a query's grid, per code from a query's least to its largest
+    (its answers' masses) or per (live prefix, answer) pair (a position);
+    the difference grid has one row per point and one column.  A row counts
+    at least ``KEY_CELLS`` cells.  A table past ``ENUM_CELL_CAP`` cells
+    raises ``GridBudgetExceeded``, the difference grid and a position's
+    before they are built."""
     n = len(w)
     threshold = axes[0]
+    draws = len(threshold.values)
 
-    def charge(rows):
-        cells = rows * max(len(threshold.values), KEY_CELLS)
+    def charge(rows, cols=draws):
+        cells = rows * max(cols, KEY_CELLS)
         if cells > ENUM_CELL_CAP:
             raise GridBudgetExceeded(cells, ENUM_CELL_CAP, hint="fewer queries or a larger epsilon need fewer")
 
-    # the kernel's table: one row per point of a query's grid, charged before the grid is built
     query_axes = axes[1 : 1 + len(budget.layout.query_roles)]
-    charge(math.prod(len(ax.values) for ax in query_axes))
-    per_query = tuple(g.reshape(-1, 1) for g in np.meshgrid(*(ax.values for ax in query_axes), indexing="ij"))
+    sizes = [len(ax.values) for ax in query_axes]
+    charge(math.prod(sizes))  # the query grid, as a table per threshold draw
+    # each role's difference axis, x - e over the box: one column, charged before it is built
+    diff = [np.arange(ax.values[0] - threshold.values[-1], ax.values[-1] - threshold.values[0] + 1) for ax in query_axes]
+    charge(math.prod(map(len, diff)), 1)
+    per_query = tuple(g.reshape(-1, 1) for g in np.meshgrid(*diff, indexing="ij"))
     query_pmf = reduce(np.multiply.outer, [ax.pmf for ax in query_axes]).ravel()
     query_inbox = math.prod(1.0 - ax.tail for ax in query_axes)
     step, stop, _ = run_state_table(mechanism, w, budget)
@@ -669,47 +680,49 @@ def _enumerate_per_query(mechanism, w, side, budget, axes) -> dict:
         """The codes query ``i`` can answer, and each code's mass over the
         query's in-box draws given each threshold draw: (codes, draws)."""
         wi = Workload(w.d[i : i + 1], w.dprime[i : i + 1], w.threshold, w.k, w.epsilon, w.sigma)
-        # one kernel call per threshold draw keeps its arrays at one query grid;
-        # each draw's masses are counted from its least code
+        status, gaps = run_status_gaps(mechanism, wi, side, budget, 0, per_query)
+        grid = encode_int_rows(mechanism, status, gaps).reshape([len(d) for d in diff])
+        # each draw's masses are counted from its least code, in the order of the query grid
         cols = []
         lo, top = math.inf, -math.inf  # the least code, and one past the largest
-        for e in threshold.values:
-            status, gaps = run_status_gaps(mechanism, wi, side, budget, e, per_query)
-            codes = encode_int_rows(mechanism, status, gaps)[:, 0]
+        for j in range(draws):
+            off = draws - 1 - j  # under draw values[j], x = values[0] sits at index off of each difference axis
+            codes = grid[tuple(slice(off, off + size) for size in sizes)].ravel()
             least = int(codes.min())
             col = np.bincount(codes - least, weights=query_pmf)
             cols.append((least, col))
             lo, top = min(lo, least), max(top, least + len(col))
-            charge(top - lo)  # one row per code from the least to the largest
+        charge(top - lo)  # one row per code from the least to the largest
         cond = np.zeros((top - lo, len(cols)))
         for j, (least, col) in enumerate(cols):
             cond[least - lo : least - lo + len(col), j] = col
         hit = np.flatnonzero(cond.any(axis=1))
         return hit + lo, cond[hit]
 
-    # live output prefixes: code rows, mass per threshold draw, run state
-    rows = np.zeros((1, 0), dtype=np.int64)
-    mass = np.ones((1, len(threshold.values)))
+    # live output prefixes: keys, mass per threshold draw, run state
+    keys = [()]
+    mass = np.ones((1, draws))
     state = np.zeros(1, dtype=np.int64)
-    done = []  # (code rows, masses) of finished outputs
+    done = []  # (keys, masses) of finished outputs
     for i in range(n):
         codes, cond = conditionals(i)
-        charge(len(rows) * len(codes))
-        rows = np.column_stack((np.repeat(rows, len(codes), axis=0), np.tile(codes, len(rows))))
+        charge(len(keys) * len(codes))
+        answers = [decode_row(mechanism, [c]) for c in codes.tolist()]
+        keys = [p + a for p in keys for a in answers]  # prefix-major, as the mass rows below
         if i == n - 1:
-            done.append((rows, ((mass * threshold.pmf) @ cond.T).ravel()))
+            done.append((keys, ((mass * threshold.pmf) @ cond.T).ravel()))
             break
-        mass = (mass[:, None, :] * cond[None, :, :]).reshape(len(rows), -1)
+        mass = (mass[:, None, :] * cond[None, :, :]).reshape(len(keys), -1)
         state = np.repeat(state, len(codes)) + np.tile(step[codes & 3], len(state))
-        ended = stop[state]
-        done.append((rows[ended], (mass[ended] @ threshold.pmf) * query_inbox ** (n - 1 - i)))
-        live = ~ended & mass.any(axis=1)
-        rows, mass, state = rows[live], mass[live], state[live]
+        stopped = stop[state]
+        ended = np.flatnonzero(stopped)
+        done.append(([keys[j] for j in ended.tolist()], (mass[ended] @ threshold.pmf) * query_inbox ** (n - 1 - i)))
+        live = np.flatnonzero(~stopped & mass.any(axis=1))
+        keys, mass, state = [keys[j] for j in live.tolist()], mass[live], state[live]
     masses = {}
-    for out_rows, out_mass in done:
+    for out_keys, out_mass in done:
         hit = out_mass > 0.0
-        keys = map(decode_row, itertools.repeat(mechanism), out_rows[hit].tolist())
-        masses.update(zip(keys, out_mass[hit].tolist()))
+        masses.update(zip(itertools.compress(out_keys, hit.tolist()), out_mass[hit].tolist()))
     return masses
 
 

@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from gapsvt import cli
 from gapsvt.cli import build_parser, load_workload_dict, main
 from gapsvt.core import NoiseKind, Side, Workload
 from gapsvt.errors import DomainError, GapSvtError
@@ -412,6 +413,17 @@ class TestInputGate:
         assert run_cli(capsys, argv + ["--seed", "3"])[0] == 0
         assert run_cli(capsys, ["budget", "--epsilon", "1", "--k", "1", "--mechanism", "svt"])[0] == 0
 
+    @pytest.mark.parametrize("value", ["abc", "-3"])
+    def test_bad_env_seed_is_a_domain_error(self, capsys, monkeypatch, value):
+        """A rejected ``GAPSVT_SEED`` raises ``DomainError``, like every
+        rejected input, and the CLI exits 2 with its message."""
+        monkeypatch.setenv("GAPSVT_SEED", value)
+        with pytest.raises(DomainError, match=f"GAPSVT_SEED must be a non-negative integer, got '{value}'"):
+            cli._default_seed()
+        code, out, err = run_cli(capsys, ["verify", "--suite", "align", "--mechanism", "svt", "--trials", "10"])
+        assert code == 2
+        assert out == "" and f"GAPSVT_SEED must be a non-negative integer, got '{value}'" in err
+
     @pytest.mark.parametrize("source", ["--seed", "GAPSVT_SEED"])
     def test_negative_seed_exits_2_naming_its_source(self, capsys, workload_file, monkeypatch, source):
         argv = ["run", "--mechanism", "svt-gap", "--workload", workload_file(GOLDEN)]
@@ -584,6 +596,11 @@ class TestVerifyCommand:
         )
         assert code == 2
         assert "flip-everything" in err
+
+    def test_unknown_mutation_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="unknown mutation 'flip-everything'; expected one of threshold-shift"):
+            cli._parse_mutation("flip-everything")
+        assert cli._parse_mutation(None) is None
 
     def test_dp_exact_on_workload_file(self, capsys, workload_file):
         payload = {"pairs": [[1, 0]], "threshold": 0, "k": 1, "epsilon": 1.0, "noise": "dlap"}

@@ -422,6 +422,10 @@ class TestEnumeration:
             # the guard stops the run after two positives unless both took the
             # first branch, with the third query unread
             (ADAPTIVE_GAP, Workload.from_values([(1, 0), (0, 1), (1, 1)], 0, 2, 8.0, sigma=1), 1, Side.D),
+            # default boxes of unequal bounds on the paired layout, [7, 28, 14]:
+            # each threshold draw reads its own window of the difference grids
+            (ADAPTIVE_GAP, Workload.from_values([(1, 0)], 0, 1, 8.0, sigma=1), None, Side.D),
+            (ADAPTIVE_GAP, Workload.from_values([(1, 0)], 0, 1, 8.0, sigma=1), None, Side.DPRIME),
         ],
     )
     def test_per_query_equals_per_tape(self, mechanism, w, box, side):
@@ -430,6 +434,32 @@ class TestEnumeration:
         assert set(a.masses) == set(b.masses)
         for key in a.masses:
             assert a.masses[key] == pytest.approx(b.masses[key], rel=1e-13, abs=0)
+
+    def test_oracle_work_is_per_query_not_per_threshold_draw(self, monkeypatch):
+        """svt-gap curated #6 has 57 threshold draws and about 19,700 outputs
+        a side.  The oracle runs the kernel once per query, over the
+        difference grid, and decodes each query's answers once, not each
+        output's row."""
+        w = default_enumeration_instances(SVT_GAP)[6]
+        calls = Counter()
+        for name in ("run_status_gaps", "decode_row"):
+            real = getattr(verifier, name)
+
+            def spy(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(verifier, name, spy)
+        for side in Side:
+            calls.clear()
+            dist = enumerate_output_dist(SVT_GAP, w, side)
+            answers = [set(), set()]  # the distinct answers at each position
+            for key in dist.masses:
+                for position, answer in enumerate(key):
+                    answers[position].add(answer)
+            assert calls["run_status_gaps"] == len(w) == 2
+            assert 0 < calls["decode_row"] <= sum(map(len, answers)) < len(dist.masses) // 50
+            assert len(dist.masses) > 19_000
 
     def test_repeated_calls_are_bit_identical(self):
         w = default_enumeration_instances(ADAPTIVE_GAP)[5]
