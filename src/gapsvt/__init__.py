@@ -14,7 +14,6 @@ from .errors import (
     TapeExhausted,
 )
 from .core import (
-    BOT,
     Branch,
     NoiseKind,
     NoiseSpec,
@@ -23,14 +22,6 @@ from .core import (
     Side,
     TapeLayout,
     Workload,
-    check_workload,
-    discrete_laplace_box,
-    discrete_laplace_pmf,
-    discrete_laplace_tail,
-    draw_tape,
-    laplace_inverse_cdf,
-    top_gap,
-    top_marker,
 )
 from .mechanisms import (
     ADAPTIVE_GAP,
@@ -64,7 +55,6 @@ from .verifier import (
     check_dp_exact,
     default_enumeration_instances,
     enumerate_output_dist,
-    generate_workload,
     max_privacy_loss,
     mc_output_dist,
     mc_privacy_estimate,

@@ -37,11 +37,6 @@ class IndexSets:
     top_first: frozenset  # plain SVT positives and adaptive first-branch ones
     top_second: frozenset  # adaptive second-branch positives
 
-    def __post_init__(self):
-        overlap = self.top_first & self.top_second
-        if overlap:
-            raise ValueError(f"branch index sets overlap at {sorted(overlap)}")
-
 
 def index_sets(omega: OutputSequence) -> IndexSets:
     first, second = [], []

@@ -443,28 +443,15 @@ def _finite_number(x) -> bool:
 # Noise primitives
 
 
-def laplace_inverse_cdf(u: float, scale: float) -> float:
-    """Quantile function of the zero-centred Laplace(scale) distribution.
-
-    Equals -scale * sign(u - 1/2) * ln(1 - 2|u - 1/2|); evaluated branch-wise
-    so both tails stay finite for every representable u in (0, 1).
-    """
-    if not scale > 0:
-        raise DomainError(f"scale must be positive, got {scale}")
-    if not 0.0 < u < 1.0:
-        raise DomainError(f"u must lie strictly inside (0, 1), got {u}")
-    if u < 0.5:
-        return scale * math.log(2.0 * u)
-    return -scale * math.log(2.0 * (1.0 - u)) + 0.0
-
-
 def _laplace_from_uniform(u: np.ndarray, scale: float) -> np.ndarray:
-    # vector twin of laplace_inverse_cdf for u strictly inside (0, 1)
+    """Laplace(scale) quantile of each u strictly inside (0, 1), evaluated
+    branch-wise so both tails stay finite."""
     return np.where(u < 0.5, scale * np.log(2.0 * u), -scale * np.log(2.0 * (1.0 - u)))
 
 
-def discrete_laplace_pmf(x: int, scale: float) -> float:
-    """P[X = x] for the integer Laplace with decay exp(-1/scale).
+def discrete_laplace_pmf(x: np.ndarray, scale: float) -> np.ndarray:
+    """P[X = x] for each integer x under the integer Laplace with decay
+    exp(-1/scale).
 
     Mass (1-a)/(1+a) * a^|x| with a = exp(-1/scale); symmetric and sums to 1
     over the integers.
@@ -472,7 +459,7 @@ def discrete_laplace_pmf(x: int, scale: float) -> float:
     if not scale > 0:
         raise DomainError(f"scale must be positive, got {scale}")
     alpha = math.exp(-1.0 / scale)
-    return (1.0 - alpha) / (1.0 + alpha) * alpha ** abs(int(x))
+    return (1.0 - alpha) / (1.0 + alpha) * alpha ** np.abs(x)
 
 
 def discrete_laplace_tail(bound: int, scale: float) -> float:

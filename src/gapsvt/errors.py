@@ -52,7 +52,3 @@ class GridBudgetExceeded(GapSvtError):
 
 class DomainMismatch(GapSvtError):
     """Two output distributions do not live on comparable output spaces."""
-
-
-class BudgetInvariantViolation(GapSvtError):
-    """Internal consistency check on the cost ledger failed; indicates a bug."""

@@ -276,7 +276,7 @@ def _column_keys(mechanism: str, status: np.ndarray, gaps, gap_ndigits: int | No
     if mechanism == SVT_CLASSIC:
         cols = [["top" if s >= STATUS_TOP else "bot" for s in sc] for sc in status_cols]
     else:
-        names = (None, None, "plain" if mechanism == SVT_GAP else "first", "second")
+        names = _TOP_NAMES[mechanism]
         cols = [
             [(names[s], g) if s >= STATUS_TOP else "bot" for s, g in zip(sc, gc)]
             for sc, gc in zip(status_cols, _gap_columns(status, gaps, gap_ndigits))

@@ -50,6 +50,7 @@ from .core import (
     _finite,
     check_workload,
     discrete_laplace_box,
+    discrete_laplace_pmf,
     discrete_laplace_tail,
     draw_tape,
 )
@@ -552,9 +553,7 @@ class _Axis:
 def _make_axis(scale: float, box: int | None) -> _Axis:
     bound = box if box is not None else discrete_laplace_box(scale, PER_DRAW_TAIL)
     values = np.arange(-bound, bound + 1, dtype=np.int64)
-    alpha = math.exp(-1.0 / scale)
-    pmf = (1.0 - alpha) / (1.0 + alpha) * alpha ** np.abs(values)
-    return _Axis(bound, values, pmf, discrete_laplace_tail(bound, scale))
+    return _Axis(bound, values, discrete_laplace_pmf(values, scale), discrete_laplace_tail(bound, scale))
 
 
 def _enum_axes(w: Workload, spec: NoiseSpec, box: int | None):
@@ -580,8 +579,8 @@ def enumerate_output_dist(
     output; the mass outside the box is ``truncation_loss``.  The default ``method='per-query'`` conditions on
     the threshold draw, under which every answer depends on its own query's
     draws alone, through their differences with that draw: the array kernel
-    runs once per query over those differences, and outputs are built one
-    position at a time from each query's decoded answers (see
+    runs once per distinct query value over those differences, and outputs
+    are built one position at a time from each query's decoded answers (see
     ``_enumerate_per_query``), and raises ``GridBudgetExceeded`` when a step
     passes ``ENUM_CELL_CAP`` cells, whatever the box size.  ``method='per-tape'``
     runs the per-tape mechanism on every point of a box of at most 2,000,000
@@ -635,14 +634,15 @@ def _enumerate_per_query(mechanism, w, side, budget, axes) -> dict:
     """P(omega) = sum_e p(e) * prod_i P_i(omega_i | e) * (in-box mass of the
     draws of every query after the run stopped), e the threshold draw.
 
-    ``P_i(. | e)`` comes from one array-kernel run on query ``i`` alone.  The
-    kernel reads a query draw x only through ``q + x - (T + e)``, so an
-    answer's code is a function of the difference ``x - e`` alone, exactly
-    so on integers: the kernel runs once, at threshold draw 0, over each
-    role's difference axis (``len(axis) + len(threshold) - 1`` points), and
-    the codes given ``e`` are the window of that grid at offset ``bound -
-    e``, ``bound`` the threshold axis's (the second adaptive draw is summed
-    over its box whether or not the run reads it).  Output prefixes grow
+    ``P_i(. | e)`` comes from one array-kernel run on query ``i`` alone,
+    shared by every query of the same value.  The kernel reads a query draw
+    x only through ``q + x - (T + e)``, so an answer's code is a function
+    of the difference ``x - e`` alone, exactly so on integers: the kernel
+    runs once, at threshold draw 0, over each role's difference axis
+    (``len(axis) + len(threshold) - 1`` points), and the codes given ``e``
+    are the window of that grid at offset ``bound - e``, ``bound`` the
+    threshold axis's (the second adaptive draw is summed over its box
+    whether or not the run reads it).  Output prefixes grow
     one position at a time as key tuples with their mass per threshold
     draw, each answer decoded once per query; a prefix leaves by the
     kernel's own stop rule (the ``stop`` table of ``run_state_table``), and
@@ -676,11 +676,11 @@ def _enumerate_per_query(mechanism, w, side, budget, axes) -> dict:
     query_inbox = math.prod(1.0 - ax.tail for ax in query_axes)
     step, stop, _ = run_state_table(mechanism, w, budget)
 
-    def conditionals(i):
-        """The codes query ``i`` can answer, and each code's mass over the
-        query's in-box draws given each threshold draw: (codes, draws)."""
-        wi = Workload(w.d[i : i + 1], w.dprime[i : i + 1], w.threshold, w.k, w.epsilon, w.sigma)
-        status, gaps = run_status_gaps(mechanism, wi, side, budget, 0, per_query)
+    def conditionals(q):
+        """The codes a query of value ``q`` can answer, and each code's mass
+        over its in-box draws given each threshold draw: (codes, draws)."""
+        wq = Workload((q,), (q,), w.threshold, w.k, w.epsilon, w.sigma)
+        status, gaps = run_status_gaps(mechanism, wq, Side.D, budget, 0, per_query)
         grid = encode_int_rows(mechanism, status, gaps).reshape([len(d) for d in diff])
         # each draw's masses are counted from its least code, in the order of the query grid
         cols = []
@@ -704,8 +704,11 @@ def _enumerate_per_query(mechanism, w, side, budget, axes) -> dict:
     mass = np.ones((1, draws))
     state = np.zeros(1, dtype=np.int64)
     done = []  # (keys, masses) of finished outputs
-    for i in range(n):
-        codes, cond = conditionals(i)
+    tables = {}  # a query's table depends on its value alone
+    for i, q in enumerate(w.values(side)):
+        if q not in tables:
+            tables[q] = conditionals(q)
+        codes, cond = tables[q]
         charge(len(keys) * len(codes))
         answers = [decode_row(mechanism, [c]) for c in codes.tolist()]
         keys = [p + a for p in keys for a in answers]  # prefix-major, as the mass rows below
@@ -936,8 +939,6 @@ def check_dp_exact(mechanism: str, w: Workload) -> tuple[PrivacyReport, PrivacyL
 
 
 def _wilson_bounds(count: int, n: int, z: float) -> tuple[float, float]:
-    if n <= 0:
-        return 0.0, 1.0
     phat = count / n
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom

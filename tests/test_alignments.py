@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from gapsvt import (
     ADAPTIVE_GAP,
-    BOT,
     Branch,
     LayoutMismatch,
     NoiseTape,
@@ -21,9 +20,9 @@ from gapsvt import (
     run_mechanism,
     shift_for_output,
     svt_gap_run,
-    top_gap,
 )
 from gapsvt.alignments import Mutation
+from gapsvt.core import BOT, top_gap
 
 
 def zero_paired(n):

@@ -16,6 +16,7 @@ import pytest
 
 import gapsvt
 from gapsvt import verifier
+from gapsvt.verifier import generate_workload
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -214,7 +215,7 @@ def test_trial_loop_runs_per_tape_through_the_traced_names(monkeypatch, mechanis
     for i, (state, generated, tape) in enumerate(trials):
         rng = verifier.trial_rng(plan.master_seed, i)
         assert rng.bit_generator.state == state
-        again = gapsvt.generate_workload(plan, rng)
+        again = generate_workload(plan, rng)
         assert again == generated
         spec = verifier.default_budget(mechanism, again[0]).noise_spec(again[1])
         assert gapsvt.core.draw_tape(spec, len(again[0]), rng) == tape

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from gapsvt import (
     ADAPTIVE_GAP,
-    BOT,
     AdaptiveBudget,
     Branch,
     DomainError,
@@ -29,9 +28,8 @@ from gapsvt import (
     sample_run,
     svt_classic_run,
     svt_gap_run,
-    top_gap,
-    top_marker,
 )
+from gapsvt.core import BOT, top_gap, top_marker
 from gapsvt.verifier import WorkloadGenSpec
 
 

@@ -39,7 +39,6 @@ from gapsvt import (
     default_budget,
     default_enumeration_instances,
     enumerate_output_dist,
-    generate_workload,
     max_privacy_loss,
     mc_output_dist,
     mc_privacy_estimate,
@@ -51,7 +50,7 @@ from gapsvt import (
 import gapsvt
 from gapsvt import mechanisms, vectorized, verifier
 from gapsvt.core import Branch, top_gap
-from gapsvt.verifier import trial_rng
+from gapsvt.verifier import generate_workload, trial_rng
 
 
 class TestWorkloadGeneration:
@@ -954,6 +953,26 @@ class TestDpExact:
         failed = [r for r in reports if not r.passed]
         assert failed and failed[0].witness.kind == "dp-exact"
         assert replay_witness(failed[0].witness)
+
+    @pytest.mark.parametrize("mechanism", [SVT_GAP, SVT_CLASSIC])
+    def test_no_query_noise_variant_fails(self, mechanism, monkeypatch):
+        """Lyu, Su & Li's (PVLDB 2017) broken variant that adds no noise to
+        the queries, gap = q - (T + e), fails dp-exact through the per-tape
+        oracle, while the real mechanism passes on the same workload."""
+        w = Workload.from_values([(1, 0), (0, 1)], 0, 1, 8.0)
+        monkeypatch.setattr(
+            verifier, "enumerate_output_dist", lambda m, w, side: enumerate_output_dist(m, w, side, method="per-tape")
+        )
+        real, _ = check_dp_exact(mechanism, w)
+        assert real.passed, real.to_json_dict()
+
+        def no_query_noise(mechanism, w, tape, side, budget):
+            return run_mechanism(mechanism, w, NoiseTape(tape.threshold_noise, (0,) * len(w)), side, budget)
+
+        monkeypatch.setattr(verifier, "run_mechanism", no_query_noise)
+        broken, loss = check_dp_exact(mechanism, w)
+        assert broken.verdict == "fail" and broken.witness.kind == "dp-exact"
+        assert loss.certified_max > w.epsilon and loss.material_one_sided()
 
 
 _HASH_SEED_PROBE = """
