@@ -58,6 +58,16 @@ class TestIndexSets:
         sets = index_sets(OutputSequence((BOT, BOT)))
         assert sets.top_first == frozenset() and sets.top_second == frozenset()
 
+    @given(st.lists(st.sampled_from([None, Branch.FIRST, Branch.SECOND]), max_size=12))
+    def test_branch_sets_partition_the_positives(self, branches):
+        from gapsvt import OutputSequence
+
+        answers = tuple(BOT if b is None else top_gap(1.5, b) for b in branches)
+        sets = index_sets(OutputSequence(answers))
+        assert not sets.top_first & sets.top_second
+        assert sets.top_first | sets.top_second == {i for i, b in enumerate(branches) if b is not None}
+        assert sets.top_second == {i for i, b in enumerate(branches) if b is Branch.SECOND}
+
 
 class TestAlignSvtGap:
     def test_worked_example_reproduces_output(self):

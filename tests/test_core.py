@@ -282,6 +282,19 @@ class TestLaplaceFromUniform:
         lo, hi = min(u1, u2), max(u1, u2)
         assert self.quantile(lo, scale) < self.quantile(hi, scale)
 
+    def test_tails_stay_finite(self):
+        u = np.array([5e-324, 1e-300, 2.0**-53, 1.0 - 2.0**-53])
+        x = _laplace_from_uniform(u, 1.0)
+        assert np.isfinite(x).all()
+        assert (x[:3] < 0).all() and x[3] > 0
+        assert x[2] == -x[3]  # 2^-53 and 1 - 2^-53 are both exact
+
+    def test_per_value_scales(self):
+        u = np.array([0.1, 0.5, 0.75, 0.9])
+        scales = np.array([0.5, 1.0, 2.0, 4.0])
+        got = _laplace_from_uniform(u, scales)
+        assert got.tolist() == [self.quantile(ui, s) for ui, s in zip(u.tolist(), scales.tolist())]
+
 
 class TestDiscreteLaplacePmf:
     def test_value_at_zero(self):
@@ -306,6 +319,18 @@ class TestDiscreteLaplacePmf:
         bound = 10
         brute = sum(discrete_laplace_pmf(x, scale) for x in range(bound + 1, bound + 400))
         assert discrete_laplace_tail(bound, scale) == pytest.approx(2 * brute, rel=1e-9)
+
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 3.0, 8.0])
+    def test_enumeration_axis_masses(self, scale):
+        """The exact oracle's axis reads its masses from this pmf, with the
+        same float expression it used inline, so they stay bit for bit."""
+        from gapsvt.verifier import _make_axis
+
+        axis = _make_axis(scale, 12)
+        alpha = math.exp(-1.0 / scale)
+        assert axis.values.tolist() == list(range(-12, 13))
+        assert axis.pmf.tolist() == ((1.0 - alpha) / (1.0 + alpha) * alpha ** np.abs(axis.values)).tolist()
+        assert axis.tail == discrete_laplace_tail(12, scale)
 
     @pytest.mark.parametrize("scale,tol", [(0.5, 1e-12), (2.0, 1e-12), (8.0, 1e-9)])
     def test_box_sizing_is_minimal(self, scale, tol):

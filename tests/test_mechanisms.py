@@ -277,6 +277,27 @@ class TestAdaptiveGuard:
         assert len(out) == expected
         assert ledger.running_cost == budget.epsilon0 + expected * charge
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        budget=st.sampled_from(_guard_budgets()),
+        values=st.lists(st.integers(-4, 10), min_size=1, max_size=12),
+        draws=st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=12, max_size=12),
+        threshold_noise=st.integers(-6, 6),
+        sigma=st.integers(1, 3),
+    )
+    def test_every_query_is_reached_within_the_guard(self, budget, values, draws, threshold_noise, sigma):
+        """No query is processed once the running cost passes the guard, and
+        a run never ends above epsilon, whichever branches its answers take."""
+        n = len(values)
+        w = Workload.from_values([(v, v) for v in values], 4, 1, float(budget.epsilon), sigma=sigma)
+        out, ledger = adaptive_run(w, budget, NoiseTape(threshold_noise, tuple(draws[:n]), TapeLayout.PAIRED))
+        branches = [a.branch for a in out.answers if a is not BOT]
+        for i in range(len(out)):
+            before = [e for e in ledger.events if e.index < i]
+            assert ledger.cost_at(len(before)) <= budget.guard_limit, i
+        assert len(branches) == len(ledger.events)
+        assert ledger.running_cost == ledger.cost_at(len(ledger.events)) <= budget.epsilon
+
 
 class TestRunMechanism:
     def test_consumed_counts(self):
