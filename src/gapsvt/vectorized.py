@@ -1,8 +1,8 @@
 """Array evaluation of the mechanisms over many tapes at once.
 
 The Monte Carlo cross-checks run millions of tapes, and the exact oracle
-runs every difference of one query's draws and the threshold draw, which
-rules out a per-tape Python run.  One kernel, ``run_status_gaps``, replays
+runs every margin ``q + x - (T + e)`` that a group of nearby query values
+can take over the noise box, which rules out a per-tape Python run.  One kernel, ``run_status_gaps``, replays
 all three mechanisms column-by-column over tape arrays, one array of draws
 per query role, using the very same arithmetic expressions and comparison
 directions as the per-tape runs.  The run state after each answer, and

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -68,6 +69,9 @@ from .mechanisms import (
     svt_gap_run,
 )
 from .vectorized import (
+    STATUS_BOT,
+    STATUS_TOP,
+    STATUS_TOP_SECOND,
     canonical_rows,
     decode_row,
     encode_int_rows,
@@ -578,13 +582,22 @@ def enumerate_output_dist(
     weighted by their product pmf and their masses summed per canonical
     output; the mass outside the box is ``truncation_loss``.  The default ``method='per-query'`` conditions on
     the threshold draw, under which every answer depends on its own query's
-    draws alone, through their differences with that draw: the array kernel
-    runs once per distinct query value over those differences, and outputs
-    are built one position at a time from each query's decoded answers (see
-    ``_enumerate_per_query``), and raises ``GridBudgetExceeded`` when a step
-    passes ``ENUM_CELL_CAP`` cells, whatever the box size.  ``method='per-tape'``
+    draws alone, through their margin over the noisy threshold: the array
+    kernel runs once per group of nearby query values, over the margins of
+    all of them, and outputs are built one position at a time from each
+    query's decoded answers (see ``_enumerate_per_query``), and raises
+    ``GridBudgetExceeded`` when a step passes ``ENUM_CELL_CAP`` cells,
+    whatever the box size.  ``method='per-tape'``
     runs the per-tape mechanism on every point of a box of at most 2,000,000
-    as the independent check.  ``meta["grid_points"]`` is the box size.
+    as the independent check.  ``meta["grid_points"]`` is the box size;
+    the per-query method also counts its work in ``meta["stats"]``.
+
+    The noise, the values and the threshold are added as int64 or, where a
+    value or the threshold is a float, as float64.  So every value, the
+    threshold and each value minus the threshold, plus the box bounds, must
+    be below 2**61 in size (an int64 answer code holds four times a gap) or
+    at most 2**53 (the integers a float64 holds exactly); past that the
+    enumeration would not be exact, and it is a ``DomainError``.
     """
     check_workload_for(mechanism, w)
     if box is not None:
@@ -599,20 +612,44 @@ def enumerate_output_dist(
     budget = default_budget(mechanism, w)
     spec = budget.noise_spec(NoiseKind.DLAP)
     axes = _enum_axes(w, spec, box)
+    _check_exact_range(w.values(side), w.threshold, axes)
     total = math.prod(len(ax.values) for ax in axes)
     truncation_loss = 1.0 - math.prod(1.0 - ax.tail for ax in axes)
 
     if method == "per-tape":
         if total > 2_000_000:
             raise GridBudgetExceeded(total, 2_000_000, hint="the per-tape method runs one tape per box point")
-        masses = _enumerate_per_tape(mechanism, w, side, budget, axes)
+        masses, stats = _enumerate_per_tape(mechanism, w, side, budget, axes), None
     elif method == "per-query":
-        masses = _enumerate_per_query(mechanism, w, side, budget, axes)
+        masses, stats = _enumerate_per_query(mechanism, w, side, budget, axes)
     else:
         raise DomainError(f"unknown enumeration method {method!r}")
 
     meta = {"grid_points": total, "bounds": [ax.bound for ax in axes], "per_draw_tail": PER_DRAW_TAIL, "method": method}
+    if stats is not None:
+        meta["stats"] = stats
     return OutputDistribution(mechanism, side.value, masses, truncation_loss, meta)
+
+
+def _check_exact_range(values, threshold, axes) -> None:
+    """``DomainError`` unless the arithmetic of either enumeration method is
+    exact on every box point: each value and the threshold, and each
+    value's difference with the threshold, plus the box bounds, below 2**61
+    on ints (an int64 answer code is four times a gap, plus at most 3) and
+    at most 2**53 where a float takes part."""
+    ints = all(isinstance(x, numbers.Integral) for x in (*values, threshold))
+    limit, bound = ((1 << 61) - 1, "below 2**61") if ints else (1 << 53, "at most 2**53")
+    t, draw, noise = int(threshold), axes[0].bound, max(ax.bound for ax in axes[1:])
+    sizes = [(f"threshold {threshold!r}", abs(t), draw)]
+    for q in values:
+        sizes += [(f"value {q!r}", abs(int(q)), noise + draw), (f"value {q!r} minus the threshold", abs(int(q) - t), noise + draw)]
+    for name, size, box in sizes:
+        if size + box > limit:
+            raise DomainError(
+                f"exact enumeration needs each value, the threshold and each value minus the threshold, "
+                f"plus the noise box, {bound} in size with {'int' if ints else 'float'} inputs; "
+                f"{name} plus {box} is past it"
+            )
 
 
 def _enumerate_per_tape(mechanism, w, side, budget, axes) -> dict:
@@ -630,87 +667,141 @@ def _enumerate_per_tape(mechanism, w, side, budget, axes) -> dict:
     return masses
 
 
-def _enumerate_per_query(mechanism, w, side, budget, axes) -> dict:
+def _code_range(mechanism, sigma, lo, hi) -> tuple[int, int]:
+    """The least and the largest answer code (``vectorized``'s encoding) of
+    one query over a box of margins ``q + x - (T + e)``, ``lo[r]`` to
+    ``hi[r]`` for the draw x of query role r.  The first attempt answers at
+    a margin of at least ``sigma``, the adaptive second attempt at 0 or
+    more wherever the first fails, and the query is below the threshold
+    where neither does."""
+    codes = []
+    if hi[0] >= sigma:
+        codes += [STATUS_TOP + 4 * max(lo[0], sigma), STATUS_TOP + 4 * hi[0]]
+    if lo[0] < sigma:  # the first attempt fails somewhere in the box
+        if len(lo) > 1 and hi[1] >= 0:
+            codes += [STATUS_TOP_SECOND + 4 * max(lo[1], 0), STATUS_TOP_SECOND + 4 * hi[1]]
+        if len(lo) == 1 or lo[1] < 0:
+            codes.append(STATUS_BOT)
+    if mechanism == SVT_CLASSIC:  # its codes are the status alone
+        codes = [min(c, STATUS_TOP) for c in codes]
+    return min(codes), max(codes)
+
+
+def _enumerate_per_query(mechanism, w, side, budget, axes) -> tuple[dict, dict]:
     """P(omega) = sum_e p(e) * prod_i P_i(omega_i | e) * (in-box mass of the
     draws of every query after the run stopped), e the threshold draw.
 
-    ``P_i(. | e)`` comes from one array-kernel run on query ``i`` alone,
-    shared by every query of the same value.  The kernel reads a query draw
-    x only through ``q + x - (T + e)``, so an answer's code is a function
-    of the difference ``x - e`` alone, exactly so on integers: the kernel
-    runs once, at threshold draw 0, over each role's difference axis
-    (``len(axis) + len(threshold) - 1`` points), and the codes given ``e``
-    are the window of that grid at offset ``bound - e``, ``bound`` the
-    threshold axis's (the second adaptive draw is summed over its box
-    whether or not the run reads it).  Output prefixes grow
-    one position at a time as key tuples with their mass per threshold
-    draw, each answer decoded once per query; a prefix leaves by the
-    kernel's own stop rule (the ``stop`` table of ``run_state_table``), and
-    the last position is contracted over ``e`` by one matrix product.
-    Outputs of mass 0 are impossible ones and are dropped.
+    ``P_i(. | e)`` comes from an array-kernel run on one query alone.  The
+    kernel reads a query draw x only through the margin ``q + x - (T + e)``,
+    so an answer's code is a function of that margin alone, exactly so on
+    integers: a value q under threshold draw e reads what a value q - s
+    reads under e - s.  So the distinct values are grouped, ascending, and
+    the kernel runs once per group, at threshold draw 0 and at the group's
+    least value, over each role's margin axis: the differences ``x - e``
+    over the box (``len(axis) + len(threshold) - 1`` points) widened by the
+    group's spread.  Margin column c is the window of that grid at offset c
+    on every axis; one weighted ``bincount`` per column, over the codes
+    shifted once by the grid's least, fills one row of the group's table,
+    and a value s above the least reads column ``s + bound - e`` under
+    draw e, ``bound`` the threshold axis's (the second adaptive draw is
+    summed over its box whether or not the run reads it).  A value joins a
+    group only while the group's kernel grid and table are charged no more
+    cells than ``ENUM_CELL_CAP`` and than the values' own would be.
+
+    Output prefixes grow one position at a time as key tuples with their
+    mass per threshold draw, each answer decoded once per query; a prefix
+    leaves by the kernel's own stop rule (the ``stop`` table of
+    ``run_state_table``), and the last position is contracted over ``e``
+    by one matrix product.  Outputs of mass 0 are impossible ones and are
+    dropped.
 
     Each step's table has one column per threshold draw and one row per
-    point of a query's grid, per code from a query's least to its largest
-    (its answers' masses) or per (live prefix, answer) pair (a position);
-    the difference grid has one row per point and one column.  A row counts
-    at least ``KEY_CELLS`` cells.  A table past ``ENUM_CELL_CAP`` cells
-    raises ``GridBudgetExceeded``, the difference grid and a position's
-    before they are built."""
+    point of a query's grid or per (live prefix, answer) pair (a
+    position); a group's table has one column per margin column and one
+    row per code from the least to the largest, and its kernel grid one
+    row per point and one column.  A row counts at least ``KEY_CELLS``
+    cells.  A table past ``ENUM_CELL_CAP`` cells raises
+    ``GridBudgetExceeded`` before it is built.  Returns the masses and the
+    counts of the work: kernel runs, kernel grid points, margin columns,
+    the largest step's charged cells and the answers decoded."""
     n = len(w)
     threshold = axes[0]
     draws = len(threshold.values)
+    stats = dict.fromkeys(("kernel_runs", "kernel_points", "margin_columns", "largest_step_cells", "answers_decoded"), 0)
+
+    def cells(rows, cols=draws):
+        return rows * max(cols, KEY_CELLS)
 
     def charge(rows, cols=draws):
-        cells = rows * max(cols, KEY_CELLS)
-        if cells > ENUM_CELL_CAP:
-            raise GridBudgetExceeded(cells, ENUM_CELL_CAP, hint="fewer queries or a larger epsilon need fewer")
+        needed = cells(rows, cols)
+        if needed > ENUM_CELL_CAP:
+            raise GridBudgetExceeded(needed, ENUM_CELL_CAP, hint="fewer queries or a larger epsilon need fewer")
+        stats["largest_step_cells"] = max(stats["largest_step_cells"], needed)
 
     query_axes = axes[1 : 1 + len(budget.layout.query_roles)]
     sizes = [len(ax.values) for ax in query_axes]
     charge(math.prod(sizes))  # the query grid, as a table per threshold draw
-    # each role's difference axis, x - e over the box: one column, charged before it is built
-    diff = [np.arange(ax.values[0] - threshold.values[-1], ax.values[-1] - threshold.values[0] + 1) for ax in query_axes]
-    charge(math.prod(map(len, diff)), 1)
-    per_query = tuple(g.reshape(-1, 1) for g in np.meshgrid(*diff, indexing="ij"))
+    reach = [ax.bound + threshold.bound for ax in query_axes]  # each role's x - e runs from -reach to reach
     query_pmf = reduce(np.multiply.outer, [ax.pmf for ax in query_axes]).ravel()
     query_inbox = math.prod(1.0 - ax.tail for ax in query_axes)
     step, stop, _ = run_state_table(mechanism, w, budget)
+    sigma = int(w.sigma) if mechanism == ADAPTIVE_GAP else 0
+    t = int(w.threshold)
 
-    def conditionals(q):
-        """The codes a query of value ``q`` can answer, and each code's mass
-        over its in-box draws given each threshold draw: (codes, draws)."""
-        wq = Workload((q,), (q,), w.threshold, w.k, w.epsilon, w.sigma)
-        status, gaps = run_status_gaps(mechanism, wq, Side.D, budget, 0, per_query)
-        grid = encode_int_rows(mechanism, status, gaps).reshape([len(d) for d in diff])
-        # each draw's masses are counted from its least code, in the order of the query grid
-        cols = []
-        lo, top = math.inf, -math.inf  # the least code, and one past the largest
-        for j in range(draws):
-            off = draws - 1 - j  # under draw values[j], x = values[0] sits at index off of each difference axis
-            codes = grid[tuple(slice(off, off + size) for size in sizes)].ravel()
-            least = int(codes.min())
-            col = np.bincount(codes - least, weights=query_pmf)
-            cols.append((least, col))
-            lo, top = min(lo, least), max(top, least + len(col))
-        charge(top - lo)  # one row per code from the least to the largest
-        cond = np.zeros((top - lo, len(cols)))
-        for j, (least, col) in enumerate(cols):
-            cond[least - lo : least - lo + len(col), j] = col
-        hit = np.flatnonzero(cond.any(axis=1))
-        return hit + lo, cond[hit]
+    def group_cells(first, last):
+        """The cells charged to the kernel grid and to the table of one group
+        of values from ``first`` to ``last``."""
+        spread = int(last) - int(first)
+        least, largest = _code_range(mechanism, sigma, [int(first) - t - r for r in reach], [int(last) - t + r for r in reach])
+        return cells(math.prod(2 * r + 1 + spread for r in reach), 1), cells(largest - least + 1, draws + spread)
+
+    groups = []  # ascending distinct values, one kernel run per group
+    separate = 0  # the cells of the last group's values taken one at a time
+    for q in sorted(set(w.values(side))):
+        alone = sum(group_cells(q, q))
+        merged = group_cells(groups[-1][0], q) if groups else (math.inf,)
+        if max(merged) <= ENUM_CELL_CAP and sum(merged) <= separate + alone:
+            groups[-1].append(q)
+            separate += alone
+        else:
+            groups.append([q])
+            separate = alone
+
+    tables = {}  # each value's answer codes and their masses given each threshold draw, (codes, draws)
+    for group in groups:
+        spread = int(group[-1]) - int(group[0])
+        margin_axes = [np.arange(-r, r + spread + 1) for r in reach]
+        charge(math.prod(map(len, margin_axes)), 1)
+        margins = tuple(g.reshape(-1, 1) for g in np.meshgrid(*margin_axes, indexing="ij"))
+        wq = Workload((group[0],), (group[0],), w.threshold, w.k, w.epsilon, w.sigma)
+        status, gaps = run_status_gaps(mechanism, wq, Side.D, budget, 0, margins)
+        grid = encode_int_rows(mechanism, status, gaps).reshape([len(a) for a in margin_axes])
+        least = int(grid.min())
+        rows, columns = int(grid.max()) - least + 1, draws + spread
+        charge(rows, columns)
+        grid -= least
+        table = np.empty((columns, rows))
+        for c in range(columns):  # each column's masses, counted in the order of the query grid
+            table[c] = np.bincount(grid[tuple(slice(c, c + size) for size in sizes)].ravel(), weights=query_pmf, minlength=rows)
+        for q in group:
+            s = int(q) - int(group[0])
+            by_draw = table[s : s + draws][::-1]  # under draw values[j], value q reads column s + draws - 1 - j
+            hit = np.flatnonzero(by_draw.any(axis=0))
+            tables[q] = hit + least, np.ascontiguousarray(by_draw.T[hit])
+        stats["kernel_runs"] += 1
+        stats["kernel_points"] += len(status)
+        stats["margin_columns"] += columns
 
     # live output prefixes: keys, mass per threshold draw, run state
     keys = [()]
     mass = np.ones((1, draws))
     state = np.zeros(1, dtype=np.int64)
     done = []  # (keys, masses) of finished outputs
-    tables = {}  # a query's table depends on its value alone
     for i, q in enumerate(w.values(side)):
-        if q not in tables:
-            tables[q] = conditionals(q)
         codes, cond = tables[q]
         charge(len(keys) * len(codes))
         answers = [decode_row(mechanism, [c]) for c in codes.tolist()]
+        stats["answers_decoded"] += len(answers)
         keys = [p + a for p in keys for a in answers]  # prefix-major, as the mass rows below
         if i == n - 1:
             done.append((keys, ((mass * threshold.pmf) @ cond.T).ravel()))
@@ -726,7 +817,7 @@ def _enumerate_per_query(mechanism, w, side, budget, axes) -> dict:
     for out_keys, out_mass in done:
         hit = out_mass > 0.0
         masses.update(zip(itertools.compress(out_keys, hit.tolist()), out_mass[hit].tolist()))
-    return masses
+    return masses, stats
 
 
 # ---------------------------------------------------------------------------

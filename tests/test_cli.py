@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -646,6 +647,19 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert "cells" in err
+
+    def test_past_the_exact_integer_range_exits_2_without_a_warning(self, capsys, workload_file):
+        """1e308 used to reach the kernel, warn on an invalid cast and fail
+        on its non-integer gaps; it is refused, naming the limit, first."""
+        payload = {"pairs": [[1e308, 1e308]], "threshold": 0, "k": 1, "epsilon": 1.0, "noise": "dlap"}
+        argv = ["verify", "--suite", "dp-exact", "--mechanism", "svt-gap", "--workload", workload_file(payload)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "2**53" in err and "value 1e+308" in err and "int-encoded" not in err
+        assert caught == []
 
     def test_grid_budget_is_not_an_option(self, capsys):
         code, out, err = run_cli(

@@ -436,9 +436,9 @@ class TestEnumeration:
 
     def test_oracle_work_is_per_query_not_per_threshold_draw(self, monkeypatch):
         """svt-gap curated #6 has 57 threshold draws and about 19,700 outputs
-        a side.  The oracle runs the kernel once per query, over the
-        difference grid, and decodes each query's answers once, not each
-        output's row."""
+        a side.  Its two values on each side are consecutive, so the oracle
+        runs the kernel once a side, over the margins of both, and decodes
+        each query's answers once, not each output's row."""
         w = default_enumeration_instances(SVT_GAP)[6]
         calls = Counter()
         for name in ("run_status_gaps", "decode_row"):
@@ -456,9 +456,166 @@ class TestEnumeration:
             for key in dist.masses:
                 for position, answer in enumerate(key):
                     answers[position].add(answer)
-            assert calls["run_status_gaps"] == len(w) == 2
+            assert calls["run_status_gaps"] == dist.meta["stats"]["kernel_runs"] == 1
             assert 0 < calls["decode_row"] <= sum(map(len, answers)) < len(dist.masses) // 50
             assert len(dist.masses) > 19_000
+
+    @pytest.mark.parametrize(
+        "mechanism,w",
+        [
+            (SVT_GAP, default_enumeration_instances(SVT_GAP)[6]),
+            (SVT_CLASSIC, default_enumeration_instances(SVT_CLASSIC)[5]),
+            (ADAPTIVE_GAP, default_enumeration_instances(ADAPTIVE_GAP)[8]),
+            (SVT_GAP, Workload.from_values([(0, 1), (100000, 100001)], 0, 1, 1.0)),
+            (ADAPTIVE_GAP, Workload.from_values([(0, 1), (200, 201), (1, 0)], 0, 1, 8.0, sigma=1)),
+        ],
+    )
+    def test_stats_count_the_kernel_and_decoder_calls(self, mechanism, w, monkeypatch):
+        """``meta["stats"]`` counts what spies on the kernel and on
+        ``decode_row`` see: kernel runs and grid points, the margin columns
+        (the first role's margins less its box, plus one, a run) and the
+        answers decoded."""
+        runs, points, columns, decoded = [], [], [], []
+        real_kernel, real_decode = verifier.run_status_gaps, verifier.decode_row
+
+        def kernel(mechanism, wq, side, budget, eta0, draws):
+            runs.append(wq.d)
+            points.append(len(draws[0]))
+            columns.append(len(np.unique(draws[0])))
+            return real_kernel(mechanism, wq, side, budget, eta0, draws)
+
+        def decode(mechanism, row):
+            decoded.append(row)
+            return real_decode(mechanism, row)
+
+        monkeypatch.setattr(verifier, "run_status_gaps", kernel)
+        monkeypatch.setattr(verifier, "decode_row", decode)
+        for side in Side:
+            runs.clear(), points.clear(), columns.clear(), decoded.clear()
+            dist = enumerate_output_dist(mechanism, w, side)
+            box = 2 * dist.meta["bounds"][1] + 1  # the first query role's
+            assert dist.meta["stats"] == {
+                "kernel_runs": len(runs),
+                "kernel_points": sum(points),
+                "margin_columns": sum(c - box + 1 for c in columns),
+                "largest_step_cells": dist.meta["stats"]["largest_step_cells"],
+                "answers_decoded": len(decoded),
+            }
+            assert 0 < len(runs) <= len(set(w.values(side)))
+
+    @pytest.mark.parametrize("mechanism,index", [(SVT_GAP, 6), (ADAPTIVE_GAP, 2)])
+    def test_largest_step_is_what_the_cap_must_allow(self, mechanism, index, monkeypatch):
+        w = default_enumeration_instances(mechanism)[index]
+        dist = enumerate_output_dist(mechanism, w, Side.D)
+        largest = dist.meta["stats"]["largest_step_cells"]
+        monkeypatch.setattr(verifier, "ENUM_CELL_CAP", largest)
+        assert list(enumerate_output_dist(mechanism, w, Side.D).masses.items()) == list(dist.masses.items())
+        monkeypatch.setattr(verifier, "ENUM_CELL_CAP", largest - 1)
+        with pytest.raises(GridBudgetExceeded) as info:
+            enumerate_output_dist(mechanism, w, Side.D)
+        assert info.value.needed == largest
+
+    def test_far_apart_values_run_the_kernel_apart(self):
+        """One kernel run over the margins of values 0 and 100000 would take
+        4e10 cells; each value runs alone, and the report is the one the
+        per-value tables gave."""
+        w = Workload.from_values([(0, 1), (100000, 100001)], 0, 1, 1.0)
+        report, loss = check_dp_exact(SVT_GAP, w)
+        assert report.passed and loss.outputs == report.checks_run == 499
+        assert report.notes["certified_max"] == 0.3770560110556953
+        for side in Side:
+            assert enumerate_output_dist(SVT_GAP, w, side).meta["stats"]["kernel_runs"] == 2
+
+    def test_far_apart_adaptive_values_match_the_per_tape_runs(self):
+        """Values 0 and 1 share a kernel run on each side, and 200 takes its
+        own; on a box of one the masses are the per-tape runs'."""
+        w = Workload.from_values([(0, 1), (200, 201), (1, 0)], 0, 1, 8.0, sigma=1)
+        for side in Side:
+            a = enumerate_output_dist(ADAPTIVE_GAP, w, side, box=1, method="per-tape")
+            b = enumerate_output_dist(ADAPTIVE_GAP, w, side, box=1)
+            assert b.meta["stats"]["kernel_runs"] == 2
+            assert set(a.masses) == set(b.masses)
+            for key in a.masses:
+                assert a.masses[key] == pytest.approx(b.masses[key], rel=1e-13, abs=0)
+            assert enumerate_output_dist(ADAPTIVE_GAP, w, side).meta["stats"]["kernel_runs"] == 2
+        report, loss = check_dp_exact(ADAPTIVE_GAP, w)
+        assert report.passed and loss.outputs == 131
+        assert report.notes["certified_max"] == 3.4843814704182643
+
+    @pytest.mark.parametrize("shift", [-7, 5, 1000])
+    def test_shifting_values_and_threshold_keeps_the_masses(self, shift):
+        """Answers depend on a value only through its margin over the noisy
+        threshold, so adding one integer to every value and to the threshold
+        leaves every curated instance's distribution as it is, bit for bit."""
+        for mechanism in MECHANISMS:
+            for w in default_enumeration_instances(mechanism):
+                moved = Workload.from_values(
+                    [(a + shift, b + shift) for a, b in zip(w.d, w.dprime)], w.threshold + shift, w.k, w.epsilon, sigma=w.sigma
+                )
+                for side in Side:
+                    a = enumerate_output_dist(mechanism, w, side)
+                    b = enumerate_output_dist(mechanism, moved, side)
+                    assert list(a.masses.items()) == list(b.masses.items())
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        mechanism=st.sampled_from(MECHANISMS),
+        offset=st.integers(-12, 12),
+        sigma=st.integers(0, 3),
+        reach=st.tuples(st.integers(0, 5), st.integers(0, 5)),
+        spread=st.integers(0, 4),
+    )
+    def test_code_range_is_the_kernel_grid_s(self, mechanism, offset, sigma, reach, spread):
+        """The least and largest code that grouping predicts for a box of
+        margins are the least and largest the kernel gives on it."""
+        reach = reach if mechanism == ADAPTIVE_GAP else reach[:1]  # one query role per draw layout
+        w = Workload.from_values([(offset, offset)], 0, 1, 1.0, sigma=sigma if mechanism == ADAPTIVE_GAP else None)
+        margins = np.meshgrid(*[np.arange(-r, r + spread + 1) for r in reach], indexing="ij")
+        status, gaps = vectorized.run_status_gaps(
+            mechanism, w, Side.D, default_budget(mechanism, w), 0, [m.reshape(-1, 1) for m in margins]
+        )
+        codes = vectorized.encode_int_rows(mechanism, status, gaps)
+        lo = [offset - r for r in reach]
+        hi = [offset + spread + r for r in reach]
+        sigma = sigma if mechanism == ADAPTIVE_GAP else 0
+        assert verifier._code_range(mechanism, sigma, lo, hi) == (int(codes.min()), int(codes.max()))
+
+    @pytest.mark.parametrize("method", ["per-query", "per-tape"])
+    @pytest.mark.parametrize(
+        "pairs,threshold,box,named",
+        [
+            ([(2**53 + 2.0, 2**53 + 2.0)], 2**53, 6, "threshold 9007199254740992 plus 6"),
+            ([(1e17, 1e17)], 1e17, None, "threshold 1e+17"),
+            ([(2.0**53, 2.0**53)], 0, 1, "value 9007199254740992.0 plus 2"),
+            ([(2**61, 2**61)], 0, 0, "value 2305843009213693952 plus 0"),
+        ],
+    )
+    def test_past_the_exact_integer_range_is_a_domain_error(self, method, pairs, threshold, box, named):
+        """Past 2**53 a float sum rounds, so the methods disagreed (16
+        outputs per tape against 9 on the first input); past 2**61 an int64
+        answer code overflows."""
+        w = Workload.from_values(pairs, threshold, 1, 1.0)
+        with pytest.raises(DomainError, match=r"2\*\*(53|61)") as info:
+            enumerate_output_dist(SVT_GAP, w, Side.D, box=box, method=method)
+        assert named in str(info.value)
+
+    @pytest.mark.parametrize(
+        "pairs,threshold,box",
+        [
+            ([(2**53 + 1, 2**53)], 0, None),
+            ([(2**53 + 1, 2**53)], 2**53, None),
+            ([(2.0**53, 2.0**53)], 2.0**53, 0),
+            ([(2**61 - 1, 2**61 - 1)], 0, 0),
+        ],
+    )
+    def test_inside_the_exact_integer_range_matches_the_per_tape_runs(self, pairs, threshold, box):
+        w = Workload.from_values(pairs, threshold, 1, 1.0)
+        for side in Side:
+            a = enumerate_output_dist(SVT_GAP, w, side, box=box, method="per-tape")
+            b = enumerate_output_dist(SVT_GAP, w, side, box=box)
+            assert set(a.masses) == set(b.masses)
+            for key in a.masses:
+                assert a.masses[key] == pytest.approx(b.masses[key], rel=1e-13, abs=0)
 
     def test_repeated_calls_are_bit_identical(self):
         w = default_enumeration_instances(ADAPTIVE_GAP)[5]
