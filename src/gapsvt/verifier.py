@@ -687,64 +687,39 @@ def _code_range(mechanism, sigma, lo, hi) -> tuple[int, int]:
     return min(codes), max(codes)
 
 
-def _enumerate_per_query(mechanism, w, side, budget, axes) -> tuple[dict, dict]:
-    """P(omega) = sum_e p(e) * prod_i P_i(omega_i | e) * (in-box mass of the
-    draws of every query after the run stopped), e the threshold draw.
+def _cells(rows, cols) -> int:
+    """The cells a step of ``rows`` rows and ``cols`` columns is charged: a
+    row counts at least ``KEY_CELLS``."""
+    return rows * max(cols, KEY_CELLS)
 
-    ``P_i(. | e)`` comes from an array-kernel run on one query alone.  The
-    kernel reads a query draw x only through the margin ``q + x - (T + e)``,
-    so an answer's code is a function of that margin alone, exactly so on
-    integers: a value q under threshold draw e reads what a value q - s
-    reads under e - s.  So the distinct values are grouped, ascending, and
-    the kernel runs once per group, at threshold draw 0 and at the group's
-    least value, over each role's margin axis: the differences ``x - e``
-    over the box (``len(axis) + len(threshold) - 1`` points) widened by the
-    group's spread.  Margin column c is the window of that grid at offset c
-    on every axis; one weighted ``bincount`` per column, over the codes
-    shifted once by the grid's least, fills one row of the group's table,
-    and a value s above the least reads column ``s + bound - e`` under
-    draw e, ``bound`` the threshold axis's (the second adaptive draw is
-    summed over its box whether or not the run reads it).  A value joins a
-    group only while the group's kernel grid and table are charged no more
-    cells than ``ENUM_CELL_CAP`` and than the values' own would be.
 
-    Output prefixes grow one position at a time as key tuples with their
-    mass per threshold draw, each answer decoded once per query; a prefix
-    leaves by the kernel's own stop rule (the ``stop`` table of
-    ``run_state_table``), and the last position is contracted over ``e``
-    by one matrix product.  Outputs of mass 0 are impossible ones and are
-    dropped.
+def _answer_tables(mechanism, w, side, budget, threshold, query_axes, charge, stats) -> dict:
+    """Each distinct value's answer codes and their masses over its in-box
+    draws given each threshold draw: ``(codes, draws)``, C-contiguous.
 
-    Each step's table has one column per threshold draw and one row per
-    point of a query's grid or per (live prefix, answer) pair (a
-    position); a group's table has one column per margin column and one
-    row per code from the least to the largest, and its kernel grid one
-    row per point and one column.  A row counts at least ``KEY_CELLS``
-    cells.  A table past ``ENUM_CELL_CAP`` cells raises
-    ``GridBudgetExceeded`` before it is built.  Returns the masses and the
-    counts of the work: kernel runs, kernel grid points, margin columns,
-    the largest step's charged cells and the answers decoded."""
-    n = len(w)
-    threshold = axes[0]
+    The kernel reads a query draw x only through the margin
+    ``q + x - (T + e)``, so an answer's code is a function of that margin
+    alone, exactly so on integers: a value q under threshold draw e reads
+    what a value q - s reads under e - s.  So the distinct values are
+    grouped, ascending, and the kernel runs once per group, at threshold
+    draw 0 and at the group's least value, over each role's margin axis:
+    the differences ``x - e`` over the box (``len(axis) + len(threshold) -
+    1`` points) widened by the group's spread.  Margin column c is the
+    window of that grid at offset c on every axis; one weighted
+    ``bincount`` per column, over the codes shifted once by the grid's
+    least, fills one row of the group's table, and a value s above the
+    least reads column ``s + bound - e`` under draw e, ``bound`` the
+    threshold axis's (the second adaptive draw is summed over its box
+    whether or not the run reads it).  A value joins a group only while the
+    group's kernel grid and table are charged no more cells than
+    ``ENUM_CELL_CAP`` and than the values' own would be.  The grid, one
+    row per point and one column, and the table, one row per code from the
+    least to the largest and one column per margin column, are charged
+    before they are built."""
     draws = len(threshold.values)
-    stats = dict.fromkeys(("kernel_runs", "kernel_points", "margin_columns", "largest_step_cells", "answers_decoded"), 0)
-
-    def cells(rows, cols=draws):
-        return rows * max(cols, KEY_CELLS)
-
-    def charge(rows, cols=draws):
-        needed = cells(rows, cols)
-        if needed > ENUM_CELL_CAP:
-            raise GridBudgetExceeded(needed, ENUM_CELL_CAP, hint="fewer queries or a larger epsilon need fewer")
-        stats["largest_step_cells"] = max(stats["largest_step_cells"], needed)
-
-    query_axes = axes[1 : 1 + len(budget.layout.query_roles)]
     sizes = [len(ax.values) for ax in query_axes]
-    charge(math.prod(sizes))  # the query grid, as a table per threshold draw
     reach = [ax.bound + threshold.bound for ax in query_axes]  # each role's x - e runs from -reach to reach
     query_pmf = reduce(np.multiply.outer, [ax.pmf for ax in query_axes]).ravel()
-    query_inbox = math.prod(1.0 - ax.tail for ax in query_axes)
-    step, stop, _ = run_state_table(mechanism, w, budget)
     sigma = int(w.sigma) if mechanism == ADAPTIVE_GAP else 0
     t = int(w.threshold)
 
@@ -753,21 +728,22 @@ def _enumerate_per_query(mechanism, w, side, budget, axes) -> tuple[dict, dict]:
         of values from ``first`` to ``last``."""
         spread = int(last) - int(first)
         least, largest = _code_range(mechanism, sigma, [int(first) - t - r for r in reach], [int(last) - t + r for r in reach])
-        return cells(math.prod(2 * r + 1 + spread for r in reach), 1), cells(largest - least + 1, draws + spread)
+        return _cells(math.prod(2 * r + 1 + spread for r in reach), 1), _cells(largest - least + 1, draws + spread)
 
     groups = []  # ascending distinct values, one kernel run per group
     separate = 0  # the cells of the last group's values taken one at a time
     for q in sorted(set(w.values(side))):
         alone = sum(group_cells(q, q))
-        merged = group_cells(groups[-1][0], q) if groups else (math.inf,)
-        if max(merged) <= ENUM_CELL_CAP and sum(merged) <= separate + alone:
-            groups[-1].append(q)
-            separate += alone
-        else:
-            groups.append([q])
-            separate = alone
+        if groups:
+            merged = group_cells(groups[-1][0], q)
+            if max(merged) <= ENUM_CELL_CAP and sum(merged) <= separate + alone:
+                groups[-1].append(q)
+                separate += alone
+                continue
+        groups.append([q])
+        separate = alone
 
-    tables = {}  # each value's answer codes and their masses given each threshold draw, (codes, draws)
+    tables = {}
     for group in groups:
         spread = int(group[-1]) - int(group[0])
         margin_axes = [np.arange(-r, r + spread + 1) for r in reach]
@@ -791,6 +767,43 @@ def _enumerate_per_query(mechanism, w, side, budget, axes) -> tuple[dict, dict]:
         stats["kernel_runs"] += 1
         stats["kernel_points"] += len(status)
         stats["margin_columns"] += columns
+    return tables
+
+
+def _enumerate_per_query(mechanism, w, side, budget, axes) -> tuple[dict, dict]:
+    """P(omega) = sum_e p(e) * prod_i P_i(omega_i | e) * (in-box mass of the
+    draws of every query after the run stopped), e the threshold draw.
+
+    ``P_i(. | e)`` comes from an array-kernel run on one query alone, one
+    run for a group of nearby values (see ``_answer_tables``).  Output
+    prefixes grow one position at a time as key tuples with their mass per
+    threshold draw, each answer decoded once per query; a prefix leaves by
+    the kernel's own stop rule (the ``stop`` table of ``run_state_table``),
+    and the last position is contracted over ``e`` by one matrix product.
+    Outputs of mass 0 are impossible ones and are dropped.
+
+    Each step's table has one column per threshold draw and one row per
+    point of a query's grid or per (live prefix, answer) pair (a
+    position).  A table past ``ENUM_CELL_CAP`` cells (``_cells``) raises
+    ``GridBudgetExceeded`` before it is built.  Returns the masses and the
+    counts of the work: kernel runs, kernel grid points, margin columns,
+    the largest step's charged cells and the answers decoded."""
+    n = len(w)
+    threshold = axes[0]
+    draws = len(threshold.values)
+    stats = dict.fromkeys(("kernel_runs", "kernel_points", "margin_columns", "largest_step_cells", "answers_decoded"), 0)
+
+    def charge(rows, cols=draws):
+        needed = _cells(rows, cols)
+        if needed > ENUM_CELL_CAP:
+            raise GridBudgetExceeded(needed, ENUM_CELL_CAP, hint="fewer queries or a larger epsilon need fewer")
+        stats["largest_step_cells"] = max(stats["largest_step_cells"], needed)
+
+    query_axes = axes[1 : 1 + len(budget.layout.query_roles)]
+    charge(math.prod(len(ax.values) for ax in query_axes))  # the query grid, as a table per threshold draw
+    tables = _answer_tables(mechanism, w, side, budget, threshold, query_axes, charge, stats)
+    query_inbox = math.prod(1.0 - ax.tail for ax in query_axes)
+    step, stop, _ = run_state_table(mechanism, w, budget)
 
     # live output prefixes: keys, mass per threshold draw, run state
     keys = [()]

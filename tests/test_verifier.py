@@ -491,7 +491,8 @@ class TestEnumeration:
         monkeypatch.setattr(verifier, "run_status_gaps", kernel)
         monkeypatch.setattr(verifier, "decode_row", decode)
         for side in Side:
-            runs.clear(), points.clear(), columns.clear(), decoded.clear()
+            for seen in (runs, points, columns, decoded):
+                seen.clear()
             dist = enumerate_output_dist(mechanism, w, side)
             box = 2 * dist.meta["bounds"][1] + 1  # the first query role's
             assert dist.meta["stats"] == {
