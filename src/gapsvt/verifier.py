@@ -703,14 +703,14 @@ def _answer_tables(mechanism, w, side, budget, threshold, query_axes, charge, st
     what a value q - s reads under e - s.  So the distinct values are
     grouped, ascending, and the kernel runs once per group, at threshold
     draw 0 and at the group's least value, over each role's margin axis:
-    the differences ``x - e`` over the box (``len(axis) + len(threshold) -
-    1`` points) widened by the group's spread.  Margin column c is the
-    window of that grid at offset c on every axis; one weighted
-    ``bincount`` per column, over the codes shifted once by the grid's
-    least, fills one row of the group's table, and a value s above the
-    least reads column ``s + bound - e`` under draw e, ``bound`` the
-    threshold axis's (the second adaptive draw is summed over its box
-    whether or not the run reads it).  A value joins a group only while the
+    the differences ``x - e`` over the box
+    (``len(axis) + len(threshold) - 1`` points) widened by the group's
+    spread.  Margin column c is the window of that grid at offset c on
+    every axis; one weighted ``bincount`` per column, over the codes
+    shifted once by the grid's least, fills one row of the group's table,
+    and a value s above the least reads column ``s + bound - e`` under draw
+    e, ``bound`` the threshold axis's (the second adaptive draw is summed
+    over its box whether or not the run reads it).  A value joins a group only while the
     group's kernel grid and table are charged no more cells than
     ``ENUM_CELL_CAP`` and than the values' own would be.  The grid, one
     row per point and one column, and the table, one row per code from the
