@@ -22,7 +22,11 @@ workloads with integer tapes make the gap exact, so encoded rows are exact
 output identifiers.  ``int_row_keys`` folds each encoded row into one exact int64
 key for a chunk: the columns are packed in a mixed radix of their spans, and
 the running key is replaced by its dense rank whenever the next column would
-overflow int64, so equal keys mean equal rows for every input.
+overflow int64, so equal keys mean equal rows for every input.  ``key_groups``
+gives those ranks, and groups a chunk's keys for counting: through a table
+over the key span where the span is at most twice the key count, as it is
+for the Monte Carlo chunks, and through a sort where it is wider, as after
+a rank step on wide columns.
 
 Real-valued outputs cannot be int-encoded; ``canonical_rows`` gives them
 the per-tape canonical keys instead.  It works a column at a time: numpy
@@ -149,19 +153,41 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def key_groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group the elements of a 1-D key array by value, groups in key order:
-    each element's group (the dense rank of its key) and, per group, the
-    index of one element that stands for it.  One unstable sort, an
-    adjacent-difference mask and a binary search."""
-    s = np.sort(keys)
-    first = np.empty(len(s), dtype=bool)
-    first[:1] = True
-    np.not_equal(s[1:], s[:-1], out=first[1:])
-    uniq = s[first]
-    del s, first  # freed before the scatter below allocates as much again
-    inverse = np.searchsorted(uniq, keys)
-    rows = np.empty(len(uniq), dtype=np.int64)
-    rows[inverse] = np.arange(len(keys))  # any element of a group stands for it
+    """Group the elements of a 1-D int64 key array by value, groups in key
+    order: each element's group (the dense rank of its key) and, per group,
+    the index of one element that stands for it.
+
+    Where the keys span ``max - min + 1`` at most twice their number, the
+    rank comes from a table over the span: a presence mask of the offsets
+    ``key - min``, its running sum, and the rank of each offset read back
+    into the offset array in place.  Wider spans take one unstable sort, an
+    adjacent-difference mask and a binary search.  Both give the same
+    groups, so the same representatives."""
+    n = len(keys)
+    lo, hi = (int(keys.min()), int(keys.max())) if n else (0, -1)
+    span = hi - lo + 1  # in Python ints, so it cannot wrap
+    if 0 < span <= 2 * n:
+        inverse = keys - lo
+        present = np.zeros(span, dtype=bool)
+        present[inverse] = True
+        rank = np.cumsum(present, dtype=np.int64)
+        groups = int(rank[-1])
+        rank -= 1
+        # "clip" takes unbuffered, so the ranks overwrite the offsets they
+        # are read by without a second array of n; no offset needs clipping
+        np.take(rank, inverse, out=inverse, mode="clip")
+        del present, rank  # freed before the scatter below, like the sort's arrays
+    else:
+        s = np.sort(keys)
+        first = np.empty(n, dtype=bool)
+        first[:1] = True
+        np.not_equal(s[1:], s[:-1], out=first[1:])
+        uniq = s[first]
+        del s, first  # freed before the scatter below allocates as much again
+        inverse = np.searchsorted(uniq, keys)
+        groups = len(uniq)
+    rows = np.empty(groups, dtype=np.int64)
+    rows[inverse] = np.arange(n)  # any element of a group stands for it
     return inverse, rows
 
 

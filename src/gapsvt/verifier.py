@@ -612,7 +612,7 @@ def enumerate_output_dist(
     budget = default_budget(mechanism, w)
     spec = budget.noise_spec(NoiseKind.DLAP)
     axes = _enum_axes(w, spec, box)
-    _check_exact_range(w.values(side), w.threshold, axes)
+    _check_exact_range(w.values(side), w.threshold, axes[0].bound, max(ax.bound for ax in axes[1:]), "exact enumeration", "the noise box")
     total = math.prod(len(ax.values) for ax in axes)
     truncation_loss = 1.0 - math.prod(1.0 - ax.tail for ax in axes)
 
@@ -631,25 +631,31 @@ def enumerate_output_dist(
     return OutputDistribution(mechanism, side.value, masses, truncation_loss, meta)
 
 
-def _check_exact_range(values, threshold, axes) -> None:
-    """``DomainError`` unless the arithmetic of either enumeration method is
-    exact on every box point: each value and the threshold, and each
-    value's difference with the threshold, plus the box bounds, below 2**61
-    on ints (an int64 answer code is four times a gap, plus at most 3) and
-    at most 2**53 where a float takes part."""
+def _check_exact_range(values, threshold, draw: int, noise: int, what: str, bounded_by: str) -> None:
+    """``DomainError`` unless the kernel's arithmetic is exact under noise of
+    at most ``draw`` in size on the threshold and ``noise`` on each query:
+    each value and the threshold, and each value's difference with the
+    threshold, plus that noise, below 2**61 on ints (an int64 answer code
+    is four times a gap, plus at most 3) and at most 2**53 where a float
+    takes part.  ``what`` and ``bounded_by`` name the caller and its noise
+    bound in the message."""
     ints = all(isinstance(x, numbers.Integral) for x in (*values, threshold))
     limit, bound = ((1 << 61) - 1, "below 2**61") if ints else (1 << 53, "at most 2**53")
-    t, draw, noise = int(threshold), axes[0].bound, max(ax.bound for ax in axes[1:])
+    t = int(threshold)
     sizes = [(f"threshold {threshold!r}", abs(t), draw)]
     for q in values:
         sizes += [(f"value {q!r}", abs(int(q)), noise + draw), (f"value {q!r} minus the threshold", abs(int(q) - t), noise + draw)]
     for name, size, box in sizes:
         if size + box > limit:
             raise DomainError(
-                f"exact enumeration needs each value, the threshold and each value minus the threshold, "
-                f"plus the noise box, {bound} in size with {'int' if ints else 'float'} inputs; "
+                f"{what} needs each value, the threshold and each value minus the threshold, "
+                f"plus {bounded_by}, {bound} in size with {'int' if ints else 'float'} inputs; "
                 f"{name} plus {box} is past it"
             )
+
+
+def _largest_size(draws: np.ndarray) -> int:
+    return max(-int(draws.min()), int(draws.max()))
 
 
 def _enumerate_per_tape(mechanism, w, side, budget, axes) -> dict:
@@ -853,7 +859,10 @@ def mc_output_dist(
     outputs (discrete noise on an integer workload) are keyed per chunk by
     one exact int64 per row (``int_row_keys``, which rank-compresses the
     running key before it could overflow); one representative row per key
-    is decoded to the canonical output.  Real-valued outputs are keyed by
+    is decoded to the canonical output.  Their codes must fit int64, so each
+    chunk is held to the exact oracle's range, with the chunk's largest
+    draws as the noise box: past it is a ``DomainError``, not a code that
+    wraps.  Real-valued outputs are keyed by
     ``canonical_rows``, a column at a time, with gaps rounded to
     ``GAP_NDIGITS`` digits exactly as ``round`` does, and counted by one
     ``Counter.update`` per chunk.
@@ -883,6 +892,9 @@ def mc_output_dist(
         rows = min(chunk, samples - done)
         eta0 = _draw_block(rng, kind, spec.scales["threshold"], rows)
         per_query = tuple(_draw_block(rng, kind, spec.scales[r], (rows, n)) for r in spec.layout.query_roles)
+        if int_outputs:
+            noise = max(_largest_size(d) for d in per_query)
+            _check_exact_range(w.values(side), w.threshold, _largest_size(eta0), noise, "Monte Carlo", "the chunk's largest noise draws")
         status, gaps = run_status_gaps(mechanism, w, side, budget, eta0, per_query)
         if int_outputs:
             codes = encode_int_rows(mechanism, status, gaps)

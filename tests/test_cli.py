@@ -661,6 +661,15 @@ class TestVerifyCommand:
         assert "2**53" in err and "value 1e+308" in err and "int-encoded" not in err
         assert caught == []
 
+    def test_dp_mc_past_the_int64_answer_codes_exits_2(self, capsys, workload_file):
+        """At 2**62 the answer codes wrapped and the suite passed."""
+        payload = {"pairs": [[2**62, 2**62]], "threshold": 0, "k": 1, "epsilon": 1.0, "noise": "dlap"}
+        argv = ["verify", "--suite", "dp-mc", "--mechanism", "svt-gap", "--workload", workload_file(payload), "--seed", "1"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "2**61" in err and "value 4611686018427387904" in err
+
     def test_grid_budget_is_not_an_option(self, capsys):
         code, out, err = run_cli(
             capsys,

@@ -25,6 +25,7 @@ from gapsvt.vectorized import (
     canonical_rows,
     decode_row,
     encode_int_rows,
+    key_groups,
     run_status_gaps,
 )
 
@@ -136,6 +137,50 @@ def test_encode_rejects_fractional_gaps():
     status, gaps = run_status_gaps(SVT_GAP, w, Side.D, budget, np.zeros(1), (np.ones((1, 1)),))
     with pytest.raises(ValueError):
         encode_int_rows(SVT_GAP, status, gaps)
+
+
+_I64 = np.iinfo(np.int64)
+
+
+def _span_keys(n, span, start=0, seed=0):
+    """``n`` keys in ``[start, start + span)`` holding both ends, with repeats."""
+    keys = np.random.default_rng(seed).integers(0, span, size=n)
+    keys[:2] = 0, span - 1
+    return keys.astype(np.int64) + start
+
+
+# name: (keys, path), the dense table at a span of at most twice the count
+_KEY_GROUP_CASES = {
+    "empty": (np.array([], dtype=np.int64), "sort"),
+    "single key": (np.array([-3], dtype=np.int64), "dense"),
+    "span 2 len": (_span_keys(50, 100), "dense"),
+    "span 2 len + 1": (_span_keys(50, 101), "sort"),
+    "negative dense": (_span_keys(40, 60, start=-75, seed=1), "dense"),
+    "negative sparse": (_span_keys(40, 10**12, start=-(10**13), seed=2), "sort"),
+    "next to the int64 maximum": (_span_keys(30, 20, start=_I64.max - 19, seed=3), "dense"),
+    "next to the int64 minimum": (_span_keys(30, 20, start=_I64.min, seed=4), "dense"),
+    "the whole int64 range": (
+        np.concatenate([[_I64.min, _I64.max, 0, _I64.min, -1, _I64.max], np.random.default_rng(5).integers(_I64.min, _I64.max, 40)]),
+        "sort",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_KEY_GROUP_CASES))
+def test_key_groups_equals_unique(name, monkeypatch):
+    keys, path = _KEY_GROUP_CASES[name]
+    given = keys.copy()
+    searches = []
+    search = np.searchsorted
+    monkeypatch.setattr(np, "searchsorted", lambda *a, **kw: searches.append(1) or search(*a, **kw))
+    inverse, rows = key_groups(keys)
+    assert ("sort" if searches else "dense") == path
+    monkeypatch.undo()
+    uniq, want = np.unique(keys, return_inverse=True)
+    assert inverse.dtype == rows.dtype == np.int64
+    assert inverse.tolist() == want.tolist()
+    assert keys[rows].tolist() == uniq.tolist()
+    assert np.array_equal(keys, given)
 
 
 def test_adaptive_guard_table_matches_ledger_boundary():

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -908,7 +909,8 @@ class TestMonteCarlo:
         # 7000-row chunks split 30000 samples unevenly: 4 full chunks and 2000 rows
         dist = mc_output_dist(mechanism, w, Side.D, 30_000, seed=(5, case), chunk=7_000)
         assert [len(c) for c in chunks] == [7_000] * 4 + [2_000]
-        assert dist.meta["counts"] == _row_unique_oracle(mechanism, chunks)
+        # in order too: tv_distance sums over the keys in their dict order
+        assert list(dist.meta["counts"].items()) == list(_row_unique_oracle(mechanism, chunks).items())
         assert sum(dist.meta["counts"].values()) == 30_000
         if len(w) == 6:
             assert ranked, "the n=6 instance must go through the rank-compression step"
@@ -940,6 +942,24 @@ class TestMonteCarlo:
         codes[250:] = codes[:250]  # every row appears twice
         codes[::7, 5] = 0
         _assert_keys_order_like_rows(codes)
+
+    @pytest.mark.parametrize(
+        "value,limit",
+        [(2**70, "2**61"), (2**62, "2**61"), (2**61, "2**61"), (2.0**54, "2**53")],
+    )
+    def test_codes_past_the_exact_range_are_a_domain_error(self, value, limit):
+        """An answer code is ``4 * gap + status`` in int64: at 2**61 the
+        codes wrapped to gaps near -2**61, at 2**62 to gaps of 0 and +-1,
+        and 2**70 raised a bare OverflowError from the kernel."""
+        w = Workload.from_values([(value, value)], 0, 1, 1.0)
+        with pytest.raises(DomainError, match=re.escape(limit)):
+            mc_output_dist(SVT_GAP, w, Side.D, 1000, seed=1)
+
+    def test_codes_inside_the_exact_range_keep_their_gaps(self):
+        w = Workload.from_values([(2**60, 2**60)], 0, 1, 1.0)
+        dist = mc_output_dist(SVT_GAP, w, Side.D, 1000, seed=1)
+        assert all(len(key) == 1 and key[0][0] == "plain" for key in dist.masses)
+        assert all(abs(key[0][1] - 2**60) <= 100 for key in dist.masses)
 
     @pytest.mark.parametrize("kind", [NoiseKind.DLAP, NoiseKind.LAPLACE])
     def test_subnormal_epsilon_is_a_domain_error_naming_the_role(self, kind):
