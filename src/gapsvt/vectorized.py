@@ -1,10 +1,11 @@
 """Array evaluation of the mechanisms over many tapes at once.
 
 The Monte Carlo cross-checks run millions of tapes, and the exact oracle
-runs every margin ``q + x - (T + e)`` that a group of nearby query values
-can take over the noise box, which rules out a per-tape Python run.  One
-kernel, ``run_status_gaps``, replays all three mechanisms column-by-column
-over tape arrays, one array of draws per query role, using the very same
+runs every margin ``q + x - (T + e)`` that each query value can take over
+the noise box, to find the margins on which it gives each answer; that
+rules out a per-tape Python run.  One kernel, ``run_status_gaps``, replays
+all three mechanisms column-by-column over tape arrays, one array of draws
+per query role, using the very same
 arithmetic expressions and comparison directions as the per-tape runs.  The
 run state after each answer, and where the run stops, come from
 ``run_state_table``, which the exact oracle reads too; the adaptive guard in
@@ -23,8 +24,9 @@ output identifiers.  ``int_row_keys`` folds each encoded row into one exact int6
 key for a chunk: the columns are packed in a mixed radix of their spans, and
 the running key is replaced by its dense rank whenever the next column would
 overflow int64, so equal keys mean equal rows for every input.  ``key_groups``
-gives those ranks, and groups a chunk's keys for counting: through a table
-over the key span where the span is at most twice the key count, as it is
+gives those ranks, and groups a chunk's keys for counting, and the exact
+oracle's codes over its margins for their boxes: through a table over the
+key span where the span is at most twice the key count, as it is
 for the Monte Carlo chunks, and through a sort where it is wider, as after
 a rank step on wide columns.
 

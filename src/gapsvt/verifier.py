@@ -7,8 +7,10 @@ Three families of evidence, in increasing strength on small instances:
   stays within the budget, and that the structural side conditions hold;
 * an exact output-distribution oracle under integer (discrete Laplace)
   noise over a box of tapes, built output by output from each query's
-  distribution given the threshold draw, that checks the likelihood-ratio
-  bound directly on the two sides' masses, joined once into aligned arrays;
+  distribution given the threshold draw, gathered from the noise law over
+  the margins on which the array kernel gives each answer, that checks the
+  likelihood-ratio bound directly on the two sides' masses, joined once
+  into aligned arrays;
 * a Monte Carlo estimator used both to cross-check the enumeration and as a
   falsification heuristic on instances too large to enumerate.
 
@@ -25,9 +27,9 @@ import numbers
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from functools import reduce
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .alignments import (
     Mutation,
@@ -69,9 +71,6 @@ from .mechanisms import (
     svt_gap_run,
 )
 from .vectorized import (
-    STATUS_BOT,
-    STATUS_TOP,
-    STATUS_TOP_SECOND,
     canonical_rows,
     decode_row,
     encode_int_rows,
@@ -583,9 +582,10 @@ def enumerate_output_dist(
     output; the mass outside the box is ``truncation_loss``.  The default ``method='per-query'`` conditions on
     the threshold draw, under which every answer depends on its own query's
     draws alone, through their margin over the noisy threshold: the array
-    kernel runs once per group of nearby query values, over the margins of
-    all of them, and outputs are built one position at a time from each
-    query's decoded answers (see ``_enumerate_per_query``), and raises
+    kernel runs once per distinct query value, over every margin the box
+    gives it, each answer's mass is gathered from the noise law over the
+    margins that give it, and outputs are built one position at a time from
+    each query's decoded answers (see ``_enumerate_per_query``), and raises
     ``GridBudgetExceeded`` when a step passes ``ENUM_CELL_CAP`` cells,
     whatever the box size.  ``method='per-tape'``
     runs the per-tape mechanism on every point of a box of at most 2,000,000
@@ -673,26 +673,6 @@ def _enumerate_per_tape(mechanism, w, side, budget, axes) -> dict:
     return masses
 
 
-def _code_range(mechanism, sigma, lo, hi) -> tuple[int, int]:
-    """The least and the largest answer code (``vectorized``'s encoding) of
-    one query over a box of margins ``q + x - (T + e)``, ``lo[r]`` to
-    ``hi[r]`` for the draw x of query role r.  The first attempt answers at
-    a margin of at least ``sigma``, the adaptive second attempt at 0 or
-    more wherever the first fails, and the query is below the threshold
-    where neither does."""
-    codes = []
-    if hi[0] >= sigma:
-        codes += [STATUS_TOP + 4 * max(lo[0], sigma), STATUS_TOP + 4 * hi[0]]
-    if lo[0] < sigma:  # the first attempt fails somewhere in the box
-        if len(lo) > 1 and hi[1] >= 0:
-            codes += [STATUS_TOP_SECOND + 4 * max(lo[1], 0), STATUS_TOP_SECOND + 4 * hi[1]]
-        if len(lo) == 1 or lo[1] < 0:
-            codes.append(STATUS_BOT)
-    if mechanism == SVT_CLASSIC:  # its codes are the status alone
-        codes = [min(c, STATUS_TOP) for c in codes]
-    return min(codes), max(codes)
-
-
 def _cells(rows, cols) -> int:
     """The cells a step of ``rows`` rows and ``cols`` columns is charged: a
     row counts at least ``KEY_CELLS``."""
@@ -700,79 +680,64 @@ def _cells(rows, cols) -> int:
 
 
 def _answer_tables(mechanism, w, side, budget, threshold, query_axes, charge, stats) -> dict:
-    """Each distinct value's answer codes and their masses over its in-box
-    draws given each threshold draw: ``(codes, draws)``, C-contiguous.
+    """Each distinct value's answer codes, ascending, and their masses over
+    its in-box draws given each threshold draw: ``(codes, draws)``,
+    C-contiguous.
 
     The kernel reads a query draw x only through the margin
-    ``q + x - (T + e)``, so an answer's code is a function of that margin
-    alone, exactly so on integers: a value q under threshold draw e reads
-    what a value q - s reads under e - s.  So the distinct values are
-    grouped, ascending, and the kernel runs once per group, at threshold
-    draw 0 and at the group's least value, over each role's margin axis:
-    the differences ``x - e`` over the box
-    (``len(axis) + len(threshold) - 1`` points) widened by the group's
-    spread.  Margin column c is the window of that grid at offset c on
-    every axis; one weighted ``bincount`` per column, over the codes
-    shifted once by the grid's least, fills one row of the group's table,
-    and a value s above the least reads column ``s + bound - e`` under draw
-    e, ``bound`` the threshold axis's (the second adaptive draw is summed
-    over its box whether or not the run reads it).  A value joins a group only while the
-    group's kernel grid and table are charged no more cells than
-    ``ENUM_CELL_CAP`` and than the values' own would be.  The grid, one
-    row per point and one column, and the table, one row per code from the
-    least to the largest and one column per margin column, are charged
-    before they are built."""
+    ``q + x - (T + e)``, so a value's answer code is a function of the
+    differences ``x - e``, one per query role, each from ``-reach`` to
+    ``reach`` over the box.  The kernel runs once per distinct value, at
+    threshold draw 0, over that grid of differences.  Each code's points on
+    it form a box, a range of differences per role: the first attempt
+    answers where its difference clears one bound, the adaptive second
+    attempt where the first does not and its own clears another, and the
+    query is below the threshold where neither does.  That is checked, not
+    assumed: a code whose points do not fill their box, or whose range on
+    a role is neither one point nor touches an end of the grid, raises.
+
+    Under threshold draw e a range of differences is a range of x shifted
+    by e, so a code's mass is the product over roles of the pmf's mass on
+    that range: the pmf itself for one point, else its running sum from the
+    end the range touches, so no difference of sums cancels.  The grid, one
+    row per point and one column, is charged before it is built, and the
+    table once its codes are known."""
     draws = len(threshold.values)
-    sizes = [len(ax.values) for ax in query_axes]
-    reach = [ax.bound + threshold.bound for ax in query_axes]  # each role's x - e runs from -reach to reach
-    query_pmf = reduce(np.multiply.outer, [ax.pmf for ax in query_axes]).ravel()
-    sigma = int(w.sigma) if mechanism == ADAPTIVE_GAP else 0
-    t = int(w.threshold)
-
-    def group_cells(first, last):
-        """The cells charged to the kernel grid and to the table of one group
-        of values from ``first`` to ``last``."""
-        spread = int(last) - int(first)
-        least, largest = _code_range(mechanism, sigma, [int(first) - t - r for r in reach], [int(last) - t + r for r in reach])
-        return _cells(math.prod(2 * r + 1 + spread for r in reach), 1), _cells(largest - least + 1, draws + spread)
-
-    groups = []  # ascending distinct values, one kernel run per group
-    separate = 0  # the cells of the last group's values taken one at a time
-    for q in sorted(set(w.values(side))):
-        alone = sum(group_cells(q, q))
-        if groups:
-            merged = group_cells(groups[-1][0], q)
-            if max(merged) <= ENUM_CELL_CAP and sum(merged) <= separate + alone:
-                groups[-1].append(q)
-                separate += alone
-                continue
-        groups.append([q])
-        separate = alone
-
+    reach = [ax.bound + threshold.bound for ax in query_axes]
+    shape = [2 * r + 1 for r in reach]
+    charge(math.prod(shape), 1)
+    index = np.indices(shape).reshape(len(shape), -1)  # per role, each grid point's x - e + reach
+    differences = [(i - r)[:, None] for i, r in zip(index, reach)]
+    # per role, the pmf and its running sums from the right and from the
+    # left, padded so that difference index i under draw index j reads
+    # entry i + j, in windows: window i holds what i reads under each draw
+    laws = []
+    for ax in query_axes:
+        pmf = np.pad(ax.pmf, 2 * threshold.bound)
+        laws.append(sliding_window_view(np.stack([pmf, np.cumsum(pmf[::-1])[::-1], np.cumsum(pmf)]), draws, axis=1))
     tables = {}
-    for group in groups:
-        spread = int(group[-1]) - int(group[0])
-        margin_axes = [np.arange(-r, r + spread + 1) for r in reach]
-        charge(math.prod(map(len, margin_axes)), 1)
-        margins = tuple(g.reshape(-1, 1) for g in np.meshgrid(*margin_axes, indexing="ij"))
-        wq = Workload((group[0],), (group[0],), w.threshold, w.k, w.epsilon, w.sigma)
-        status, gaps = run_status_gaps(mechanism, wq, Side.D, budget, 0, margins)
-        grid = encode_int_rows(mechanism, status, gaps).reshape([len(a) for a in margin_axes])
-        least = int(grid.min())
-        rows, columns = int(grid.max()) - least + 1, draws + spread
-        charge(rows, columns)
-        grid -= least
-        table = np.empty((columns, rows))
-        for c in range(columns):  # each column's masses, counted in the order of the query grid
-            table[c] = np.bincount(grid[tuple(slice(c, c + size) for size in sizes)].ravel(), weights=query_pmf, minlength=rows)
-        for q in group:
-            s = int(q) - int(group[0])
-            by_draw = table[s : s + draws][::-1]  # under draw values[j], value q reads column s + draws - 1 - j
-            hit = np.flatnonzero(by_draw.any(axis=0))
-            tables[q] = hit + least, np.ascontiguousarray(by_draw.T[hit])
+    for q in set(w.values(side)):
+        wq = Workload((q,), (q,), w.threshold, w.k, w.epsilon, w.sigma)
+        status, gaps = run_status_gaps(mechanism, wq, Side.D, budget, 0, differences)
+        grid = encode_int_rows(mechanism, status, gaps).ravel()
+        inverse, rows = key_groups(grid)
+        charge(len(rows))
+        lo = np.full((len(shape), len(rows)), max(shape))
+        hi = np.zeros_like(lo)
+        for r, i in enumerate(index):
+            np.minimum.at(lo[r], inverse, i)
+            np.maximum.at(hi[r], inverse, i)
+        ends = (lo == hi) | (lo == 0) | (hi == np.array(shape)[:, None] - 1)
+        if not (ends.all() and np.array_equal(np.prod(hi - lo + 1, axis=0), np.bincount(inverse))):
+            raise RuntimeError(f"the answer codes of value {q!r} do not cover the margin grid in edge-anchored boxes")
+        table = np.ones((len(rows), draws))
+        for law, a, b in zip(laws, lo, hi):
+            left = (a == 0) & (a < b)
+            kind = np.where(a == b, 0, np.where(left, 2, 1))
+            table *= law[kind, np.where(left, b, a)]
+        tables[q] = grid[rows], table
         stats["kernel_runs"] += 1
-        stats["kernel_points"] += len(status)
-        stats["margin_columns"] += columns
+        stats["kernel_points"] += len(grid)
     return tables
 
 
@@ -781,7 +746,7 @@ def _enumerate_per_query(mechanism, w, side, budget, axes) -> tuple[dict, dict]:
     draws of every query after the run stopped), e the threshold draw.
 
     ``P_i(. | e)`` comes from an array-kernel run on one query alone, one
-    run for a group of nearby values (see ``_answer_tables``).  Output
+    run per distinct value, and the role pmfs (see ``_answer_tables``).  Output
     prefixes grow one position at a time as key tuples with their mass per
     threshold draw, each answer decoded once per query; a prefix leaves by
     the kernel's own stop rule (the ``stop`` table of ``run_state_table``),
@@ -789,15 +754,16 @@ def _enumerate_per_query(mechanism, w, side, budget, axes) -> tuple[dict, dict]:
     Outputs of mass 0 are impossible ones and are dropped.
 
     Each step's table has one column per threshold draw and one row per
-    point of a query's grid or per (live prefix, answer) pair (a
-    position).  A table past ``ENUM_CELL_CAP`` cells (``_cells``) raises
-    ``GridBudgetExceeded`` before it is built.  Returns the masses and the
-    counts of the work: kernel runs, kernel grid points, margin columns,
-    the largest step's charged cells and the answers decoded."""
+    answer of a query or per (live prefix, answer) pair (a position); the
+    kernel's grid has one column and one row per point.  A table past
+    ``ENUM_CELL_CAP`` cells (``_cells``) raises ``GridBudgetExceeded``
+    before it is built.  Returns the masses and the counts of the work:
+    kernel runs, kernel grid points, the largest step's charged cells and
+    the answers decoded."""
     n = len(w)
     threshold = axes[0]
     draws = len(threshold.values)
-    stats = dict.fromkeys(("kernel_runs", "kernel_points", "margin_columns", "largest_step_cells", "answers_decoded"), 0)
+    stats = dict.fromkeys(("kernel_runs", "kernel_points", "largest_step_cells", "answers_decoded"), 0)
 
     def charge(rows, cols=draws):
         needed = _cells(rows, cols)
@@ -806,7 +772,6 @@ def _enumerate_per_query(mechanism, w, side, budget, axes) -> tuple[dict, dict]:
         stats["largest_step_cells"] = max(stats["largest_step_cells"], needed)
 
     query_axes = axes[1 : 1 + len(budget.layout.query_roles)]
-    charge(math.prod(len(ax.values) for ax in query_axes))  # the query grid, as a table per threshold draw
     tables = _answer_tables(mechanism, w, side, budget, threshold, query_axes, charge, stats)
     query_inbox = math.prod(1.0 - ax.tail for ax in query_axes)
     step, stop, _ = run_state_table(mechanism, w, budget)

@@ -437,9 +437,9 @@ class TestEnumeration:
 
     def test_oracle_work_is_per_query_not_per_threshold_draw(self, monkeypatch):
         """svt-gap curated #6 has 57 threshold draws and about 19,700 outputs
-        a side.  Its two values on each side are consecutive, so the oracle
-        runs the kernel once a side, over the margins of both, and decodes
-        each query's answers once, not each output's row."""
+        a side.  The oracle runs the kernel once for each of a side's two
+        values, and decodes each query's answers once, not each output's
+        row."""
         w = default_enumeration_instances(SVT_GAP)[6]
         calls = Counter()
         for name in ("run_status_gaps", "decode_row"):
@@ -457,7 +457,7 @@ class TestEnumeration:
             for key in dist.masses:
                 for position, answer in enumerate(key):
                     answers[position].add(answer)
-            assert calls["run_status_gaps"] == dist.meta["stats"]["kernel_runs"] == 1
+            assert calls["run_status_gaps"] == dist.meta["stats"]["kernel_runs"] == len(set(w.values(side))) == 2
             assert 0 < calls["decode_row"] <= sum(map(len, answers)) < len(dist.masses) // 50
             assert len(dist.masses) > 19_000
 
@@ -473,16 +473,14 @@ class TestEnumeration:
     )
     def test_stats_count_the_kernel_and_decoder_calls(self, mechanism, w, monkeypatch):
         """``meta["stats"]`` counts what spies on the kernel and on
-        ``decode_row`` see: kernel runs and grid points, the margin columns
-        (the first role's margins less its box, plus one, a run) and the
-        answers decoded."""
-        runs, points, columns, decoded = [], [], [], []
+        ``decode_row`` see: kernel runs, one per distinct value, and grid
+        points, and the answers decoded."""
+        runs, points, decoded = [], [], []
         real_kernel, real_decode = verifier.run_status_gaps, verifier.decode_row
 
         def kernel(mechanism, wq, side, budget, eta0, draws):
             runs.append(wq.d)
             points.append(len(draws[0]))
-            columns.append(len(np.unique(draws[0])))
             return real_kernel(mechanism, wq, side, budget, eta0, draws)
 
         def decode(mechanism, row):
@@ -492,18 +490,16 @@ class TestEnumeration:
         monkeypatch.setattr(verifier, "run_status_gaps", kernel)
         monkeypatch.setattr(verifier, "decode_row", decode)
         for side in Side:
-            for seen in (runs, points, columns, decoded):
+            for seen in (runs, points, decoded):
                 seen.clear()
             dist = enumerate_output_dist(mechanism, w, side)
-            box = 2 * dist.meta["bounds"][1] + 1  # the first query role's
             assert dist.meta["stats"] == {
                 "kernel_runs": len(runs),
                 "kernel_points": sum(points),
-                "margin_columns": sum(c - box + 1 for c in columns),
                 "largest_step_cells": dist.meta["stats"]["largest_step_cells"],
                 "answers_decoded": len(decoded),
             }
-            assert 0 < len(runs) <= len(set(w.values(side)))
+            assert len(runs) == len(set(w.values(side)))
 
     @pytest.mark.parametrize("mechanism,index", [(SVT_GAP, 6), (ADAPTIVE_GAP, 2)])
     def test_largest_step_is_what_the_cap_must_allow(self, mechanism, index, monkeypatch):
@@ -529,17 +525,17 @@ class TestEnumeration:
             assert enumerate_output_dist(SVT_GAP, w, side).meta["stats"]["kernel_runs"] == 2
 
     def test_far_apart_adaptive_values_match_the_per_tape_runs(self):
-        """Values 0 and 1 share a kernel run on each side, and 200 takes its
-        own; on a box of one the masses are the per-tape runs'."""
+        """Values 0, 1 and 200 run the kernel once each on each side; on a
+        box of one the masses are the per-tape runs'."""
         w = Workload.from_values([(0, 1), (200, 201), (1, 0)], 0, 1, 8.0, sigma=1)
         for side in Side:
             a = enumerate_output_dist(ADAPTIVE_GAP, w, side, box=1, method="per-tape")
             b = enumerate_output_dist(ADAPTIVE_GAP, w, side, box=1)
-            assert b.meta["stats"]["kernel_runs"] == 2
+            assert b.meta["stats"]["kernel_runs"] == 3
             assert set(a.masses) == set(b.masses)
             for key in a.masses:
                 assert a.masses[key] == pytest.approx(b.masses[key], rel=1e-13, abs=0)
-            assert enumerate_output_dist(ADAPTIVE_GAP, w, side).meta["stats"]["kernel_runs"] == 2
+            assert enumerate_output_dist(ADAPTIVE_GAP, w, side).meta["stats"]["kernel_runs"] == 3
         report, loss = check_dp_exact(ADAPTIVE_GAP, w)
         assert report.passed and loss.outputs == 131
         assert report.notes["certified_max"] == 3.4843814704182643
@@ -567,20 +563,38 @@ class TestEnumeration:
         reach=st.tuples(st.integers(0, 5), st.integers(0, 5)),
         spread=st.integers(0, 4),
     )
-    def test_code_range_is_the_kernel_grid_s(self, mechanism, offset, sigma, reach, spread):
-        """The least and largest code that grouping predicts for a box of
-        margins are the least and largest the kernel gives on it."""
+    def test_each_code_covers_a_box_of_the_kernel_grid(self, mechanism, offset, sigma, reach, spread):
+        """Over a grid of margins, the points at which the kernel gives one
+        answer code form a box: every point of the box holds the code, and
+        on each role its range is one point or touches an end of the grid.
+        The oracle gathers each answer's mass from the noise law on that."""
         reach = reach if mechanism == ADAPTIVE_GAP else reach[:1]  # one query role per draw layout
         w = Workload.from_values([(offset, offset)], 0, 1, 1.0, sigma=sigma if mechanism == ADAPTIVE_GAP else None)
-        margins = np.meshgrid(*[np.arange(-r, r + spread + 1) for r in reach], indexing="ij")
+        axes = [np.arange(-r, r + spread + 1) for r in reach]
+        margins = np.meshgrid(*axes, indexing="ij")
         status, gaps = vectorized.run_status_gaps(
             mechanism, w, Side.D, default_budget(mechanism, w), 0, [m.reshape(-1, 1) for m in margins]
         )
-        codes = vectorized.encode_int_rows(mechanism, status, gaps)
-        lo = [offset - r for r in reach]
-        hi = [offset + spread + r for r in reach]
-        sigma = sigma if mechanism == ADAPTIVE_GAP else 0
-        assert verifier._code_range(mechanism, sigma, lo, hi) == (int(codes.min()), int(codes.max()))
+        grid = vectorized.encode_int_rows(mechanism, status, gaps).reshape([len(a) for a in axes])
+        for code in np.unique(grid):
+            where = np.nonzero(grid == code)
+            assert (grid[tuple(slice(i.min(), i.max() + 1) for i in where)] == code).all()
+            for i, a in zip(where, axes):
+                assert i.min() == i.max() or i.min() == 0 or i.max() == len(a) - 1
+
+    @pytest.mark.parametrize("mechanism", [SVT_GAP, ADAPTIVE_GAP])
+    def test_codes_off_their_boxes_raise(self, mechanism, monkeypatch):
+        """A code map that is no set of boxes, a checkerboard of two codes
+        over the grid, breaks the premise the masses are gathered on: the
+        oracle raises instead of returning masses."""
+
+        def checkerboard(mechanism, status, gaps):
+            return (np.arange(len(status)) % 2 + 1).reshape(-1, 1)
+
+        monkeypatch.setattr(verifier, "encode_int_rows", checkerboard)
+        w = Workload.from_values([(0, 1)], 0, 1, 8.0, sigma=1 if mechanism == ADAPTIVE_GAP else None)
+        with pytest.raises(RuntimeError, match="boxes"):
+            enumerate_output_dist(mechanism, w, Side.D)
 
     @pytest.mark.parametrize("method", ["per-query", "per-tape"])
     @pytest.mark.parametrize(
@@ -1076,6 +1090,24 @@ class TestMonteCarlo:
         assert report.witness is not None
 
 
+class _NoisedAs:
+    """A budget that draws another budget's noise, all else its own."""
+
+    def __init__(self, budget, noisy):
+        self.budget, self.noisy = budget, noisy
+
+    def __getattr__(self, name):
+        return getattr(self.budget, name)
+
+    def noise_spec(self, kind=NoiseKind.LAPLACE):
+        return self.noisy.noise_spec(kind)
+
+
+def _m(m: int, k: int, epsilon: float) -> Workload:
+    """M_m: m queries that rise from D to D' and m that fall, threshold 0."""
+    return Workload.from_values([(0, 1)] * m + [(1, 0)] * m, 0, k, epsilon)
+
+
 class TestDpExact:
     @pytest.mark.parametrize("mechanism", MECHANISMS)
     def test_first_instances_pass(self, mechanism):
@@ -1112,19 +1144,9 @@ class TestDpExact:
         cost stay at epsilon, must fail at least one curated instance, and
         its witness must replay under the same drill."""
 
-        class UnderNoised:
-            def __init__(self, budget, noisy):
-                self.budget, self.noisy = budget, noisy
-
-            def __getattr__(self, name):
-                return getattr(self.budget, name)
-
-            def noise_spec(self, kind=NoiseKind.LAPLACE):
-                return self.noisy.noise_spec(kind)
-
         def drill(mechanism, w):
             doubled = dataclasses.replace(w, epsilon=2 * w.epsilon)
-            return UnderNoised(mechanisms.default_budget(mechanism, w), mechanisms.default_budget(mechanism, doubled))
+            return _NoisedAs(mechanisms.default_budget(mechanism, w), mechanisms.default_budget(mechanism, doubled))
 
         monkeypatch.setattr(verifier, "default_budget", drill)
         reports = [check_dp_exact(mechanism, w)[0] for w in default_enumeration_instances(mechanism)]
@@ -1151,6 +1173,44 @@ class TestDpExact:
         broken, loss = check_dp_exact(mechanism, w)
         assert broken.verdict == "fail" and broken.witness.kind == "dp-exact"
         assert loss.certified_max > w.epsilon and loss.material_one_sided()
+
+    @staticmethod
+    def _variant_fails(mechanism, w, monkeypatch, name, variant, ratios):
+        """The real mechanism passes on ``w``; with ``variant`` patched in
+        for ``verifier.<name>`` it fails, and its witness replays under the
+        patch alone.  ``ratios`` are certified_max / epsilon of the real
+        mechanism and of the variant."""
+        real, real_loss = check_dp_exact(mechanism, w)
+        assert real.passed, real.to_json_dict()
+        monkeypatch.setattr(verifier, name, variant)
+        broken, loss = check_dp_exact(mechanism, w)
+        assert broken.verdict == "fail" and broken.witness.kind == "dp-exact"
+        assert (real_loss.certified_max / w.epsilon, loss.certified_max / w.epsilon) == pytest.approx(ratios, abs=5e-4)
+        assert replay_witness(broken.witness)
+        monkeypatch.undo()
+        assert not replay_witness(broken.witness)
+
+    def test_no_stop_variant_fails(self, monkeypatch):
+        """Lyu, Su & Li's variant that answers every query, never stopping
+        after k positives, fails dp-exact on svt over M_4 at k = 1."""
+        real = verifier.run_state_table
+
+        def no_stop(mechanism, w, budget):
+            step, stop, _ = real(mechanism, w, budget)
+            return step, np.zeros_like(stop), None
+
+        self._variant_fails(SVT_CLASSIC, _m(4, 1, 1.0), monkeypatch, "run_state_table", no_stop, (0.863, 1.662))
+
+    @pytest.mark.parametrize("mechanism,epsilon,ratios", [(SVT_CLASSIC, 1.0, (0.644, 1.196)), (SVT_GAP, 4.0, (0.733, 1.401))])
+    def test_noise_fixed_at_k_1_variant_fails(self, mechanism, epsilon, ratios, monkeypatch):
+        """Lyu, Su & Li's variant whose query noise does not grow with k,
+        here the k = 1 budget's noise at k = 2 with the k = 2 stop rule,
+        fails dp-exact over M_4."""
+
+        def fixed_noise(mechanism, w):
+            return _NoisedAs(mechanisms.default_budget(mechanism, w), mechanisms.default_budget(mechanism, dataclasses.replace(w, k=1)))
+
+        self._variant_fails(mechanism, _m(4, 2, epsilon), monkeypatch, "default_budget", fixed_noise, ratios)
 
 
 _HASH_SEED_PROBE = """
