@@ -699,9 +699,9 @@ def _answer_tables(mechanism, w, side, budget, threshold, query_axes, charge, st
     Under threshold draw e a range of differences is a range of x shifted
     by e, so a code's mass is the product over roles of the pmf's mass on
     that range: the pmf itself for one point, else its running sum from the
-    end the range touches, so no difference of sums cancels.  The grid, one
-    row per point and one column, is charged before it is built, and the
-    table once its codes are known."""
+    end the range touches, so no difference of sums cancels.  The grid, the
+    same for every value, one row per point and one column, is charged once
+    before it is built, and each table once its codes are known."""
     draws = len(threshold.values)
     reach = [ax.bound + threshold.bound for ax in query_axes]
     shape = [2 * r + 1 for r in reach]
