@@ -8,9 +8,9 @@ Three families of evidence, in increasing strength on small instances:
 * an exact output-distribution oracle under integer (discrete Laplace)
   noise over a box of tapes, built output by output from each query's
   distribution given the threshold draw, gathered from the noise law over
-  the margins on which the array kernel gives each answer, that checks the
-  likelihood-ratio bound directly on the two sides' masses, joined once
-  into aligned arrays;
+  the margins on which the array kernel gives each answer, kept as rows of
+  answer codes, that checks the likelihood-ratio bound directly on the two
+  sides' masses, joined once on those rows into aligned arrays;
 * a Monte Carlo estimator used both to cross-check the enumeration and as a
   falsification heuristic on instances too large to enumerate.
 
@@ -71,6 +71,7 @@ from .mechanisms import (
     svt_gap_run,
 )
 from .vectorized import (
+    STATUS_ABSENT,
     canonical_rows,
     decode_row,
     encode_int_rows,
@@ -528,15 +529,51 @@ def replay_witness(witness: Witness) -> bool:
 # Exact enumeration oracle
 
 
-@dataclass
-class OutputDistribution:
-    """Probability mass per canonical output, plus unassigned tail mass."""
+@dataclass(frozen=True, eq=False)
+class _CodeRows:
+    """Outputs as int64 rows of answer codes, one row an output and one
+    column a query, padded with ``STATUS_ABSENT`` after the run stopped;
+    ``mass`` holds their masses in the same order, and ``answers`` each
+    code's decoded answer, the element of the canonical key it stands for.
+    Distinct outputs have distinct rows."""
 
-    mechanism: str
-    side: str
-    masses: dict
-    truncation_loss: float
-    meta: dict = field(default_factory=dict)
+    codes: np.ndarray
+    mass: np.ndarray
+    answers: dict
+
+    def keys(self, index=slice(None)) -> list:
+        """The canonical keys of the rows ``index`` picks, in its order,
+        built a column at a time from the decoded answers."""
+        codes = self.codes[index]
+        columns = [[self.answers.get(c) for c in col] for col in codes.T.tolist()]
+        lengths = np.count_nonzero(codes != STATUS_ABSENT, axis=1).tolist()
+        return [row[:length] for row, length in zip(zip(*columns), lengths)]
+
+
+class OutputDistribution:
+    """Probability mass per canonical output, plus unassigned tail mass.
+
+    ``masses`` maps each output's canonical key to its mass.  The exact
+    oracle passes its outputs as code rows instead (a ``_CodeRows``, kept
+    as ``rows``), and the dict is built from them on the first read of
+    ``masses``: the keys in the oracle's output order, each from the
+    answers the oracle decoded, with the masses bit for bit.
+    ``max_privacy_loss`` joins two sides that carry rows on the rows, so a
+    check reads no key but those it reports.  ``rows`` is None for a dict."""
+
+    def __init__(self, mechanism: str, side: str, masses, truncation_loss: float, meta: dict | None = None):
+        self.mechanism = mechanism
+        self.side = side
+        self.rows = masses if isinstance(masses, _CodeRows) else None
+        self._masses = None if self.rows is not None else masses
+        self.truncation_loss = truncation_loss
+        self.meta = {} if meta is None else meta
+
+    @property
+    def masses(self) -> dict:
+        if self._masses is None:
+            self._masses = dict(zip(self.rows.keys(), self.rows.mass.tolist()))
+        return self._masses
 
     def total_mass(self) -> float:
         return float(sum(self.masses.values()))
@@ -584,12 +621,15 @@ def enumerate_output_dist(
     draws alone, through their margin over the noisy threshold: the array
     kernel runs once per distinct query value, over every margin the box
     gives it, each answer's mass is gathered from the noise law over the
-    margins that give it, and outputs are built one position at a time from
-    each query's decoded answers (see ``_enumerate_per_query``), and raises
+    margins that give it, and outputs are built one position at a time as
+    rows of answer codes (see ``_enumerate_per_query``); it raises
     ``GridBudgetExceeded`` when a step passes ``ENUM_CELL_CAP`` cells,
-    whatever the box size.  ``method='per-tape'``
+    whatever the box size.  Its distribution carries those rows, and builds
+    the ``masses`` dict from each query's decoded answers only when it is
+    read.  ``method='per-tape'``
     runs the per-tape mechanism on every point of a box of at most 2,000,000
-    as the independent check.  ``meta["grid_points"]`` is the box size;
+    as the independent check, and fills ``masses`` as it goes.
+    ``meta["grid_points"]`` is the box size;
     the per-query method also counts its work in ``meta["stats"]``.
 
     The noise, the values and the threshold are added as int64 or, where a
@@ -741,25 +781,28 @@ def _answer_tables(mechanism, w, side, budget, threshold, query_axes, charge, st
     return tables
 
 
-def _enumerate_per_query(mechanism, w, side, budget, axes) -> tuple[dict, dict]:
+def _enumerate_per_query(mechanism, w, side, budget, axes) -> tuple[_CodeRows, dict]:
     """P(omega) = sum_e p(e) * prod_i P_i(omega_i | e) * (in-box mass of the
     draws of every query after the run stopped), e the threshold draw.
 
     ``P_i(. | e)`` comes from an array-kernel run on one query alone, one
     run per distinct value, and the role pmfs (see ``_answer_tables``).  Output
-    prefixes grow one position at a time as key tuples with their mass per
-    threshold draw, each answer decoded once per query; a prefix leaves by
-    the kernel's own stop rule (the ``stop`` table of ``run_state_table``),
-    and the last position is contracted over ``e`` by one matrix product.
-    Outputs of mass 0 are impossible ones and are dropped.
+    prefixes grow one position at a time as int64 rows of answer codes,
+    padded with ``STATUS_ABSENT``, with their mass per threshold draw: each
+    prefix is repeated once per answer of the query, prefix-major, and the
+    query's codes fill its column.  Each query's answers are decoded once,
+    for the keys built later.  A prefix leaves by the kernel's own stop
+    rule (the ``stop`` table of ``run_state_table``), and the last position
+    is contracted over ``e`` by one matrix product.  Outputs of mass 0 are
+    impossible ones and are dropped.
 
     Each step's table has one column per threshold draw and one row per
     answer of a query or per (live prefix, answer) pair (a position); the
     kernel's grid has one column and one row per point.  A table past
     ``ENUM_CELL_CAP`` cells (``_cells``) raises ``GridBudgetExceeded``
-    before it is built.  Returns the masses and the counts of the work:
-    kernel runs, kernel grid points, the largest step's charged cells and
-    the answers decoded."""
+    before it is built.  Returns the outputs as ``_CodeRows``, in the order
+    they finish, and the counts of the work: kernel runs, kernel grid
+    points, the largest step's charged cells and the answers decoded."""
     n = len(w)
     threshold = axes[0]
     draws = len(threshold.values)
@@ -776,32 +819,33 @@ def _enumerate_per_query(mechanism, w, side, budget, axes) -> tuple[dict, dict]:
     query_inbox = math.prod(1.0 - ax.tail for ax in query_axes)
     step, stop, _ = run_state_table(mechanism, w, budget)
 
-    # live output prefixes: keys, mass per threshold draw, run state
-    keys = [()]
+    # live output prefixes: code rows, mass per threshold draw, run state
+    rows = np.full((1, n), STATUS_ABSENT, dtype=np.int64)
     mass = np.ones((1, draws))
     state = np.zeros(1, dtype=np.int64)
-    done = []  # (keys, masses) of finished outputs
+    answers = {}  # answer code -> decoded answer
+    done = []  # (rows, masses) of finished outputs
     for i, q in enumerate(w.values(side)):
         codes, cond = tables[q]
-        charge(len(keys) * len(codes))
-        answers = [decode_row(mechanism, [c]) for c in codes.tolist()]
-        stats["answers_decoded"] += len(answers)
-        keys = [p + a for p in keys for a in answers]  # prefix-major, as the mass rows below
+        charge(len(rows) * len(codes))
+        listed = codes.tolist()
+        answers.update((c, decode_row(mechanism, [c])[0]) for c in listed)
+        stats["answers_decoded"] += len(listed)
+        rows = np.repeat(rows, len(codes), axis=0)  # prefix-major, as the mass rows below
+        rows[:, i] = np.tile(codes, len(rows) // len(codes))
         if i == n - 1:
-            done.append((keys, ((mass * threshold.pmf) @ cond.T).ravel()))
+            done.append((rows, ((mass * threshold.pmf) @ cond.T).ravel()))
             break
-        mass = (mass[:, None, :] * cond[None, :, :]).reshape(len(keys), -1)
+        mass = (mass[:, None, :] * cond[None, :, :]).reshape(len(rows), -1)
         state = np.repeat(state, len(codes)) + np.tile(step[codes & 3], len(state))
         stopped = stop[state]
         ended = np.flatnonzero(stopped)
-        done.append(([keys[j] for j in ended.tolist()], (mass[ended] @ threshold.pmf) * query_inbox ** (n - 1 - i)))
+        done.append((rows[ended], (mass[ended] @ threshold.pmf) * query_inbox ** (n - 1 - i)))
         live = np.flatnonzero(~stopped & mass.any(axis=1))
-        keys, mass, state = [keys[j] for j in live.tolist()], mass[live], state[live]
-    masses = {}
-    for out_keys, out_mass in done:
-        hit = out_mass > 0.0
-        masses.update(zip(itertools.compress(out_keys, hit.tolist()), out_mass[hit].tolist()))
-    return masses, stats
+        rows, mass, state = rows[live], mass[live], state[live]
+    rows, mass = (np.concatenate(parts) for parts in zip(*done))
+    hit = mass > 0.0
+    return _CodeRows(rows[hit], mass[hit], answers), stats
 
 
 # ---------------------------------------------------------------------------
@@ -884,15 +928,49 @@ def _joined(a: dict, b: dict) -> tuple[list, np.ndarray, np.ndarray]:
     those only ``b`` has, both in dict order, and each side's values over
     them as one float array, 0 where it lacks the key.
 
-    Output keys are tuples of strings, whose hashes change with every
-    interpreter, so iterating a set of them would sum floats in a different
-    order, and to different last bits, on every run.  Merging dicts reuses
-    the hashes they store, so no key is hashed again."""
+    This join serves the sides that carry no code rows (Monte Carlo, the
+    per-tape oracle, hand-built dicts); two exact-oracle sides are joined
+    on their rows by ``_joined_rows``, in the same order.  Output keys are
+    tuples of strings, whose hashes change with every interpreter, so
+    iterating a set of them would sum floats in a different order, and to
+    different last bits, on every run.  Merging dicts reuses the hashes
+    they store, so no key is hashed again."""
     joined = dict.fromkeys(a, 0.0)
     joined.update(b)  # b's masses, at a's positions for the keys both have
     ma = np.zeros(len(joined))
     ma[: len(a)] = np.fromiter(a.values(), float, len(a))
     return list(joined), ma, np.fromiter(joined.values(), float, len(joined))
+
+
+def _joined_rows(a: _CodeRows, b: _CodeRows):
+    """``_joined`` on code rows: each side's masses over the union outputs,
+    those of ``a`` then those only ``b`` has, each side in its own order,
+    and a function giving the keys at ascending positions of that order.
+
+    Both sides' rows, padded to one width, are stacked and grouped by one
+    exact int64 key per row (``int_row_keys``, ``key_groups``); each group
+    takes the position of its ``a`` row, or the next one after all of
+    them.  Only the keys asked for are built."""
+    na, nb = len(a.mass), len(b.mass)
+    stacked = np.full((na + nb, max(a.codes.shape[1], b.codes.shape[1])), STATUS_ABSENT, dtype=np.int64)
+    stacked[:na, : a.codes.shape[1]] = a.codes
+    stacked[na:, : b.codes.shape[1]] = b.codes
+    inverse, groups = key_groups(int_row_keys(stacked) if len(stacked) else np.zeros(0, dtype=np.int64))
+    position = np.full(len(groups), -1, dtype=np.int64)
+    position[inverse[:na]] = np.arange(na)
+    at = position[inverse[na:]]
+    b_only = np.flatnonzero(at < 0)
+    at[b_only] = na + np.arange(len(b_only))
+    ma = np.zeros(na + len(b_only))
+    ma[:na] = a.mass
+    mb = np.zeros(len(ma))
+    mb[at] = b.mass
+
+    def keys(index: np.ndarray) -> list:
+        split = np.searchsorted(index, na)
+        return a.keys(index[:split]) + b.keys(b_only[index[split:] - na])
+
+    return keys, ma, mb
 
 
 def tv_distance(a: OutputDistribution, b: OutputDistribution) -> float:
@@ -949,11 +1027,18 @@ def _largest_abs_log(ratios: np.ndarray) -> float:
 def max_privacy_loss(p: OutputDistribution, q: OutputDistribution) -> PrivacyLossResult:
     """The three maxima over the outputs of either side, compared as aligned
     mass arrays: numpy forms every ratio, and ``math.log`` takes only the
-    extreme ones.  A zero denominator is an infinite ratio."""
+    extreme ones.  A zero denominator is an infinite ratio.
+
+    Two sides that both carry code rows (the exact oracle's) are joined on
+    the rows (``_joined_rows``), and only the ``one_sided`` outputs' keys
+    are built; any other pair is joined on its ``masses`` dicts
+    (``_joined``).  Both give the outputs in one order, ``p``'s then those
+    only ``q`` has, so every field is the same either way."""
     if p.mechanism != q.mechanism:
         raise DomainMismatch(f"distributions from {p.mechanism!r} vs {q.mechanism!r}")
     tau = max(p.truncation_loss, q.truncation_loss)
-    keys, pm, qm = _joined(p.masses, q.masses)
+    rows = p.rows is not None and q.rows is not None
+    keys, pm, qm = _joined_rows(p.rows, q.rows) if rows else _joined(p.masses, q.masses)
     seen = pm + qm > 0.0
     in_p, in_q = pm > 0.0, qm > 0.0
     both = in_p & in_q
@@ -969,10 +1054,9 @@ def max_privacy_loss(p: OutputDistribution, q: OutputDistribution) -> PrivacyLos
             _largest_log(qm[in_q] / (pm[in_q] + tau)),
         )
     one = np.flatnonzero(((pm == 0.0) & (qm > tau)) | ((qm == 0.0) & (pm > tau)))
-    one_sided = tuple(
-        (keys[i], "d" if a > 0 else "dprime", max(a, b)) for i, a, b in zip(one.tolist(), pm[one].tolist(), qm[one].tolist())
-    )
-    return PrivacyLossResult(padded_max, raw_max, certified_max, tau, one_sided, len(keys))
+    one_keys = keys(one) if rows else [keys[i] for i in one.tolist()]
+    one_sided = tuple((key, "d" if a > 0 else "dprime", max(a, b)) for key, a, b in zip(one_keys, pm[one].tolist(), qm[one].tolist()))
+    return PrivacyLossResult(padded_max, raw_max, certified_max, tau, one_sided, len(pm))
 
 
 def check_dp_exact(mechanism: str, w: Workload) -> tuple[PrivacyReport, PrivacyLossResult]:

@@ -136,7 +136,8 @@ def test_dp_exact_joins_its_sides_inside_the_traced_loss(monkeypatch):
     """The tracer times ``verifier.loss_s`` as the span of
     ``verifier.max_privacy_loss``: ``check_dp_exact`` has to call it, and
     ``enumerate_output_dist`` for each side, through the module's names, and
-    the join of the two sides has to run inside that span."""
+    the one join of the two sides, on their code rows (``_joined_rows``) or
+    on their dicts (``_joined``), has to run inside that span."""
     calls = {"enumerate_output_dist": 0, "max_privacy_loss": 0, "joins": 0, "joins_outside_loss": 0}
     inside = []
     for name in ("enumerate_output_dist", "max_privacy_loss"):
@@ -151,14 +152,15 @@ def test_dp_exact_joins_its_sides_inside_the_traced_loss(monkeypatch):
                 inside.pop()
 
         monkeypatch.setattr(verifier, name, spy)
-    join = verifier._joined
+    for name in ("_joined", "_joined_rows"):
+        join = getattr(verifier, name)
 
-    def spy_join(*args):
-        calls["joins"] += 1
-        calls["joins_outside_loss"] += inside != ["max_privacy_loss"]
-        return join(*args)
+        def spy_join(*args, join=join):
+            calls["joins"] += 1
+            calls["joins_outside_loss"] += inside != ["max_privacy_loss"]
+            return join(*args)
 
-    monkeypatch.setattr(verifier, "_joined", spy_join)
+        monkeypatch.setattr(verifier, name, spy_join)
     w = gapsvt.default_enumeration_instances(gapsvt.SVT_GAP)[0]
     verifier.check_dp_exact(gapsvt.SVT_GAP, w)
     assert calls == {"enumerate_output_dist": 2, "max_privacy_loss": 1, "joins": 1, "joins_outside_loss": 0}

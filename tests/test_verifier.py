@@ -9,6 +9,7 @@ import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -50,7 +51,7 @@ from gapsvt import (
 )
 import gapsvt
 from gapsvt import mechanisms, vectorized, verifier
-from gapsvt.core import Branch, top_gap
+from gapsvt.core import Branch, NoiseSpec, top_gap
 from gapsvt.verifier import generate_workload, trial_rng
 
 
@@ -863,6 +864,131 @@ class TestPrivacyLoss:
         keys = [*p_masses, *(k for k in q_masses if k not in p_masses)]
         tv = sum(abs(p_masses.get(k, 0.0) - q_masses.get(k, 0.0)) for k in keys)
         assert tv_distance(p, q) == 0.5 * (tv + abs(p_tail - q_tail))
+        # the same sides as code rows, of two widths, joined on the rows
+        p = OutputDistribution(SVT_GAP, "d", _code_rows(p_masses, 2), p_tail)
+        q = OutputDistribution(SVT_GAP, "dprime", _code_rows(q_masses, 3), q_tail)
+        by_rows = max_privacy_loss(p, q)
+        assert p.rows is not None and q.rows is not None
+        assert (by_rows.padded_max, by_rows.raw_max, by_rows.certified_max, by_rows.tau) == want[:4]
+        assert by_rows.one_sided == _per_key_loss(p, q)[4]
+        assert by_rows.outputs == got.outputs
+
+
+def _code_rows(masses: dict, width: int):
+    """Integer keys as the exact oracle's code rows: key k is the row
+    ``(k // 5 + 1, k % 5)``, padded with ``STATUS_ABSENT`` (0) to ``width``,
+    and each code decodes to itself, so k's output key is the tuple of its
+    row's nonzero codes."""
+    codes = np.zeros((len(masses), width), dtype=np.int64)
+    for i, k in enumerate(masses):
+        codes[i, :2] = k // 5 + 1, k % 5
+    mass = np.array(list(masses.values()), dtype=float)
+    return verifier._CodeRows(codes, mass, {c: c for c in range(1, 5)})
+
+
+def _dict_only(dist: OutputDistribution) -> OutputDistribution:
+    return OutputDistribution(dist.mechanism, dist.side, dict(dist.masses), dist.truncation_loss, dist.meta)
+
+
+def _row_join_is_the_dict_join(mechanism, w) -> verifier.PrivacyLossResult:
+    """``max_privacy_loss`` of the two exact-oracle sides of ``w``, joined on
+    their code rows, after asserting that it equals, field by field, the
+    join of the same sides re-wrapped as dicts."""
+    p, q = (enumerate_output_dist(mechanism, w, side) for side in Side)
+    assert p.rows is not None and q.rows is not None
+    by_rows = max_privacy_loss(p, q)
+    by_dicts = max_privacy_loss(_dict_only(p), _dict_only(q))
+    assert by_rows == by_dicts
+    assert repr(by_rows) == repr(by_dicts)  # signed zeros too
+    return by_rows
+
+
+# the extra TestEnumeration workloads: values far apart, and far from the threshold
+_EXTRA_ENUM = [
+    (SVT_GAP, Workload.from_values([(0, 1), (100000, 100001)], 0, 1, 1.0)),
+    (ADAPTIVE_GAP, Workload.from_values([(0, 1), (200, 201), (1, 0)], 0, 1, 8.0, sigma=1)),
+    (SVT_GAP, Workload.from_values([(100000, 99999)], 0, 1, 1.0)),
+]
+
+
+class TestRowJoin:
+    """The exact oracle's sides carry code rows, and ``max_privacy_loss``
+    joins two of them on the rows; the dict join of the same sides must
+    give the same result in every field, ``one_sided`` and its order
+    included."""
+
+    @pytest.mark.parametrize(
+        "mechanism,w",
+        [(m, w) for m in MECHANISMS for w in default_enumeration_instances(m)] + _EXTRA_ENUM,
+    )
+    def test_row_join_is_the_dict_join(self, mechanism, w):
+        _row_join_is_the_dict_join(mechanism, w)
+
+    def test_failing_variants_join_alike(self, monkeypatch):
+        """The Lyu, Su & Li variants of ``TestDpExact`` on M_4, and a
+        per-query "no query noise" variant whose query noise is too small
+        to leave 0, which has outputs on one side only."""
+        real_table = verifier.run_state_table
+
+        def no_stop(mechanism, w, budget):
+            step, stop, _ = real_table(mechanism, w, budget)
+            return step, np.zeros_like(stop), None
+
+        monkeypatch.setattr(verifier, "run_state_table", no_stop)
+        assert _row_join_is_the_dict_join(SVT_CLASSIC, _m(4, 1, 1.0)).certified_max > 1.0
+        monkeypatch.undo()
+
+        def fixed_noise(mechanism, w):
+            return _NoisedAs(mechanisms.default_budget(mechanism, w), mechanisms.default_budget(mechanism, dataclasses.replace(w, k=1)))
+
+        monkeypatch.setattr(verifier, "default_budget", fixed_noise)
+        for mechanism, epsilon in ((SVT_CLASSIC, 1.0), (SVT_GAP, 4.0)):
+            assert _row_join_is_the_dict_join(mechanism, _m(4, 2, epsilon)).certified_max > epsilon
+        monkeypatch.undo()
+
+        def no_query_noise(mechanism, w):
+            budget = mechanisms.default_budget(mechanism, w)
+            spec = budget.noise_spec(NoiseKind.DLAP)
+            quiet = {role: b if role == "threshold" else 0.01 for role, b in spec.scales.items()}
+            return _NoisedAs(budget, SimpleNamespace(noise_spec=lambda kind: NoiseSpec(kind, quiet)))
+
+        monkeypatch.setattr(verifier, "default_budget", no_query_noise)
+        sides = set()
+        for mechanism, w in (
+            (SVT_GAP, Workload.from_values([(1, 0), (0, 1)], 0, 1, 8.0)),
+            (SVT_CLASSIC, Workload.from_values([(1, 0), (0, 1)], 0, 1, 8.0)),
+            (ADAPTIVE_GAP, Workload.from_values([(1, 0), (0, 1)], 0, 1, 8.0, sigma=1)),
+            (SVT_GAP, _m(2, 1, 1.0)),
+        ):
+            loss = _row_join_is_the_dict_join(mechanism, w)
+            assert loss.certified_max > w.epsilon and loss.material_one_sided()
+            sides.update(side for _, side, _ in loss.one_sided)
+        assert sides == {"d", "dprime"}
+
+    @pytest.mark.parametrize("mechanism,index", [(SVT_GAP, 6), (SVT_CLASSIC, 1), (ADAPTIVE_GAP, 2)])
+    def test_a_passing_check_builds_no_output_key(self, mechanism, index, monkeypatch):
+        """A passing ``check_dp_exact`` decodes answer codes only, as many
+        as both sides count in ``answers_decoded``; reading ``masses``
+        afterwards builds the keys from those answers, decoding nothing."""
+        decoded, dists = [], []
+        real_decode, real_enumerate = verifier.decode_row, verifier.enumerate_output_dist
+
+        def decode(mechanism, row):
+            decoded.append(row)
+            return real_decode(mechanism, row)
+
+        def enumerate_(*args):
+            dists.append(real_enumerate(*args))
+            return dists[-1]
+
+        monkeypatch.setattr(verifier, "decode_row", decode)
+        monkeypatch.setattr(verifier, "enumerate_output_dist", enumerate_)
+        report, loss = check_dp_exact(mechanism, default_enumeration_instances(mechanism)[index])
+        assert report.passed and len(dists) == 2
+        assert len(decoded) == sum(d.meta["stats"]["answers_decoded"] for d in dists) > 0
+        assert all(len(row) == 1 for row in decoded)
+        assert sum(len(d.masses) for d in dists) >= loss.outputs
+        assert len(decoded) == sum(d.meta["stats"]["answers_decoded"] for d in dists)
 
 
 def _assert_keys_order_like_rows(codes):
