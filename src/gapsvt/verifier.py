@@ -967,6 +967,8 @@ def _joined_rows(a: _CodeRows, b: _CodeRows):
     mb[at] = b.mass
 
     def keys(index: np.ndarray) -> list:
+        if not len(index):  # a passing check names no output
+            return []
         split = np.searchsorted(index, na)
         return a.keys(index[:split]) + b.keys(b_only[index[split:] - na])
 
