@@ -8,9 +8,9 @@ Three families of evidence, in increasing strength on small instances:
 * an exact output-distribution oracle under integer (discrete Laplace)
   noise over a box of tapes, built output by output from each query's
   distribution given the threshold draw, gathered from the noise law over
-  the margins on which the array kernel gives each answer, kept as rows of
-  answer codes, that checks the likelihood-ratio bound directly on the two
-  sides' masses, joined once on those rows into aligned arrays;
+  the margins on which the array kernel gives each answer, both sides on
+  one lattice of answer-code rows, that checks the likelihood-ratio bound
+  directly on the two sides' masses, paired by their lattice positions;
 * a Monte Carlo estimator used both to cross-check the enumeration and as a
   falsification heuristic on instances too large to enumerate.
 
@@ -27,6 +27,7 @@ import numbers
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -529,21 +530,31 @@ def replay_witness(witness: Witness) -> bool:
 # Exact enumeration oracle
 
 
-@dataclass(frozen=True, eq=False)
 class _CodeRows:
-    """Outputs as int64 rows of answer codes, one row an output and one
-    column a query, padded with ``STATUS_ABSENT`` after the run stopped;
-    ``mass`` holds their masses in the same order, and ``answers`` each
-    code's decoded answer, the element of the canonical key it stands for.
-    Distinct outputs have distinct rows."""
+    """One side of a call of ``_enumerate_per_query``.  The sides of a call
+    share ``steps``, which finish the lattice's outputs in order, and
+    ``answers``, each code's decoded answer; ``mass`` holds this side's mass
+    at each output, 0 where it has none, and ``codes`` the outputs as int64
+    code rows padded with ``STATUS_ABSENT``, built when first read."""
 
-    codes: np.ndarray
-    mass: np.ndarray
-    answers: dict
+    def __init__(self, steps: list, mass: np.ndarray, answers: dict):
+        self.steps, self.mass, self.answers = steps, mass, answers
 
-    def keys(self, index=slice(None)) -> list:
-        """The canonical keys of the rows ``index`` picks, in its order,
-        built a column at a time from the decoded answers."""
+    @cached_property
+    def codes(self) -> np.ndarray:
+        rows, done = np.full((1, len(self.steps)), STATUS_ABSENT, dtype=np.int64), []
+        for i, (alphabet, _, ended, live) in enumerate(self.steps):
+            prefix, code = np.repeat(np.arange(len(rows)), len(alphabet)), np.tile(alphabet, len(rows))
+            for children in (ended, live):
+                done.append(np.take(rows, prefix[children], axis=0))
+                done[-1][:, i] = code[children]
+            rows = done.pop()
+        return np.concatenate(done)
+
+    def keys(self, index: np.ndarray) -> list:
+        """The canonical keys of the outputs at ``index``, a column at a time."""
+        if not len(index):  # a passing check builds no code row
+            return []
         codes = self.codes[index]
         columns = [[self.answers.get(c) for c in col] for col in codes.T.tolist()]
         lengths = np.count_nonzero(codes != STATUS_ABSENT, axis=1).tolist()
@@ -554,12 +565,11 @@ class OutputDistribution:
     """Probability mass per canonical output, plus unassigned tail mass.
 
     ``masses`` maps each output's canonical key to its mass.  The exact
-    oracle passes its outputs as code rows instead (a ``_CodeRows``, kept
-    as ``rows``), and the dict is built from them on the first read of
-    ``masses``: the keys in the oracle's output order, each from the
-    answers the oracle decoded, with the masses bit for bit.
-    ``max_privacy_loss`` joins two sides that carry rows on the rows, so a
-    check reads no key but those it reports.  ``rows`` is None for a dict."""
+    oracle passes a ``_CodeRows`` instead, kept as ``rows``, and the dict is
+    built from it on the first read of ``masses``, in the oracle's output
+    order, with the masses bit for bit; ``max_privacy_loss`` pairs two sides
+    of one lattice by position, so a check builds no key but those it
+    reports.  ``rows`` is None for a dict."""
 
     def __init__(self, mechanism: str, side: str, masses, truncation_loss: float, meta: dict | None = None):
         self.mechanism = mechanism
@@ -572,7 +582,8 @@ class OutputDistribution:
     @property
     def masses(self) -> dict:
         if self._masses is None:
-            self._masses = dict(zip(self.rows.keys(), self.rows.mass.tolist()))
+            at = np.flatnonzero(self.rows.mass > 0.0)
+            self._masses = dict(zip(self.rows.keys(at), self.rows.mass[at].tolist()))
         return self._masses
 
     def total_mass(self) -> float:
@@ -602,21 +613,15 @@ def _enum_axes(w: Workload, spec: NoiseSpec, box: int | None):
     return [threshold] + query * len(w)
 
 
-def enumerate_output_dist(
-    mechanism: str,
-    w: Workload,
-    side: Side = Side.D,
-    box: int | None = None,
-    method: str = "per-query",
-) -> OutputDistribution:
+def enumerate_output_dist(mechanism: str, w: Workload, side: Side = Side.D, box: int | None = None, method: str = "per-query") -> OutputDistribution:
     """Exact output distribution under integer Laplace noise.
 
     The tapes of the per-role integer box, ``[-box, box]`` on every
     coordinate (a ``box`` that is not a non-negative ``int`` is a
     ``DomainError``) or by default each role's smallest box leaving less
-    than ``PER_DRAW_TAIL`` outside, are
-    weighted by their product pmf and their masses summed per canonical
-    output; the mass outside the box is ``truncation_loss``.  The default ``method='per-query'`` conditions on
+    than ``PER_DRAW_TAIL`` outside, are weighted by their product pmf and
+    their masses summed per canonical output; the mass outside the box is
+    ``truncation_loss``.  The default ``method='per-query'`` conditions on
     the threshold draw, under which every answer depends on its own query's
     draws alone, through their margin over the noisy threshold: the array
     kernel runs once per distinct query value, over every margin the box
@@ -625,12 +630,12 @@ def enumerate_output_dist(
     rows of answer codes (see ``_enumerate_per_query``); it raises
     ``GridBudgetExceeded`` when a step passes ``ENUM_CELL_CAP`` cells,
     whatever the box size.  Its distribution carries those rows, and builds
-    the ``masses`` dict from each query's decoded answers only when it is
-    read.  ``method='per-tape'``
-    runs the per-tape mechanism on every point of a box of at most 2,000,000
-    as the independent check, and fills ``masses`` as it goes.
-    ``meta["grid_points"]`` is the box size;
-    the per-query method also counts its work in ``meta["stats"]``.
+    the ``masses`` dict from the decoded answers only when it is read.
+    ``method='per-tape'`` runs the per-tape mechanism on every point of a
+    box of at most 2,000,000 as the independent check, and fills ``masses``
+    as it goes.  ``meta["grid_points"]`` is the box size; the per-query
+    method also counts its work in ``meta["stats"]``.  This is
+    ``_enumerate_sides`` of one side, which ``check_dp_exact`` runs on two.
 
     The noise, the values and the threshold are added as int64 or, where a
     value or the threshold is a float, as float64.  So every value, the
@@ -639,6 +644,13 @@ def enumerate_output_dist(
     at most 2**53 (the integers a float64 holds exactly); past that the
     enumeration would not be exact, and it is a ``DomainError``.
     """
+    return _enumerate_sides(mechanism, w, (side,), box, method)[0]
+
+
+def _enumerate_sides(mechanism, w, sides, box=None, method="per-query") -> list:
+    """``enumerate_output_dist`` of each of ``sides`` in one call; with the
+    per-query method their ``rows`` share one lattice, and their
+    distributions one ``meta["stats"]``, the call's single count."""
     check_workload_for(mechanism, w)
     if box is not None:
         if type(box) is not int:  # a bool, float or numpy integer too
@@ -652,23 +664,23 @@ def enumerate_output_dist(
     budget = default_budget(mechanism, w)
     spec = budget.noise_spec(NoiseKind.DLAP)
     axes = _enum_axes(w, spec, box)
-    _check_exact_range(w.values(side), w.threshold, axes[0].bound, max(ax.bound for ax in axes[1:]), "exact enumeration", "the noise box")
+    _check_exact_range([q for side in sides for q in w.values(side)], w.threshold, axes[0].bound, max(ax.bound for ax in axes[1:]), "exact enumeration", "the noise box")
     total = math.prod(len(ax.values) for ax in axes)
     truncation_loss = 1.0 - math.prod(1.0 - ax.tail for ax in axes)
 
     if method == "per-tape":
         if total > 2_000_000:
             raise GridBudgetExceeded(total, 2_000_000, hint="the per-tape method runs one tape per box point")
-        masses, stats = _enumerate_per_tape(mechanism, w, side, budget, axes), None
+        outputs, stats = [_enumerate_per_tape(mechanism, w, side, budget, axes) for side in sides], None
     elif method == "per-query":
-        masses, stats = _enumerate_per_query(mechanism, w, side, budget, axes)
+        outputs, stats = _enumerate_per_query(mechanism, w, sides, budget, axes)
     else:
         raise DomainError(f"unknown enumeration method {method!r}")
 
     meta = {"grid_points": total, "bounds": [ax.bound for ax in axes], "per_draw_tail": PER_DRAW_TAIL, "method": method}
     if stats is not None:
         meta["stats"] = stats
-    return OutputDistribution(mechanism, side.value, masses, truncation_loss, meta)
+    return [OutputDistribution(mechanism, side.value, masses, truncation_loss, dict(meta)) for side, masses in zip(sides, outputs)]
 
 
 def _check_exact_range(values, threshold, draw: int, noise: int, what: str, bounded_by: str) -> None:
@@ -719,10 +731,10 @@ def _cells(rows, cols) -> int:
     return rows * max(cols, KEY_CELLS)
 
 
-def _answer_tables(mechanism, w, side, budget, threshold, query_axes, charge, stats) -> dict:
+def _answer_tables(mechanism, w, sides, budget, threshold, query_axes, charge, stats) -> dict:
     """Each distinct value's answer codes, ascending, and their masses over
     its in-box draws given each threshold draw: ``(codes, draws)``,
-    C-contiguous.
+    C-contiguous, for the values of every side in ``sides``.
 
     The kernel reads a query draw x only through the margin
     ``q + x - (T + e)``, so a value's answer code is a function of the
@@ -756,7 +768,7 @@ def _answer_tables(mechanism, w, side, budget, threshold, query_axes, charge, st
         pmf = np.pad(ax.pmf, 2 * threshold.bound)
         laws.append(sliding_window_view(np.stack([pmf, np.cumsum(pmf[::-1])[::-1], np.cumsum(pmf)]), draws, axis=1))
     tables = {}
-    for q in set(w.values(side)):
+    for q in dict.fromkeys(q for side in sides for q in set(w.values(side))):
         wq = Workload((q,), (q,), w.threshold, w.k, w.epsilon, w.sigma)
         status, gaps = run_status_gaps(mechanism, wq, Side.D, budget, 0, differences)
         grid = encode_int_rows(mechanism, status, gaps).ravel()
@@ -781,28 +793,29 @@ def _answer_tables(mechanism, w, side, budget, threshold, query_axes, charge, st
     return tables
 
 
-def _enumerate_per_query(mechanism, w, side, budget, axes) -> tuple[_CodeRows, dict]:
+def _enumerate_per_query(mechanism, w, sides, budget, axes) -> tuple[list, dict]:
     """P(omega) = sum_e p(e) * prod_i P_i(omega_i | e) * (in-box mass of the
-    draws of every query after the run stopped), e the threshold draw.
+    draws of every query after the run stopped), e the threshold draw, for
+    each of ``sides`` on one lattice of output prefixes.
 
-    ``P_i(. | e)`` comes from an array-kernel run on one query alone, one
-    run per distinct value, and the role pmfs (see ``_answer_tables``).  Output
-    prefixes grow one position at a time as int64 rows of answer codes,
-    padded with ``STATUS_ABSENT``, with their mass per threshold draw: each
-    prefix is repeated once per answer of the query, prefix-major, and the
-    query's codes fill its column.  Each query's answers are decoded once,
-    for the keys built later.  A prefix leaves by the kernel's own stop
-    rule (the ``stop`` table of ``run_state_table``), and the last position
-    is contracted over ``e`` by one matrix product.  Outputs of mass 0 are
-    impossible ones and are dropped.
+    ``P_i(. | e)`` comes from one array-kernel run per distinct value and
+    the role pmfs (see ``_answer_tables``).  At each position the alphabet
+    is the sorted union of the sides' answer codes, with each side's table
+    on it (zero rows for codes it lacks), and each live prefix has a child
+    per code, prefix-major: a step holds the alphabet, the tables, and the
+    children that finish by the kernel's stop rule (``run_state_table``) and
+    that stay live.  A child is kept while some side has a threshold draw
+    under which all its codes have mass.  Then each side's masses per draw
+    are carried along the steps in turn, the last contracted over ``e`` by
+    one matrix product; the side's outputs of positive mass, in lattice
+    order, are those it has enumerated alone, in the same order.
 
-    Each step's table has one column per threshold draw and one row per
-    answer of a query or per (live prefix, answer) pair (a position); the
-    kernel's grid has one column and one row per point.  A table past
-    ``ENUM_CELL_CAP`` cells (``_cells``) raises ``GridBudgetExceeded``
-    before it is built.  Returns the outputs as ``_CodeRows``, in the order
-    they finish, and the counts of the work: kernel runs, kernel grid
-    points, the largest step's charged cells and the answers decoded."""
+    A step's table has a column per threshold draw and a row per answer or
+    per (live prefix, code) pair, the kernel's grid a row per point; one
+    past ``ENUM_CELL_CAP`` cells (``_cells``) raises ``GridBudgetExceeded``
+    before it is built.  Returns each side's ``_CodeRows`` and the counts of
+    the work: kernel runs and grid points, the largest step's charged cells
+    and the distinct codes decoded, each once."""
     n = len(w)
     threshold = axes[0]
     draws = len(threshold.values)
@@ -815,37 +828,46 @@ def _enumerate_per_query(mechanism, w, side, budget, axes) -> tuple[_CodeRows, d
         stats["largest_step_cells"] = max(stats["largest_step_cells"], needed)
 
     query_axes = axes[1 : 1 + len(budget.layout.query_roles)]
-    tables = _answer_tables(mechanism, w, side, budget, threshold, query_axes, charge, stats)
+    tables = _answer_tables(mechanism, w, sides, budget, threshold, query_axes, charge, stats)
     query_inbox = math.prod(1.0 - ax.tail for ax in query_axes)
     step, stop, _ = run_state_table(mechanism, w, budget)
 
-    # live output prefixes: code rows, mass per threshold draw, run state
-    rows = np.full((1, n), STATUS_ABSENT, dtype=np.int64)
-    mass = np.ones((1, draws))
+    # the live prefixes' run state, and per side the first and last threshold draw of mass
     state = np.zeros(1, dtype=np.int64)
-    answers = {}  # answer code -> decoded answer
-    done = []  # (rows, masses) of finished outputs
-    for i, q in enumerate(w.values(side)):
-        codes, cond = tables[q]
-        charge(len(rows) * len(codes))
-        listed = codes.tolist()
-        answers.update((c, decode_row(mechanism, [c])[0]) for c in listed)
-        stats["answers_decoded"] += len(listed)
-        rows = np.repeat(rows, len(codes), axis=0)  # prefix-major, as the mass rows below
-        rows[:, i] = np.tile(codes, len(rows) // len(codes))
-        if i == n - 1:
-            done.append((rows, ((mass * threshold.pmf) @ cond.T).ravel()))
-            break
-        mass = (mass[:, None, :] * cond[None, :, :]).reshape(len(rows), -1)
-        state = np.repeat(state, len(codes)) + np.tile(step[codes & 3], len(state))
-        stopped = stop[state]
-        ended = np.flatnonzero(stopped)
-        done.append((rows[ended], (mass[ended] @ threshold.pmf) * query_inbox ** (n - 1 - i)))
-        live = np.flatnonzero(~stopped & mass.any(axis=1))
-        rows, mass, state = rows[live], mass[live], state[live]
-    rows, mass = (np.concatenate(parts) for parts in zip(*done))
-    hit = mass > 0.0
-    return _CodeRows(rows[hit], mass[hit], answers), stats
+    small = np.min_scalar_type(draws)
+    first, last = np.zeros((len(sides), 1), dtype=small), np.full((len(sides), 1), draws - 1, dtype=small)
+    answers, steps = {}, []  # each code's decoded answer; per position, the alphabet, the tables, the finished and the live children
+    for i, values in enumerate(zip(*(w.values(side) for side in sides))):
+        alphabet = np.unique(np.concatenate([tables[q][0] for q in values]))
+        charge(len(state) * len(alphabet))
+        answers.update((c, decode_row(mechanism, [c])[0]) for c in alphabet.tolist() if c not in answers)
+        cond = np.zeros((len(sides), len(alphabet), draws))
+        for s, q in enumerate(values):
+            cond[s, np.searchsorted(alphabet, tables[q][0])] = tables[q][1]
+        held = cond > 0.0
+        code_first = np.where(held.any(axis=2), held.argmax(axis=2), draws).astype(small)
+        code_last = (draws - 1 - held[:, :, ::-1].argmax(axis=2)).astype(small)
+        first = np.maximum(first[:, :, None], code_first[:, None, :]).reshape(len(sides), -1)
+        last = np.minimum(last[:, :, None], code_last[:, None, :]).reshape(len(sides), -1)
+        kept = (first <= last).any(axis=0)
+        state = (state[:, None] + step[alphabet & 3]).ravel()
+        stopped = stop[state] | (i == n - 1)  # every child finishes at the last position
+        ended, live = np.flatnonzero(kept & stopped), np.flatnonzero(kept & ~stopped)
+        steps.append((alphabet, cond, ended, live))
+        state, first, last = state[live], first[:, live], last[:, live]
+    stats["answers_decoded"] = len(answers)
+
+    outputs = []
+    for s in range(len(sides)):
+        mass, parts = np.ones((1, draws)), []  # per live prefix, its mass under each threshold draw
+        for i, (_, cond, ended, live) in enumerate(steps[:-1]):
+            mass = (mass[:, None, :] * cond[s][None, :, :]).reshape(len(mass) * len(cond[s]), -1)
+            parts.append((mass[ended] @ threshold.pmf) * query_inbox ** (n - 1 - i))
+            mass = mass[live]
+        _, cond, ended, _ = steps[-1]
+        parts.append(((mass * threshold.pmf) @ cond[s].T).ravel()[ended])
+        outputs.append(_CodeRows(steps, np.concatenate(parts), answers))
+    return outputs, stats
 
 
 # ---------------------------------------------------------------------------
@@ -928,10 +950,10 @@ def _joined(a: dict, b: dict) -> tuple[list, np.ndarray, np.ndarray]:
     those only ``b`` has, both in dict order, and each side's values over
     them as one float array, 0 where it lacks the key.
 
-    This join serves the sides that carry no code rows (Monte Carlo, the
-    per-tape oracle, hand-built dicts); two exact-oracle sides are joined
-    on their rows by ``_joined_rows``, in the same order.  Output keys are
-    tuples of strings, whose hashes change with every interpreter, so
+    This join serves every pair but two sides of one lattice (Monte Carlo,
+    the per-tape oracle, sides enumerated apart, hand-built dicts); those
+    are paired by position by ``_paired``, in the same order.  Output keys
+    are tuples of strings, whose hashes change with every interpreter, so
     iterating a set of them would sum floats in a different order, and to
     different last bits, on every run.  Merging dicts reuses the hashes
     they store, so no key is hashed again."""
@@ -942,37 +964,12 @@ def _joined(a: dict, b: dict) -> tuple[list, np.ndarray, np.ndarray]:
     return list(joined), ma, np.fromiter(joined.values(), float, len(joined))
 
 
-def _joined_rows(a: _CodeRows, b: _CodeRows):
-    """``_joined`` on code rows: each side's masses over the union outputs,
-    those of ``a`` then those only ``b`` has, each side in its own order,
-    and a function giving the keys at ascending positions of that order.
-
-    Both sides' rows, padded to one width, are stacked and grouped by one
-    exact int64 key per row (``int_row_keys``, ``key_groups``); each group
-    takes the position of its ``a`` row, or the next one after all of
-    them.  Only the keys asked for are built."""
-    na, nb = len(a.mass), len(b.mass)
-    stacked = np.full((na + nb, max(a.codes.shape[1], b.codes.shape[1])), STATUS_ABSENT, dtype=np.int64)
-    stacked[:na, : a.codes.shape[1]] = a.codes
-    stacked[na:, : b.codes.shape[1]] = b.codes
-    inverse, groups = key_groups(int_row_keys(stacked) if len(stacked) else np.zeros(0, dtype=np.int64))
-    position = np.full(len(groups), -1, dtype=np.int64)
-    position[inverse[:na]] = np.arange(na)
-    at = position[inverse[na:]]
-    b_only = np.flatnonzero(at < 0)
-    at[b_only] = na + np.arange(len(b_only))
-    ma = np.zeros(na + len(b_only))
-    ma[:na] = a.mass
-    mb = np.zeros(len(ma))
-    mb[at] = b.mass
-
-    def keys(index: np.ndarray) -> list:
-        if not len(index):  # a passing check names no output
-            return []
-        split = np.searchsorted(index, na)
-        return a.keys(index[:split]) + b.keys(b_only[index[split:] - na])
-
-    return keys, ma, mb
+def _paired(a: _CodeRows, b: _CodeRows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_joined`` for two sides of one lattice: the positions of the outputs
+    of ``a``, then of those only ``b`` has, each in order, and their masses."""
+    held = a.mass > 0.0
+    order = np.concatenate([np.flatnonzero(held), np.flatnonzero(~held & (b.mass > 0.0))])
+    return order, a.mass[order], b.mass[order]
 
 
 def tv_distance(a: OutputDistribution, b: OutputDistribution) -> float:
@@ -1031,16 +1028,16 @@ def max_privacy_loss(p: OutputDistribution, q: OutputDistribution) -> PrivacyLos
     mass arrays: numpy forms every ratio, and ``math.log`` takes only the
     extreme ones.  A zero denominator is an infinite ratio.
 
-    Two sides that both carry code rows (the exact oracle's) are joined on
-    the rows (``_joined_rows``), and only the ``one_sided`` outputs' keys
-    are built; any other pair is joined on its ``masses`` dicts
-    (``_joined``).  Both give the outputs in one order, ``p``'s then those
-    only ``q`` has, so every field is the same either way."""
+    Two sides of one lattice (enumerated together, as ``check_dp_exact``
+    does) are paired by position (``_paired``), and only the ``one_sided``
+    outputs' keys are built; any other pair is joined on its ``masses``
+    dicts (``_joined``).  Both give the outputs in one order, ``p``'s then
+    those only ``q`` has, so every field is the same either way."""
     if p.mechanism != q.mechanism:
         raise DomainMismatch(f"distributions from {p.mechanism!r} vs {q.mechanism!r}")
     tau = max(p.truncation_loss, q.truncation_loss)
-    rows = p.rows is not None and q.rows is not None
-    keys, pm, qm = _joined_rows(p.rows, q.rows) if rows else _joined(p.masses, q.masses)
+    paired = p.rows is not None and q.rows is not None and p.rows.steps is q.rows.steps
+    keys, pm, qm = _paired(p.rows, q.rows) if paired else _joined(p.masses, q.masses)
     seen = pm + qm > 0.0
     in_p, in_q = pm > 0.0, qm > 0.0
     both = in_p & in_q
@@ -1056,18 +1053,17 @@ def max_privacy_loss(p: OutputDistribution, q: OutputDistribution) -> PrivacyLos
             _largest_log(qm[in_q] / (pm[in_q] + tau)),
         )
     one = np.flatnonzero(((pm == 0.0) & (qm > tau)) | ((qm == 0.0) & (pm > tau)))
-    one_keys = keys(one) if rows else [keys[i] for i in one.tolist()]
+    one_keys = p.rows.keys(keys[one]) if paired else [keys[i] for i in one.tolist()]
     one_sided = tuple((key, "d" if a > 0 else "dprime", max(a, b)) for key, a, b in zip(one_keys, pm[one].tolist(), qm[one].tolist()))
     return PrivacyLossResult(padded_max, raw_max, certified_max, tau, one_sided, len(pm))
 
 
 def check_dp_exact(mechanism: str, w: Workload) -> tuple[PrivacyReport, PrivacyLossResult]:
-    """Enumerate both sides of an integer workload and compare the maximum
-    log likelihood ratio against epsilon; ``GridBudgetExceeded`` as there.
-    ``max_privacy_loss`` joins the sides and counts their outputs
+    """Enumerate both sides of an integer workload in one call and compare the
+    maximum log likelihood ratio against epsilon; ``GridBudgetExceeded`` as
+    there.  ``max_privacy_loss`` pairs the sides and counts their outputs
     (``checks_run``), so all the comparison's work is inside its call."""
-    p = enumerate_output_dist(mechanism, w, Side.D)
-    q = enumerate_output_dist(mechanism, w, Side.DPRIME)
+    p, q = _enumerate_sides(mechanism, w, (Side.D, Side.DPRIME))
     loss = max_privacy_loss(p, q)
     ok = (
         loss.certified_max <= w.epsilon + 1e-9

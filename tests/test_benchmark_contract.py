@@ -134,17 +134,23 @@ def test_enum_work_unit_is_the_box_size(monkeypatch):
 
 def test_dp_exact_joins_its_sides_inside_the_traced_loss(monkeypatch):
     """The tracer times ``verifier.loss_s`` as the span of
-    ``verifier.max_privacy_loss``: ``check_dp_exact`` has to call it, and
-    ``enumerate_output_dist`` for each side, through the module's names, and
-    the one join of the two sides, on their code rows (``_joined_rows``) or
-    on their dicts (``_joined``), has to run inside that span."""
-    calls = {"enumerate_output_dist": 0, "max_privacy_loss": 0, "joins": 0, "joins_outside_loss": 0}
-    inside = []
-    for name in ("enumerate_output_dist", "max_privacy_loss"):
+    ``verifier.max_privacy_loss``: ``check_dp_exact`` has to call it through
+    the module's name, after it enumerates both sides in one call of
+    ``_enumerate_sides``, and the one pairing of the two sides, by their
+    lattice positions (``_paired``), has to run inside that span; the dict
+    join (``_joined``) and the per-side ``enumerate_output_dist`` do not run."""
+    names = ("_enumerate_sides", "enumerate_output_dist", "max_privacy_loss", "_paired", "_joined")
+    calls = dict.fromkeys(names, 0)
+    calls["pairings_outside_loss"] = 0
+    inside, sides = [], []
+    for name in names:
         real = getattr(verifier, name)
 
         def spy(*args, name=name, real=real):
             calls[name] += 1
+            if name == "_enumerate_sides":
+                sides.append(args[2])
+            calls["pairings_outside_loss"] += name == "_paired" and inside != ["max_privacy_loss"]
             inside.append(name)
             try:
                 return real(*args)
@@ -152,18 +158,17 @@ def test_dp_exact_joins_its_sides_inside_the_traced_loss(monkeypatch):
                 inside.pop()
 
         monkeypatch.setattr(verifier, name, spy)
-    for name in ("_joined", "_joined_rows"):
-        join = getattr(verifier, name)
-
-        def spy_join(*args, join=join):
-            calls["joins"] += 1
-            calls["joins_outside_loss"] += inside != ["max_privacy_loss"]
-            return join(*args)
-
-        monkeypatch.setattr(verifier, name, spy_join)
     w = gapsvt.default_enumeration_instances(gapsvt.SVT_GAP)[0]
     verifier.check_dp_exact(gapsvt.SVT_GAP, w)
-    assert calls == {"enumerate_output_dist": 2, "max_privacy_loss": 1, "joins": 1, "joins_outside_loss": 0}
+    assert sides == [(gapsvt.Side.D, gapsvt.Side.DPRIME)]
+    assert calls == {
+        "_enumerate_sides": 1,
+        "enumerate_output_dist": 0,
+        "max_privacy_loss": 1,
+        "_paired": 1,
+        "_joined": 0,
+        "pairings_outside_loss": 0,
+    }
 
 
 @pytest.mark.parametrize("mechanism", gapsvt.MECHANISMS)

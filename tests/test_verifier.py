@@ -864,43 +864,56 @@ class TestPrivacyLoss:
         keys = [*p_masses, *(k for k in q_masses if k not in p_masses)]
         tv = sum(abs(p_masses.get(k, 0.0) - q_masses.get(k, 0.0)) for k in keys)
         assert tv_distance(p, q) == 0.5 * (tv + abs(p_tail - q_tail))
-        # the same sides as code rows, of two widths, joined on the rows
-        p = OutputDistribution(SVT_GAP, "d", _code_rows(p_masses, 2), p_tail)
-        q = OutputDistribution(SVT_GAP, "dprime", _code_rows(q_masses, 3), q_tail)
-        by_rows = max_privacy_loss(p, q)
-        assert p.rows is not None and q.rows is not None
-        assert (by_rows.padded_max, by_rows.raw_max, by_rows.certified_max, by_rows.tau) == want[:4]
-        assert by_rows.one_sided == _per_key_loss(p, q)[4]
-        assert by_rows.outputs == got.outputs
+        # the same masses as two sides of one lattice, paired by position
+        p_rows, q_rows = _one_lattice(p_masses, q_masses)
+        p = OutputDistribution(SVT_GAP, "d", p_rows, p_tail)
+        q = OutputDistribution(SVT_GAP, "dprime", q_rows, q_tail)
+        paired = max_privacy_loss(p, q)
+        assert paired == max_privacy_loss(_dict_only(p), _dict_only(q))
+        assert (paired.padded_max, paired.raw_max, paired.certified_max, paired.tau, paired.one_sided) == _per_key_loss(p, q)
+        assert paired.outputs == len(set(p.masses) | set(q.masses))
 
 
-def _code_rows(masses: dict, width: int):
-    """Integer keys as the exact oracle's code rows: key k is the row
-    ``(k // 5 + 1, k % 5)``, padded with ``STATUS_ABSENT`` (0) to ``width``,
-    and each code decodes to itself, so k's output key is the tuple of its
-    row's nonzero codes."""
-    codes = np.zeros((len(masses), width), dtype=np.int64)
-    for i, k in enumerate(masses):
-        codes[i, :2] = k // 5 + 1, k % 5
-    mass = np.array(list(masses.values()), dtype=float)
-    return verifier._CodeRows(codes, mass, {c: c for c in range(1, 5)})
+def _one_lattice(p_masses: dict, q_masses: dict) -> list:
+    """Two mass dicts as the exact oracle's sides of one lattice of one
+    position: its outputs are the keys of positive mass on either side,
+    ascending, key k the answer code k + 1, which decodes to k, so k's
+    output key is ``(k,)``; each side has 0 at the outputs it lacks."""
+    keys = sorted(k for k in {**p_masses, **q_masses} if p_masses.get(k, 0.0) > 0.0 or q_masses.get(k, 0.0) > 0.0)
+    steps = [(np.array(keys, dtype=np.int64) + 1, None, np.arange(len(keys)), np.zeros(0, dtype=np.int64))]
+    answers = {k + 1: k for k in keys}
+    return [verifier._CodeRows(steps, np.array([m.get(k, 0.0) for k in keys]), answers) for m in (p_masses, q_masses)]
 
 
 def _dict_only(dist: OutputDistribution) -> OutputDistribution:
     return OutputDistribution(dist.mechanism, dist.side, dict(dist.masses), dist.truncation_loss, dist.meta)
 
 
-def _row_join_is_the_dict_join(mechanism, w) -> verifier.PrivacyLossResult:
-    """``max_privacy_loss`` of the two exact-oracle sides of ``w``, joined on
-    their code rows, after asserting that it equals, field by field, the
-    join of the same sides re-wrapped as dicts."""
-    p, q = (enumerate_output_dist(mechanism, w, side) for side in Side)
-    assert p.rows is not None and q.rows is not None
-    by_rows = max_privacy_loss(p, q)
-    by_dicts = max_privacy_loss(_dict_only(p), _dict_only(q))
-    assert by_rows == by_dicts
-    assert repr(by_rows) == repr(by_dicts)  # signed zeros too
-    return by_rows
+def _sides_together(mechanism, w) -> tuple:
+    """``max_privacy_loss`` of the two sides of ``w`` enumerated in one call,
+    and how many of their masses moved from enumerating each side alone,
+    after asserting: each side's code rows and keys are those of
+    ``enumerate_output_dist`` on the side alone, in the same order; its
+    masses are the same bit for bit or within 2 ulp; the lattice holds the
+    union of the sides' outputs; and pairing the sides by position gives,
+    field by field, what the dict join of the same sides gives."""
+    p, q = verifier._enumerate_sides(mechanism, w, tuple(Side))
+    moved = 0
+    for together, side in zip((p, q), Side):
+        alone = enumerate_output_dist(mechanism, w, side)
+        held, alone_held = together.rows.mass > 0.0, alone.rows.mass > 0.0
+        assert np.array_equal(together.rows.codes[held], alone.rows.codes[alone_held])
+        assert list(together.masses) == list(alone.masses)
+        ulps = np.abs(together.rows.mass[held].view(np.int64) - alone.rows.mass[alone_held].view(np.int64))
+        assert ulps.max(initial=0) <= 2
+        moved += int(np.count_nonzero(ulps))
+    assert p.rows.steps is q.rows.steps and p.meta["stats"] is q.meta["stats"]
+    assert len(p.rows.mass) == len(set(p.masses) | set(q.masses))
+    paired = max_privacy_loss(p, q)
+    joined = max_privacy_loss(_dict_only(p), _dict_only(q))
+    assert paired == joined
+    assert repr(paired) == repr(joined)  # signed zeros too
+    return paired, moved
 
 
 # the extra TestEnumeration workloads: values far apart, and far from the threshold
@@ -911,24 +924,29 @@ _EXTRA_ENUM = [
 ]
 
 
-class TestRowJoin:
-    """The exact oracle's sides carry code rows, and ``max_privacy_loss``
-    joins two of them on the rows; the dict join of the same sides must
-    give the same result in every field, ``one_sided`` and its order
-    included."""
+class TestSidesTogether:
+    """``check_dp_exact`` enumerates both sides in one call, on one lattice,
+    and ``max_privacy_loss`` pairs them by position: each side must be the
+    one enumerated alone, and the pairing the dict join of the same sides,
+    in every field, ``one_sided`` and its order included."""
 
     @pytest.mark.parametrize(
         "mechanism,w",
         [(m, w) for m in MECHANISMS for w in default_enumeration_instances(m)] + _EXTRA_ENUM,
     )
-    def test_row_join_is_the_dict_join(self, mechanism, w):
-        _row_join_is_the_dict_join(mechanism, w)
+    def test_sides_together_are_the_sides_alone(self, mechanism, w, record_property):
+        loss, moved = _sides_together(mechanism, w)
+        record_property("masses_moved_by_ulp", moved)  # 189 on svt-gap #5, 0 elsewhere
+        report, checked = check_dp_exact(mechanism, w)
+        assert checked == loss and report.checks_run == loss.outputs
 
-    def test_failing_variants_join_alike(self, monkeypatch):
+    def test_failing_variants_pair_alike(self, monkeypatch):
         """The Lyu, Su & Li variants of ``TestDpExact`` on M_4, and a
         per-query "no query noise" variant, whose query noise is too small
         to leave 0: its failures list outputs that only one side has, some
-        only D and some only D'."""
+        only D and some only D'.  Its lattice holds no more rows than both
+        sides' outputs, at n = 4 too, where a lattice over each position's
+        alphabet alone would hold 229."""
         real_table = verifier.run_state_table
 
         def no_stop(mechanism, w, budget):
@@ -936,7 +954,7 @@ class TestRowJoin:
             return step, np.zeros_like(stop), None
 
         monkeypatch.setattr(verifier, "run_state_table", no_stop)
-        assert _row_join_is_the_dict_join(SVT_CLASSIC, _m(4, 1, 1.0)).certified_max > 1.0
+        assert _sides_together(SVT_CLASSIC, _m(4, 1, 1.0))[0].certified_max > 1.0
         monkeypatch.undo()
 
         def fixed_noise(mechanism, w):
@@ -944,7 +962,7 @@ class TestRowJoin:
 
         monkeypatch.setattr(verifier, "default_budget", fixed_noise)
         for mechanism, epsilon in ((SVT_CLASSIC, 1.0), (SVT_GAP, 4.0)):
-            assert _row_join_is_the_dict_join(mechanism, _m(4, 2, epsilon)).certified_max > epsilon
+            assert _sides_together(mechanism, _m(4, 2, epsilon))[0].certified_max > epsilon
         monkeypatch.undo()
 
         def no_query_noise(mechanism, w):
@@ -961,35 +979,42 @@ class TestRowJoin:
             (ADAPTIVE_GAP, Workload.from_values([(1, 0), (0, 1)], 0, 1, 8.0, sigma=1)),
             (SVT_GAP, _m(2, 1, 1.0)),
         ):
-            loss = _row_join_is_the_dict_join(mechanism, w)
+            loss, _ = _sides_together(mechanism, w)
             assert loss.certified_max > w.epsilon and loss.material_one_sided()
             sides.update(side for _, side, _ in loss.one_sided)
+            p, q = verifier._enumerate_sides(mechanism, w, tuple(Side))
+            assert len(p.rows.mass) <= len(p.masses) + len(q.masses)
         assert sides == {"d", "dprime"}
+        assert len(p.rows.mass) == 59 and len(w) == 4
 
     @pytest.mark.parametrize("mechanism,index", [(SVT_GAP, 6), (SVT_CLASSIC, 1), (ADAPTIVE_GAP, 2)])
     def test_a_passing_check_builds_no_output_key(self, mechanism, index, monkeypatch):
-        """A passing ``check_dp_exact`` decodes answer codes only, as many
-        as both sides count in ``answers_decoded``; reading ``masses``
-        afterwards builds the keys from those answers, decoding nothing."""
+        """A passing ``check_dp_exact`` decodes answer codes only, each
+        distinct code once, as many as the pair's one ``answers_decoded``
+        counts; reading ``masses`` afterwards builds the keys from those
+        answers, decoding nothing."""
         decoded, dists = [], []
-        real_decode, real_enumerate = verifier.decode_row, verifier.enumerate_output_dist
+        real_decode, real_enumerate = verifier.decode_row, verifier._enumerate_sides
 
         def decode(mechanism, row):
             decoded.append(row)
             return real_decode(mechanism, row)
 
         def enumerate_(*args):
-            dists.append(real_enumerate(*args))
-            return dists[-1]
+            dists.extend(real_enumerate(*args))
+            return dists[-2:]
 
         monkeypatch.setattr(verifier, "decode_row", decode)
-        monkeypatch.setattr(verifier, "enumerate_output_dist", enumerate_)
+        monkeypatch.setattr(verifier, "_enumerate_sides", enumerate_)
         report, loss = check_dp_exact(mechanism, default_enumeration_instances(mechanism)[index])
         assert report.passed and len(dists) == 2
-        assert len(decoded) == sum(d.meta["stats"]["answers_decoded"] for d in dists) > 0
+        stats = dists[0].meta["stats"]
+        assert dists[1].meta["stats"] is stats
+        assert len(decoded) == stats["answers_decoded"] > 0
         assert all(len(row) == 1 for row in decoded)
+        assert len(set(row[0] for row in decoded)) == len(decoded)
         assert len(set(dists[0].masses) | set(dists[1].masses)) == loss.outputs
-        assert len(decoded) == sum(d.meta["stats"]["answers_decoded"] for d in dists)
+        assert len(decoded) == stats["answers_decoded"]
 
 
 def _assert_keys_order_like_rows(codes):
@@ -1287,9 +1312,8 @@ class TestDpExact:
         the queries, gap = q - (T + e), fails dp-exact through the per-tape
         oracle, while the real mechanism passes on the same workload."""
         w = Workload.from_values([(1, 0), (0, 1)], 0, 1, 8.0)
-        monkeypatch.setattr(
-            verifier, "enumerate_output_dist", lambda m, w, side: enumerate_output_dist(m, w, side, method="per-tape")
-        )
+        per_query = verifier._enumerate_sides
+        monkeypatch.setattr(verifier, "_enumerate_sides", lambda m, w, sides: per_query(m, w, sides, method="per-tape"))
         real, _ = check_dp_exact(mechanism, w)
         assert real.passed, real.to_json_dict()
 
