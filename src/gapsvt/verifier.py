@@ -838,7 +838,8 @@ def _enumerate_per_query(mechanism, w, sides, budget, axes) -> tuple[list, dict]
     first, last = np.zeros((len(sides), 1), dtype=small), np.full((len(sides), 1), draws - 1, dtype=small)
     answers, steps = {}, []  # each code's decoded answer; per position, the alphabet, the tables, the finished and the live children
     for i, values in enumerate(zip(*(w.values(side) for side in sides))):
-        alphabet = np.unique(np.concatenate([tables[q][0] for q in values]))
+        codes = np.sort(np.concatenate([tables[q][0] for q in values]))  # not np.unique: its first call imports numpy.ma
+        alphabet = codes[np.append(True, codes[1:] != codes[:-1])]
         charge(len(state) * len(alphabet))
         answers.update((c, decode_row(mechanism, [c])[0]) for c in alphabet.tolist() if c not in answers)
         cond = np.zeros((len(sides), len(alphabet), draws))
