@@ -1,10 +1,14 @@
 """Exact likelihood-ratio check on a small integer instance.
 
 Under integer noise the output distribution of a small workload can be
-computed exactly: enumerate every tape in a box whose outside mass is below
-1e-12 per draw, weight each tape by its probability, and run the mechanism.
-Comparing the two sides output-by-output tests the differential-privacy
-inequality itself, not a proxy.
+computed exactly.  Every draw is held to a box whose outside mass is below
+1e-12.  The default oracle goes query by query: for each threshold draw it
+takes the law of each query's answer from the noise pmf, multiplies along
+the output prefixes, and sums over the threshold draw.  Running the
+mechanism on every tape of the box, each weighted by its probability, is
+the independent cross-check (``method="per-tape"``).  Comparing the two
+sides output by output tests the differential-privacy inequality itself,
+not a proxy.
 """
 
 from gapsvt import (

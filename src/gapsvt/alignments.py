@@ -110,8 +110,10 @@ def alignment_cost(tape: NoiseTape, aligned: NoiseTape, budget: SvtBudget | Adap
     n = len(tape)
     if n != len(aligned):
         raise LayoutMismatch(f"tape lengths differ: {n} vs {len(aligned)}")
+    role = budget.weights
+    weights = (role["threshold"], *[role[r] for r in budget.layout.query_roles] * n)  # in the order of tape.flat()
     cost = 0.0
-    for weight, a, b in zip(budget.flat_weights(n), tape.flat(), aligned.flat()):
+    for weight, a, b in zip(weights, tape.flat(), aligned.flat()):
         cost += weight * abs(b - a)
     return cost
 

@@ -108,13 +108,9 @@ class Workload:
     def values(self, side: Side) -> tuple:
         return self.d if side is _D else self.dprime
 
-    @cached_property
-    def _deltas(self) -> tuple:
-        return tuple([a - b for a, b in zip(self.d, self.dprime)])
-
     def deltas(self) -> tuple:
-        """``d[i] - dprime[i]`` per query, computed once per workload."""
-        return self._deltas
+        """``d[i] - dprime[i]`` per query, computed on each call."""
+        return tuple([a - b for a, b in zip(self.d, self.dprime)])
 
     def swapped(self) -> "Workload":
         """The same workload with the two sides exchanged; it passes
@@ -480,6 +476,15 @@ def discrete_laplace_box(scale: float, tail_tol: float = 1e-12) -> int:
     while discrete_laplace_tail(b, scale) >= tail_tol:
         b += 1
     return b
+
+
+def seeded_rng(seed) -> np.random.Generator:
+    """``np.random.default_rng(seed)``; a seed it refuses is a ``DomainError``
+    naming the seed."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError) as e:
+        raise DomainError(f"seed {seed!r} is not one numpy's generators take: {e}") from None
 
 
 def _uniform_open(rng: np.random.Generator, size: int) -> np.ndarray:

@@ -15,8 +15,6 @@ from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import ClassVar, Mapping, Union
 
-import numpy as np
-
 from .core import (
     BOT,
     Branch,
@@ -29,6 +27,7 @@ from .core import (
     Workload,
     check_workload,
     draw_tape,
+    seeded_rng,
     top_gap,
     top_marker,
 )
@@ -67,20 +66,6 @@ class _RoleBudget:
     def weights(self) -> Mapping:
         """``pieces`` as floats: what the alignment cost weighs each role's shift by."""
         return MappingProxyType({role: float(eps) for role, eps in self.pieces.items()})
-
-    @cached_property
-    def _flat_weights(self) -> dict:
-        return {}
-
-    def flat_weights(self, length: int) -> tuple[float, ...]:
-        """``weights`` in the coordinate order of ``NoiseTape.flat`` for a
-        tape of ``length`` queries, built once per length and budget."""
-        weights = self._flat_weights.get(length)
-        if weights is None:
-            role = self.weights
-            weights = (role["threshold"], *[role[r] for r in self.layout.query_roles] * length)
-            self._flat_weights[length] = weights
-        return weights
 
     @cached_property
     def _noise_specs(self) -> dict:
@@ -401,8 +386,8 @@ def sample_run(
     kind: NoiseKind = NoiseKind.LAPLACE,
 ) -> tuple[RunResult, NoiseTape]:
     """Sample a tape at the mechanism's scales and run; fully determined by
-    the seed."""
+    the seed, which ``seeded_rng`` takes."""
     check_workload_for(mechanism, w)
     budget = default_budget(mechanism, w)
-    tape = draw_tape(budget.noise_spec(kind), len(w), np.random.default_rng(seed))
+    tape = draw_tape(budget.noise_spec(kind), len(w), seeded_rng(seed))
     return run_mechanism(mechanism, w, tape, side, budget), tape

@@ -57,6 +57,7 @@ from .core import (
     discrete_laplace_pmf,
     discrete_laplace_tail,
     draw_tape,
+    seeded_rng,
 )
 from .errors import DomainError, DomainMismatch, GridBudgetExceeded
 from .mechanisms import (
@@ -139,8 +140,15 @@ class TrialPlan:
     def __post_init__(self):
         if self.mechanism not in MECHANISMS:
             raise DomainError(f"unknown mechanism {self.mechanism!r}")
-        if self.trials < 1:
-            raise DomainError("trial count must be >= 1")
+        _check_int("trials", self.trials)
+        _check_int("master_seed", self.master_seed, least=0)
+
+
+def _check_int(name: str, value, least: int = 1) -> None:
+    """A count or a master seed: an integer, numpy's included but not a
+    bool, of at least ``least``."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
+        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
@@ -834,8 +842,7 @@ def _enumerate_per_query(mechanism, w, sides, budget, axes) -> tuple[list, dict]
 
     # the live prefixes' run state, and per side the first and last threshold draw of mass
     state = np.zeros(1, dtype=np.int64)
-    small = np.min_scalar_type(draws)
-    first, last = np.zeros((len(sides), 1), dtype=small), np.full((len(sides), 1), draws - 1, dtype=small)
+    first, last = np.zeros((len(sides), 1), dtype=int), np.full((len(sides), 1), draws - 1)
     answers, steps = {}, []  # each code's decoded answer; per position, the alphabet, the tables, the finished and the live children
     for i, values in enumerate(zip(*(w.values(side) for side in sides))):
         codes = np.sort(np.concatenate([tables[q][0] for q in values]))  # not np.unique: its first call imports numpy.ma
@@ -846,8 +853,8 @@ def _enumerate_per_query(mechanism, w, sides, budget, axes) -> tuple[list, dict]
         for s, q in enumerate(values):
             cond[s, np.searchsorted(alphabet, tables[q][0])] = tables[q][1]
         held = cond > 0.0
-        code_first = np.where(held.any(axis=2), held.argmax(axis=2), draws).astype(small)
-        code_last = (draws - 1 - held[:, :, ::-1].argmax(axis=2)).astype(small)
+        code_first = np.where(held.any(axis=2), held.argmax(axis=2), draws)
+        code_last = draws - 1 - held[:, :, ::-1].argmax(axis=2)
         first = np.maximum(first[:, :, None], code_first[:, None, :]).reshape(len(sides), -1)
         last = np.minimum(last[:, :, None], code_last[:, None, :]).reshape(len(sides), -1)
         kept = (first <= last).any(axis=0)
@@ -897,7 +904,9 @@ def mc_output_dist(
     wraps.  Real-valued outputs are keyed by
     ``canonical_rows``, a column at a time, with gaps rounded to
     ``GAP_NDIGITS`` digits exactly as ``round`` does, and counted by one
-    ``Counter.update`` per chunk.
+    ``Counter.update`` per chunk; that ``Counter`` is ``meta["counts"]``.
+    ``samples`` and ``chunk`` are integers >= 1 and ``seed`` is one that
+    ``seeded_rng`` takes, or it is a ``DomainError``.
 
     ``scale_epsilon_factor`` is a self-test hook: it rescales the noise as
     if the budget were ``factor * epsilon`` while everything else (including
@@ -907,15 +916,14 @@ def mc_output_dist(
     (``NonPositiveBudget``).
     """
     check_workload_for(mechanism, w)
-    for name, value in (("samples", samples), ("chunk", chunk)):
-        if value < 1:
-            raise DomainError(f"{name} must be at least 1, got {value}")
+    _check_int("samples", samples)
+    _check_int("chunk", chunk)
     if not (_finite(scale_epsilon_factor) and _finite(w.epsilon * scale_epsilon_factor)):
         raise DomainError(f"scale_epsilon_factor must be a finite number, got {scale_epsilon_factor}")
     budget = default_budget(mechanism, w)
     scaled = Workload(w.d, w.dprime, w.threshold, w.k, w.epsilon * scale_epsilon_factor, w.sigma)
     spec = default_budget(mechanism, scaled).noise_spec(kind)
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     n = len(w)
     int_outputs = kind is NoiseKind.DLAP and w.is_integer_valued()
     counts: Counter = Counter()
@@ -942,7 +950,7 @@ def mc_output_dist(
         side.value,
         masses,
         truncation_loss=0.0,
-        meta={"samples": samples, "counts": dict(counts), "noise": kind.value},
+        meta={"samples": samples, "counts": counts, "noise": kind.value},
     )
 
 
@@ -1125,8 +1133,7 @@ def mc_privacy_estimate(
     broken mechanisms, and is validated by the scale_epsilon_factor
     self-test which must produce flags.
     """
-    if samples < 10**4:
-        raise DomainError("mc_privacy_estimate needs at least 1e4 samples per side")
+    _check_int("samples", samples, least=10**4)  # per side
     p = mc_output_dist(mechanism, w, Side.D, samples, (seed, 0), kind, scale_epsilon_factor)
     q = mc_output_dist(mechanism, w, Side.DPRIME, samples, (seed, 1), kind, scale_epsilon_factor)
     eps = w.epsilon

@@ -1387,3 +1387,68 @@ def test_figures_do_not_depend_on_the_hash_seed():
         assert run.returncode == 0, run.stderr
         outs.append(run.stdout)
     assert outs[0] == outs[1]
+
+
+_W_INT = Workload.from_values([(1, 0), (0, 1)], 0, 1, 1.0)
+
+
+@pytest.mark.parametrize(
+    "named, call",
+    [
+        pytest.param("samples", lambda: mc_output_dist(SVT_GAP, _W_INT, Side.D, 1e4, seed=1), id="samples=1e4"),
+        pytest.param("samples", lambda: mc_output_dist(SVT_GAP, _W_INT, Side.D, True, seed=1), id="samples=True"),
+        pytest.param("chunk", lambda: mc_output_dist(SVT_GAP, _W_INT, Side.D, 100, seed=1, chunk=50.0), id="chunk=50.0"),
+        pytest.param("chunk", lambda: mc_output_dist(SVT_GAP, _W_INT, Side.D, 100, seed=1, chunk=True), id="chunk=True"),
+        pytest.param("samples", lambda: mc_privacy_estimate(SVT_GAP, _W_INT, 1e4, seed=1), id="estimate samples=1e4"),
+        pytest.param("samples", lambda: mc_privacy_estimate(SVT_GAP, _W_INT, True, seed=1), id="estimate samples=True"),
+        pytest.param("trials", lambda: TrialPlan(SVT_GAP, trials=2.5, master_seed=0), id="trials=2.5"),
+        pytest.param("trials", lambda: TrialPlan(SVT_GAP, trials=True, master_seed=0), id="trials=True"),
+        pytest.param("master_seed", lambda: TrialPlan(SVT_GAP, trials=2, master_seed=-1), id="master_seed=-1"),
+        pytest.param("master_seed", lambda: TrialPlan(SVT_GAP, trials=2, master_seed=1.5), id="master_seed=1.5"),
+        pytest.param("master_seed", lambda: TrialPlan(SVT_GAP, trials=2, master_seed=True), id="master_seed=True"),
+        pytest.param("seed", lambda: mc_output_dist(SVT_GAP, _W_INT, Side.D, 100, seed=-1), id="mc seed=-1"),
+        pytest.param("seed", lambda: mc_output_dist(SVT_GAP, _W_INT, Side.D, 100, seed=(1, -2)), id="mc seed=(1, -2)"),
+        pytest.param("seed", lambda: mc_output_dist(SVT_GAP, _W_INT, Side.D, 100, seed=1.5), id="mc seed=1.5"),
+        pytest.param("seed", lambda: mc_privacy_estimate(SVT_GAP, _W_INT, 10**4, seed=-1), id="estimate seed=-1"),
+        pytest.param("seed", lambda: gapsvt.sample_run(SVT_GAP, _W_INT, Side.D, -3), id="sample_run seed=-3"),
+    ],
+)
+def test_malformed_counts_and_seeds_are_domain_errors(named, call):
+    with pytest.raises(DomainError, match=re.escape(named)):
+        call()
+
+
+def test_numpy_integer_counts_and_tuple_seeds_are_taken():
+    dist = mc_output_dist(SVT_GAP, _W_INT, Side.D, np.int64(100), seed=(1, 2), chunk=np.int32(30))
+    assert dist.meta["counts"] == mc_output_dist(SVT_GAP, _W_INT, Side.D, 100, seed=(1, 2), chunk=30).meta["counts"]
+    assert sum(dist.meta["counts"].values()) == 100
+    plan = TrialPlan(SVT_GAP, trials=np.int64(3), master_seed=np.uint64(5))
+    assert run_trial_suites(plan)["align"].trials == 3
+    assert gapsvt.sample_run(SVT_GAP, _W_INT, Side.D, (4, 5)) == gapsvt.sample_run(SVT_GAP, _W_INT, Side.D, (4, 5))
+
+
+_NO_NUMPY_MA_PROBE = """
+import sys
+import gapsvt
+from gapsvt import (
+    ADAPTIVE_GAP, SVT_GAP, NoiseKind, Side, TrialPlan, Workload,
+    check_dp_exact, default_enumeration_instances, enumerate_output_dist, mc_output_dist, run_trial_suites,
+)
+w = Workload.from_values([(1, 0), (0, 1)], 0, 1, 1.0)
+enumerate_output_dist(SVT_GAP, w, Side.D).masses
+check_dp_exact(ADAPTIVE_GAP, default_enumeration_instances(ADAPTIVE_GAP)[0])
+mc_output_dist(SVT_GAP, w, Side.D, 5000, seed=1, kind=NoiseKind.DLAP)
+mc_output_dist(SVT_GAP, w, Side.D, 5000, seed=1, kind=NoiseKind.LAPLACE)
+run_trial_suites(TrialPlan(SVT_GAP, trials=50, master_seed=3))
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_no_path_imports_numpy_ma():
+    """``numpy.ma`` costs about 15 ms to import, and ``np.unique`` imports it
+    on its first call; none of the library's paths may."""
+    src = os.path.dirname(os.path.dirname(gapsvt.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", _NO_NUMPY_MA_PROBE], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"
