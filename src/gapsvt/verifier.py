@@ -842,7 +842,8 @@ def _enumerate_per_query(mechanism, w, sides, budget, axes) -> tuple[list, dict]
 
     # the live prefixes' run state, and per side the first and last threshold draw of mass
     state = np.zeros(1, dtype=np.int64)
-    first, last = np.zeros((len(sides), 1), dtype=int), np.full((len(sides), 1), draws - 1)
+    small = np.min_scalar_type(draws)
+    first, last = np.zeros((len(sides), 1), dtype=small), np.full((len(sides), 1), draws - 1, dtype=small)
     answers, steps = {}, []  # each code's decoded answer; per position, the alphabet, the tables, the finished and the live children
     for i, values in enumerate(zip(*(w.values(side) for side in sides))):
         codes = np.sort(np.concatenate([tables[q][0] for q in values]))  # not np.unique: its first call imports numpy.ma
@@ -853,8 +854,8 @@ def _enumerate_per_query(mechanism, w, sides, budget, axes) -> tuple[list, dict]
         for s, q in enumerate(values):
             cond[s, np.searchsorted(alphabet, tables[q][0])] = tables[q][1]
         held = cond > 0.0
-        code_first = np.where(held.any(axis=2), held.argmax(axis=2), draws)
-        code_last = draws - 1 - held[:, :, ::-1].argmax(axis=2)
+        code_first = np.where(held.any(axis=2), held.argmax(axis=2), draws).astype(small)
+        code_last = (draws - 1 - held[:, :, ::-1].argmax(axis=2)).astype(small)
         first = np.maximum(first[:, :, None], code_first[:, None, :]).reshape(len(sides), -1)
         last = np.minimum(last[:, :, None], code_last[:, None, :]).reshape(len(sides), -1)
         kept = (first <= last).any(axis=0)
