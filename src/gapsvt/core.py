@@ -480,7 +480,10 @@ def discrete_laplace_box(scale: float, tail_tol: float = 1e-12) -> int:
 
 def seeded_rng(seed) -> np.random.Generator:
     """``np.random.default_rng(seed)``; a seed it refuses is a ``DomainError``
-    naming the seed."""
+    naming the seed, and so is a bool or a sequence holding one, which numpy
+    would take as the int 0 or 1."""
+    if isinstance(seed, bool) or (isinstance(seed, (tuple, list)) and any(isinstance(s, bool) for s in seed)):
+        raise DomainError(f"seed {seed!r} is or holds a bool, not an integer")
     try:
         return np.random.default_rng(seed)
     except (TypeError, ValueError) as e:

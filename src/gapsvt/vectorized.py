@@ -21,14 +21,18 @@ where branch_code is 2 for plain/first and 3 for second.  The kernel leaves
 code of every answer is ``status + 4 * gaps`` with no mask.  Integer
 workloads with integer tapes make the gap exact, so encoded rows are exact
 output identifiers.  ``int_row_keys`` folds each encoded row into one exact int64
-key for a chunk: the columns are packed in a mixed radix of their spans, and
-the running key is replaced by its dense rank whenever the next column would
-overflow int64, so equal keys mean equal rows for every input.  ``key_groups``
-gives those ranks, and groups a chunk's keys for counting, and the exact
-oracle's codes over its margins for their boxes: through a table over the
-key span where the span is at most twice the key count, as it is
-for the Monte Carlo chunks, and through a sort where it is wider, as after
-a rank step on wide columns.
+key: the columns are packed in a mixed radix of their spans, and the
+running key is replaced by its dense rank whenever the next column would
+overflow int64, so equal keys mean equal rows for every input, and keys
+order like the rows.  ``key_groups`` gives those ranks, and groups keys for
+counting, and the exact oracle's codes over its margins for their boxes:
+through a table over the key span where the span is at most twice the key
+count, as it is for Monte Carlo sub-blocks, and through a sort where it is
+wider, as after a rank step on wide columns.  Monte Carlo holds a chunk's
+draws whole but runs the kernel and this keying a sub-block of the
+sampler's ``_DRAW_BLOCK`` rows at a time, then groups the sub-blocks'
+distinct rows once more; the chunk size alone fixes the draw order, and so
+the results.
 
 Real-valued outputs cannot be int-encoded; ``canonical_rows`` gives them
 the per-tape canonical keys instead.  It works a column at a time: numpy

@@ -43,6 +43,7 @@ from .alignments import (
 )
 from .core import _draw as _draw_block  # the one noise sampler; the benchmark tracer hooks this name
 from .core import (
+    _DRAW_BLOCK,
     Branch,
     NoiseKind,
     NoiseSpec,
@@ -128,6 +129,38 @@ class WorkloadGenSpec:
     boundary_fraction: float = 0.25
     real_fraction: float = 0.5  # of the non-boundary trials
 
+    def __post_init__(self):
+        """Each field is checked once here, so a bad one is a ``DomainError``
+        naming it, not an error of whichever trial first draws from it."""
+        eps = self.epsilons
+        eps_ok = isinstance(eps, (tuple, list)) and len(eps) > 0 and all(_real(e) and e > 0 for e in eps)
+        for name, ok, want in (
+            ("n_range", _is_range(self.n_range, _integer, 1), "integers 1 <= lo <= hi"),
+            ("k_range", _is_range(self.k_range, _integer, 1), "integers 1 <= lo <= hi"),
+            ("value_range", _is_range(self.value_range, _real), "finite numbers lo <= hi"),
+            ("sigma_range", _is_range(self.sigma_range, _real), "finite numbers lo <= hi"),
+            ("epsilons", eps_ok, "positive finite numbers, at least one"),
+            ("boundary_fraction", _real(self.boundary_fraction) and 0 <= self.boundary_fraction <= 1, "a number in [0, 1]"),
+            ("real_fraction", _real(self.real_fraction) and 0 <= self.real_fraction <= 1, "a number in [0, 1]"),
+        ):
+            if not ok:
+                raise DomainError(f"{name} must be {want}, got {getattr(self, name)!r}")
+
+
+def _integer(x) -> bool:
+    """An integer, numpy's included, but not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _real(x) -> bool:
+    """A finite real number, numpy's included, but not a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and _finite(x)
+
+
+def _is_range(pair, number, least=-math.inf) -> bool:
+    """A pair ``(lo, hi)`` of ``number``s with ``least <= lo <= hi``."""
+    return isinstance(pair, (tuple, list)) and len(pair) == 2 and all(map(number, pair)) and least <= pair[0] <= pair[1]
+
 
 @dataclass(frozen=True)
 class TrialPlan:
@@ -147,7 +180,7 @@ class TrialPlan:
 def _check_int(name: str, value, least: int = 1) -> None:
     """A count or a master seed: an integer, numpy's included but not a
     bool, of at least ``least``."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
+    if not _integer(value) or value < least:
         raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
@@ -895,17 +928,21 @@ def mc_output_dist(
 ) -> OutputDistribution:
     """Empirical output distribution from vectorized sampling.
 
-    Samples run through the array kernels ``chunk`` rows at a time.  Integer
-    outputs (discrete noise on an integer workload) are keyed per chunk by
-    one exact int64 per row (``int_row_keys``, which rank-compresses the
-    running key before it could overflow); one representative row per key
-    is decoded to the canonical output.  Their codes must fit int64, so each
-    chunk is held to the exact oracle's range, with the chunk's largest
-    draws as the noise box: past it is a ``DomainError``, not a code that
-    wraps.  Real-valued outputs are keyed by
-    ``canonical_rows``, a column at a time, with gaps rounded to
+    Samples are drawn ``chunk`` rows at a time, and a chunk's draws are held
+    whole; ``chunk`` fixes the draw order, and so the results.  The array
+    kernel and the keying then take the chunk ``_DRAW_BLOCK`` rows at a
+    time, so their arrays are a sub-block's whatever the chunk.  Integer
+    outputs (discrete noise on an integer workload) are keyed by one exact
+    int64 per row (``int_row_keys``, which rank-compresses the running key
+    before it could overflow); each sub-block keeps its distinct code rows
+    and their counts, which are grouped once more per chunk, and one row
+    per key is decoded to the canonical output in key order.  Their codes
+    must fit int64, so each chunk is held to the exact oracle's range, with
+    the chunk's largest draws as the noise box: past it is a
+    ``DomainError``, not a code that wraps.  Real-valued outputs are keyed
+    by ``canonical_rows``, a column at a time, with gaps rounded to
     ``GAP_NDIGITS`` digits exactly as ``round`` does, and counted by one
-    ``Counter.update`` per chunk; that ``Counter`` is ``meta["counts"]``.
+    ``Counter.update`` per sub-block; that ``Counter`` is ``meta["counts"]``.
     ``samples`` and ``chunk`` are integers >= 1 and ``seed`` is one that
     ``seeded_rng`` takes, or it is a ``DomainError``.
 
@@ -936,14 +973,25 @@ def mc_output_dist(
         if int_outputs:
             noise = max(_largest_size(d) for d in per_query)
             _check_exact_range(w.values(side), w.threshold, _largest_size(eta0), noise, "Monte Carlo", "the chunk's largest noise draws")
-        status, gaps = run_status_gaps(mechanism, w, side, budget, eta0, per_query)
-        if int_outputs:
-            codes = encode_int_rows(mechanism, status, gaps)
+        parts = []  # each integer sub-block's distinct code rows, in key order, and their counts
+        for lo in range(0, rows, _DRAW_BLOCK):
+            block = slice(lo, lo + _DRAW_BLOCK)
+            status, gaps = run_status_gaps(mechanism, w, side, budget, eta0[block], tuple(d[block] for d in per_query))
+            if int_outputs:
+                codes = encode_int_rows(mechanism, status, gaps)
+                inverse, key_rows = key_groups(int_row_keys(codes))
+                parts.append((codes[key_rows], np.bincount(inverse)))
+            else:
+                counts.update(canonical_rows(mechanism, status, gaps, GAP_NDIGITS))
+        if len(parts) > 1:  # the chunk's distinct rows, grouped once more in key order
+            codes = np.concatenate([c for c, _ in parts])
             inverse, key_rows = key_groups(int_row_keys(codes))
-            for row, c in zip(codes[key_rows].tolist(), np.bincount(inverse).tolist()):
+            tally = np.zeros(len(key_rows), dtype=np.int64)
+            np.add.at(tally, inverse, np.concatenate([t for _, t in parts]))
+            parts = [(codes[key_rows], tally)]
+        for codes, tally in parts:
+            for row, c in zip(codes.tolist(), tally.tolist()):
                 counts[decode_row(mechanism, row)] += c
-        else:
-            counts.update(canonical_rows(mechanism, status, gaps, GAP_NDIGITS))
         done += rows
     masses = {k: c / samples for k, c in counts.items()}
     return OutputDistribution(

@@ -168,6 +168,29 @@ class TestWorkloadGeneration:
             for idx in range(100):
                 generate_workload(plan, trial_rng(19, idx))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("epsilons", ()),  # raised IndexError from generate_workload
+            ("n_range", (0, 2)),  # raised EmptyWorkload only on a trial that drew n = 0
+            ("k_range", (0, 1)),  # raised NonPositiveBudget only on a trial that drew k = 0
+            ("epsilons", (1.0, -0.5)),
+            ("epsilons", (math.inf,)),
+            ("n_range", (3, 2)),
+            ("k_range", (1, 2.5)),
+            ("n_range", (True, 2)),
+            ("value_range", (0.0, math.nan)),
+            ("value_range", (5.0, 1.0)),
+            ("sigma_range", (4.0, 0.0)),
+            ("sigma_range", (0.0, math.inf)),
+            ("boundary_fraction", 1.5),
+            ("real_fraction", -0.25),
+        ],
+    )
+    def test_malformed_spec_fields_are_domain_errors_naming_the_field(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            WorkloadGenSpec(**{field: value})
+
     def test_trial_streams_are_pcg64_jumps_of_the_master_seed(self):
         for i in (0, 1, 7, 12345):
             jumped = np.random.Generator(np.random.PCG64(42).jumped(i))
@@ -1083,6 +1106,61 @@ class TestMonteCarlo:
         for codes in chunks:
             _assert_keys_order_like_rows(codes)
 
+    @pytest.mark.parametrize(
+        "mechanism, w, kind",
+        [
+            *((m, w, NoiseKind.DLAP) for m, w in _MC_CASES[:4]),
+            (SVT_GAP, Workload.from_values([(3, 2), (1, 0), (0, 1), (2, 2), (5, 4), (0, 0)], 1, 2, 0.3), NoiseKind.DLAP),
+            (SVT_GAP, _W_REAL, NoiseKind.LAPLACE),
+            (SVT_CLASSIC, _W_REAL, NoiseKind.LAPLACE),
+        ],
+        ids=["svt-gap", "svt", "adaptive-gap", "svt-gap rank step", "svt-gap n=6 k=2", "svt-gap laplace", "svt laplace"],
+    )
+    def test_sub_blocks_merge_bit_for_bit(self, mechanism, w, kind, monkeypatch):
+        """A chunk runs the kernel and keying ``_DRAW_BLOCK`` rows at a time.
+        At 1000 rows, each 7500-row chunk spans eight sub-blocks, the last of
+        500, and the 3500-row tail four; the counts, their int values and
+        their order are those of one sub-block per chunk."""
+        whole = mc_output_dist(mechanism, w, Side.D, 26_000, seed=(7, 1), kind=kind, chunk=7_500).meta["counts"]
+        blocks, ranked = [], []
+        kernel, rank = verifier.run_status_gaps, vectorized.key_groups
+
+        def spy_kernel(*args):
+            blocks.append(len(args[4]))  # the sub-block's threshold draws
+            return kernel(*args)
+
+        def spy_rank(a):
+            ranked.append(len(a))
+            return rank(a)
+
+        monkeypatch.setattr(verifier, "_DRAW_BLOCK", 1_000)
+        monkeypatch.setattr(verifier, "run_status_gaps", spy_kernel)
+        monkeypatch.setattr(vectorized, "key_groups", spy_rank)
+        split = mc_output_dist(mechanism, w, Side.D, 26_000, seed=(7, 1), kind=kind, chunk=7_500).meta["counts"]
+        assert blocks == ([1_000] * 7 + [500]) * 3 + [1_000] * 3 + [500]
+        assert [(k, type(c), c) for k, c in split.items()] == [(k, int, c) for k, c in whole.items()]
+        assert sum(split.values()) == 26_000
+        if w is _MC_CASES[3][1]:
+            assert ranked, "the k=6 instance must go through the rank-compression step"
+
+    def test_chunk_memory_grows_with_its_draws_alone(self):
+        """Only a chunk's draws, 24 B a row here, are held whole; the kernel
+        and keying arrays are a sub-block's.  Keying the chunk whole grew the
+        peak by about 83 B a row."""
+        w = _MC_CASES[0][1]
+
+        def peak(rows):
+            tracemalloc.start()
+            try:
+                mc_output_dist(SVT_GAP, w, Side.D, rows, seed=1, kind=NoiseKind.DLAP, chunk=rows)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1 << 12)  # module-level caches filled outside the measurement
+        small, large = peak(1 << 17), peak(1 << 19)
+        assert large - small <= 1.25 * 24 * ((1 << 19) - (1 << 17))
+
     def test_int_row_keys_hand_built_rows(self):
         big = np.iinfo(np.int64).max
         codes = np.array(
@@ -1411,6 +1489,12 @@ _W_INT = Workload.from_values([(1, 0), (0, 1)], 0, 1, 1.0)
         pytest.param("seed", lambda: mc_output_dist(SVT_GAP, _W_INT, Side.D, 100, seed=1.5), id="mc seed=1.5"),
         pytest.param("seed", lambda: mc_privacy_estimate(SVT_GAP, _W_INT, 10**4, seed=-1), id="estimate seed=-1"),
         pytest.param("seed", lambda: gapsvt.sample_run(SVT_GAP, _W_INT, Side.D, -3), id="sample_run seed=-3"),
+        # numpy takes a bool as the int 0 or 1
+        pytest.param("seed", lambda: mc_output_dist(SVT_GAP, _W_INT, Side.D, 100, seed=True), id="mc seed=True"),
+        pytest.param("seed", lambda: mc_output_dist(SVT_GAP, _W_INT, Side.D, 100, seed=(3, False)), id="mc seed=(3, False)"),
+        pytest.param("seed", lambda: mc_output_dist(SVT_GAP, _W_INT, Side.D, 100, seed=[True]), id="mc seed=[True]"),
+        pytest.param("seed", lambda: mc_privacy_estimate(SVT_GAP, _W_INT, 10**4, seed=True), id="estimate seed=True"),
+        pytest.param("seed", lambda: gapsvt.sample_run(SVT_GAP, _W_INT, Side.D, True), id="sample_run seed=True"),
     ],
 )
 def test_malformed_counts_and_seeds_are_domain_errors(named, call):
