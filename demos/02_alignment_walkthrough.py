@@ -26,7 +26,7 @@ w = Workload.from_values([(5, 4), (3, 4)], threshold=4, k=1, epsilon=1.0)
 tape = NoiseTape(0, (0, 0))
 
 omega = svt_gap_run(w, tape, Side.D)
-print("run on D:      ", omega)
+print("run on D:      ", omega.answers)
 
 aligned = align_svt_gap(tape, omega, w)
 print("original tape: ", tape.flat())
@@ -36,7 +36,7 @@ print("(threshold draw +1; the positive answer at index 0 has delta=+1, so +2)")
 print("shift tape:    ", shift_for_output(omega, w.deltas(), TapeLayout.SINGLE).flat())
 
 again = svt_gap_run(w, aligned, Side.DPRIME)
-print("run on D':     ", again)
+print("run on D':     ", again.answers)
 assert again == omega, "alignment must reproduce the output exactly"
 
 # each coordinate's shift costs its noise role's epsilon per unit

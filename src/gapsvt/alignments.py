@@ -21,13 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import Branch, NoiseTape, OutputSequence, TapeLayout, Workload
+from .core import BOT_KEY, Branch, NoiseTape, OutputSequence, TapeLayout, Workload
 from .errors import LayoutMismatch
 from .mechanisms import AdaptiveBudget, SvtBudget
 
 # module aliases: a member lookup on an Enum class costs several times a global's
 _SINGLE, _PAIRED = TapeLayout.SINGLE, TapeLayout.PAIRED
-_SECOND = Branch.SECOND
+_SECOND_KEY = Branch.SECOND.value
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,8 @@ class IndexSets:
 def index_sets(omega: OutputSequence) -> IndexSets:
     first, second = [], []
     for i, a in enumerate(omega.answers):
-        if a.top:
-            (second if a.branch is _SECOND else first).append(i)
+        if a != BOT_KEY:
+            (second if type(a) is tuple and a[0] == _SECOND_KEY else first).append(i)
     return IndexSets(frozenset(first), frozenset(second))
 
 

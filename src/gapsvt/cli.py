@@ -15,7 +15,7 @@ import os
 import sys
 from typing import Sequence
 
-from .core import NoiseKind, NoiseTape, Side, Workload
+from .core import BOT_KEY, TOP_KEY, Branch, NoiseKind, NoiseTape, Side, Workload
 from .errors import DomainError, GapSvtError
 from .mechanisms import (
     ADAPTIVE_GAP,
@@ -28,12 +28,16 @@ from .mechanisms import (
 )
 from .alignments import Mutation
 from .verifier import (
+    TRIAL_SUITES,
     TrialPlan,
     check_dp_exact,
     default_enumeration_instances,
     mc_privacy_estimate,
     run_trial_suites,
 )
+
+SUITES = (*TRIAL_SUITES, "dp-exact", "dp-mc")  # in the order "--suite all" runs them
+
 
 def load_workload_dict(data) -> tuple[Workload, NoiseKind]:
     """A workload file's JSON: the fields ``Workload.from_json_dict`` reads,
@@ -85,21 +89,23 @@ def _finite_floats(x):
 
 
 def _answer_json(mechanism: str, answer) -> dict:
-    if not answer.top:
+    if answer == BOT_KEY:
         return {"bot": True, "gap": 0} if mechanism == ADAPTIVE_GAP else {"bot": True}
-    if answer.gap is None:
+    if answer == TOP_KEY:
         return {"top": True}
-    return {"gap": answer.gap, "branch": answer.branch.value}
+    branch, gap = answer
+    return {"gap": gap, "branch": branch}
 
 
 def _answer_text(answer) -> str:
-    if not answer.top:
+    if answer == BOT_KEY:
         return "⊥"
-    if answer.gap is None:
+    if answer == TOP_KEY:
         return "⊤"
-    if answer.branch.value == "plain":
-        return f"⊤(gap={answer.gap})"
-    return f"⊤(gap={answer.gap},{answer.branch.value})"
+    branch, gap = answer
+    if branch == Branch.PLAIN.value:
+        return f"⊤(gap={gap})"
+    return f"⊤(gap={gap},{branch})"
 
 
 def cmd_run(args) -> int:
@@ -174,32 +180,28 @@ def _parse_mutation(name: str | None) -> Mutation | None:
 
 def cmd_verify(args) -> int:
     mutation = _parse_mutation(args.inject_mutation)
-    suites = ["align", "cost", "structural", "dp-exact", "dp-mc"] if args.suite == "all" else [args.suite]
-    trial_suites = tuple(s for s in suites if s in ("align", "cost", "structural"))
+    suites = SUITES if args.suite == "all" else (args.suite,)
+    trial_suites = tuple(s for s in suites if s in TRIAL_SUITES)
+    # the distribution suites share one read of the workload file, which the trial suites do not read
+    loaded = load_workload_file(args.workload) if args.workload and suites != trial_suites else None
     reports = []
     if trial_suites:
         plan = TrialPlan(args.mechanism, trials=args.trials, master_seed=args.seed, mutation=mutation)
         combined = run_trial_suites(plan, trial_suites)
         reports.extend(combined[s] for s in trial_suites)
-    for suite in suites:
-        if suite in trial_suites:
-            continue
-        if suite == "dp-exact":
-            if args.workload:
-                w, kind = load_workload_file(args.workload)
-                if kind is not NoiseKind.DLAP:
-                    raise DomainError("dp-exact needs a workload file with noise='dlap'")
-                instances = [w]
-            else:
-                instances = default_enumeration_instances(args.mechanism)[:4]
-            reports.extend(check_dp_exact(args.mechanism, w)[0] for w in instances)
-        elif suite == "dp-mc":
-            if args.workload:
-                w, kind = load_workload_file(args.workload)
-            else:
-                w, kind = default_enumeration_instances(args.mechanism)[0], NoiseKind.DLAP
-            samples = max(10**4, args.trials)
-            reports.append(mc_privacy_estimate(args.mechanism, w, samples, args.seed, kind))
+    if "dp-exact" in suites:
+        if loaded is not None:
+            w, kind = loaded
+            if kind is not NoiseKind.DLAP:
+                raise DomainError("dp-exact needs a workload file with noise='dlap'")
+            instances = [w]
+        else:
+            instances = default_enumeration_instances(args.mechanism)[:4]
+        reports.extend(check_dp_exact(args.mechanism, w)[0] for w in instances)
+    if "dp-mc" in suites:
+        w, kind = loaded or (default_enumeration_instances(args.mechanism)[0], NoiseKind.DLAP)
+        samples = max(10**4, args.trials)
+        reports.append(mc_privacy_estimate(args.mechanism, w, samples, args.seed, kind))
     verdict = "pass" if all(r.passed for r in reports) else "fail"
     if len(reports) == 1:
         payload = reports[0].to_json_dict()
@@ -257,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--suite",
         required=True,
-        choices=("align", "cost", "structural", "dp-exact", "dp-mc", "all"),
+        choices=(*SUITES, "all"),
     )
     p_verify.add_argument("--mechanism", required=True, choices=MECHANISMS)
     p_verify.add_argument("--trials", type=_positive_int, default=10000)

@@ -25,6 +25,7 @@ scaled standard exponential.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -151,8 +152,6 @@ class Workload:
         for name in ("threshold", "epsilon"):
             if not _number(data[name]):
                 raise DomainError(f"field {name!r} must be a number")
-        if not isinstance(data["k"], int) or isinstance(data["k"], bool):
-            raise DomainError("field 'k' must be an integer")
         sigma = data.get("sigma")
         if sigma is not None and not _number(sigma):
             raise DomainError("field 'sigma' must be a number")
@@ -164,23 +163,33 @@ def _number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _integer(x) -> bool:
+    """An integer, numpy's included, but not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 def _finite(x) -> bool:
+    """A number that is finite as a float; False for anything else."""
     try:
         return math.isfinite(x)
-    except OverflowError:  # an int beyond the float range
+    except (OverflowError, TypeError):  # an int beyond the float range, or no number
         return False
 
 
-def _non_finite_field(w: Workload) -> str | None:
-    """Name of the first number of ``w`` that is not a finite float, if any."""
+def _bad_field(w: Workload) -> str | None:
+    """The message naming the first field of ``w`` the gate refuses, if any:
+    ``k`` must be an integer but not a bool, ``sigma`` None or a finite
+    number, and every other number finite."""
+    if not _integer(w.k):
+        return f"field 'k' must be an integer, got {w.k!r}"
     for name in ("threshold", "epsilon", "sigma"):
         x = getattr(w, name)
-        if x is not None and not _finite(x):
-            return name
+        if not (x is None and name == "sigma" or _finite(x)):
+            return f"field {name!r} must be a finite number"
     for i, pair in enumerate(zip(w.d, w.dprime)):
         for j, x in enumerate(pair):
             if not _finite(x):
-                return f"pairs[{i}][{j}]"
+                return f"field 'pairs[{i}][{j}]' must be a finite number"
     return None
 
 
@@ -188,10 +197,11 @@ def check_workload(w: Workload) -> Workload:
     """Gate every consumer of a workload behind the structural invariants.
 
     Raises the first violation found; returns the workload unchanged when it
-    is valid so call sites can chain on it.  Every number must be a finite
-    float: NaN, infinities and ints beyond the float range are rejected with
-    the field named.  A workload that passed once is frozen, so it is not
-    checked again.
+    is valid so call sites can chain on it.  ``k`` must be an integer, not a
+    bool, and every other number a finite float, ``sigma`` alone may be
+    None: NaN, infinities, ints beyond the float range and values that are
+    no number are rejected with the field named.  A workload that passed
+    once is frozen, so it is not checked again.
     """
     if w._checked:
         return w
@@ -200,20 +210,21 @@ def check_workload(w: Workload) -> Workload:
     if len(w.dprime) != len(w.d):
         raise DomainError(f"workload sides hold {len(w.d)} and {len(w.dprime)} values")
     isfinite = math.isfinite
-    try:  # fast path; a number that is not finite, overflows or is no number takes the named walk
-        finite = (
-            isfinite(w.threshold)
+    try:  # fast path; any field it does not pass takes the named walk
+        valid = (
+            type(w.k) is int
+            and isfinite(w.threshold)
             and isfinite(w.epsilon)
             and (w.sigma is None or isfinite(w.sigma))
             and all(map(isfinite, w.d))
             and all(map(isfinite, w.dprime))
         )
     except (OverflowError, TypeError):
-        finite = False
-    if not finite:
-        field = _non_finite_field(w)
-        if field is not None:
-            raise DomainError(f"field {field!r} must be a finite number")
+        valid = False
+    if not valid:
+        message = _bad_field(w)
+        if message is not None:
+            raise DomainError(message)
     if not w.epsilon > 0:
         raise NonPositiveBudget(f"epsilon must be positive, got {w.epsilon}")
     if w.k < 1:
@@ -227,87 +238,49 @@ def check_workload(w: Workload) -> Workload:
     return w
 
 
-@dataclass(frozen=True)
-class Answer:
-    """One per-query answer: below threshold, or above with an optional gap.
-
-    ``gap`` is None for below-threshold answers and for the classic SVT's
-    gap-erased positive marker.  ``branch`` is None only for below-threshold
-    answers.
-    """
-
-    top: bool
-    gap: float | None = None
-    branch: Branch | None = None
-
-    def erase_gap(self) -> "Answer":
-        if not self.top:
-            return self
-        return Answer(top=True, gap=None, branch=self.branch)
-
-    def __repr__(self) -> str:  # compact traces in test output
-        if not self.top:
-            return "Bot"
-        if self.gap is None:
-            return "Top"
-        if self.branch is Branch.PLAIN:
-            return f"TopGap({self.gap})"
-        return f"TopGap({self.gap}, {self.branch.value})"
-
-
-BOT = Answer(top=False)
-
-
-def top_gap(gap: float, branch: Branch = Branch.PLAIN) -> Answer:
-    return Answer(top=True, gap=gap, branch=branch)
-
-
-def top_marker(branch: Branch = Branch.PLAIN) -> Answer:
-    return Answer(top=True, gap=None, branch=branch)
+# The one encoding of an answer, which per-tape runs emit and every
+# distribution key, witness and CLI record reads: BOT_KEY below the
+# threshold, TOP_KEY for a classic ``svt`` positive, and ``(branch, gap)``
+# for a gap positive, ``branch`` a ``Branch`` value.
+BOT_KEY = "bot"
+TOP_KEY = "top"
 
 
 @dataclass(frozen=True)
 class OutputSequence:
-    """Variable-length sequence of per-query answers."""
+    """Variable-length sequence of per-query answers in key form."""
 
-    answers: tuple[Answer, ...]
+    answers: tuple
 
     def __len__(self) -> int:
         return len(self.answers)
 
-    def __iter__(self) -> Iterator[Answer]:
+    def __iter__(self) -> Iterator:
         return iter(self.answers)
 
-    def __getitem__(self, i: int) -> Answer:
+    def __getitem__(self, i: int):
         return self.answers[i]
 
     def top_count(self) -> int:
-        return sum(1 for a in self.answers if a.top)
+        return len(self.answers) - self.answers.count(BOT_KEY)
 
     def erase_gaps(self) -> "OutputSequence":
-        return OutputSequence(tuple(a.erase_gap() for a in self.answers))
+        return OutputSequence(tuple([a if a == BOT_KEY else TOP_KEY for a in self.answers]))
 
     def canonical(self, gap_ndigits: int | None = None) -> tuple:
-        """Hashable encoding used as a distribution key.
-
-        Below-threshold answers encode as ``"bot"``, gap-erased positives as
-        ``"top"`` and gap answers as ``(branch, gap)``.  ``gap_ndigits``
-        rounds gaps before keying (used by the Monte Carlo paths so that
-        float gaps collide deterministically).
-        """
+        """The answers as a distribution key: each gap rounded to
+        ``gap_ndigits`` digits when given (so that float gaps collide
+        deterministically), and an integral float gap written as an ``int``."""
         out = []
         for a in self.answers:
-            if not a.top:
-                out.append("bot")
-            elif a.gap is None:
-                out.append("top")
-            else:
-                g = a.gap
+            if type(a) is tuple:
+                branch, g = a
                 if gap_ndigits is not None:
                     g = round(g, gap_ndigits)
                 if isinstance(g, float) and g.is_integer():
                     g = int(g)
-                out.append((a.branch.value, g))
+                a = (branch, g)
+            out.append(a)
         return tuple(out)
 
 

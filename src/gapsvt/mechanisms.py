@@ -16,7 +16,8 @@ from types import MappingProxyType
 from typing import ClassVar, Mapping, Union
 
 from .core import (
-    BOT,
+    BOT_KEY,
+    TOP_KEY,
     Branch,
     NoiseKind,
     NoiseSpec,
@@ -25,11 +26,10 @@ from .core import (
     Side,
     TapeLayout,
     Workload,
+    _integer,
     check_workload,
     draw_tape,
     seeded_rng,
-    top_gap,
-    top_marker,
 )
 from .errors import DomainError, LayoutMismatch, NonPositiveBudget, TapeExhausted
 
@@ -43,6 +43,7 @@ Rational = Union[int, float, Fraction]
 # module aliases: a member lookup on an Enum class costs several times a global's
 _SINGLE, _PAIRED = TapeLayout.SINGLE, TapeLayout.PAIRED
 _FIRST, _SECOND = Branch.FIRST, Branch.SECOND
+_PLAIN_KEY, _FIRST_KEY, _SECOND_KEY = Branch.PLAIN.value, _FIRST.value, _SECOND.value
 
 
 def _fraction(x: Rational, name: str) -> Fraction:
@@ -197,17 +198,26 @@ class AdaptiveBudget(_RoleBudget):
         )
 
 
-@lru_cache(maxsize=4096)
+def _positive_count(k) -> int:
+    """``k`` as a Python int; a bool or no integer is a DomainError, below 1 a NonPositiveBudget."""
+    if not _integer(k):
+        raise DomainError(f"k must be an integer, got {k!r}")
+    if k < 1:
+        raise NonPositiveBudget(f"k must be >= 1, got {k}")
+    return int(k)
+
+
+# typed: 2.0 and True equal 2 and 1 as keys, and must not hit their entries
+@lru_cache(maxsize=4096, typed=True)
 def budget_split_svt(epsilon: Rational, k: int) -> SvtBudget:
     """The standard split: half the budget on the threshold, the rest spread
     over the k possible positive answers (eps0 = eps/2, eps1 = eps/(4k))."""
     eps = _fraction(epsilon, "epsilon")
-    if k < 1:
-        raise NonPositiveBudget(f"k must be >= 1, got {k}")
+    k = _positive_count(k)
     return SvtBudget(epsilon0=eps / 2, epsilon1=eps / (4 * k), epsilon=eps, k=k)
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=4096, typed=True)
 def budget_split_adaptive(epsilon: Rational, k: int) -> AdaptiveBudget:
     """Default adaptive split: eps0 = eps/2, eps2 = eps/(4k), eps1 = eps/(8k).
 
@@ -216,8 +226,7 @@ def budget_split_adaptive(epsilon: Rational, k: int) -> AdaptiveBudget:
     an AdaptiveBudget directly to override, subject to its invariants.
     """
     eps = _fraction(epsilon, "epsilon")
-    if k < 1:
-        raise NonPositiveBudget(f"k must be >= 1, got {k}")
+    k = _positive_count(k)
     return AdaptiveBudget(
         epsilon0=eps / 2,
         epsilon1=eps / (8 * k),
@@ -273,12 +282,12 @@ def _svt_run(w: Workload, tape: NoiseTape, side: Side, with_gap: bool):
         consumed += 1
         gap = q + eta_i - noisy_threshold  # same draw decides and is released
         if gap >= 0:
-            answers.append(top_gap(gap) if with_gap else top_marker())
+            answers.append((_PLAIN_KEY, gap) if with_gap else TOP_KEY)
             count += 1
             if count >= w.k:
                 break
         else:
-            answers.append(BOT)
+            answers.append(BOT_KEY)
     else:
         if len(draws) <= len(values):
             raise TapeExhausted(f"tape has only {len(tape)} per-query entries")
@@ -308,19 +317,19 @@ def _adaptive_run(w: Workload, budget: AdaptiveBudget, tape: NoiseTape, side: Si
         consumed += 2
         first_gap = q + first_noise - noisy_threshold
         if first_gap >= sigma:
-            answers.append(top_gap(first_gap, _FIRST))
+            answers.append((_FIRST_KEY, first_gap))
             spent += first_units
             j1 += 1
             events.append(LedgerEvent(i, _FIRST, budget.charge_first, budget.cost_after(j1, j2)))
         else:
             second_gap = q + second_noise - noisy_threshold
             if second_gap >= 0:
-                answers.append(top_gap(second_gap, _SECOND))
+                answers.append((_SECOND_KEY, second_gap))
                 spent += second_units
                 j2 += 1
                 events.append(LedgerEvent(i, _SECOND, budget.charge_second, budget.cost_after(j1, j2)))
             else:
-                answers.append(BOT)
+                answers.append(BOT_KEY)
         if spent > headroom:
             break
     else:

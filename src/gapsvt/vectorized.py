@@ -47,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Workload
+from .core import BOT_KEY, TOP_KEY, Branch, Workload
 from .mechanisms import ADAPTIVE_GAP, SVT_CLASSIC, SVT_GAP
 
 STATUS_ABSENT = 0
@@ -226,16 +226,15 @@ def int_row_keys(codes: np.ndarray) -> np.ndarray:
 
 
 _TOP_NAMES = {  # a positive answer's key by its branch code (code & 3), per mechanism
-    SVT_CLASSIC: (None, None, "top", "top"),
-    SVT_GAP: (None, None, "plain", "plain"),
-    ADAPTIVE_GAP: (None, None, "first", "second"),
+    SVT_CLASSIC: (None, None, TOP_KEY, TOP_KEY),
+    SVT_GAP: (None, None, Branch.PLAIN.value, Branch.PLAIN.value),
+    ADAPTIVE_GAP: (None, None, Branch.FIRST.value, Branch.SECOND.value),
 }
 
 
 def decode_row(mechanism: str, row) -> tuple:
     """Inverse of encode_int_rows for one row of Python ints (``tolist()``
-    of a code row), yielding the same canonical key
-    OutputSequence.canonical() produces."""
+    of a code row), yielding the answers the per-tape run emits."""
     names = _TOP_NAMES[mechanism]
     with_gap = mechanism != SVT_CLASSIC
     out = []
@@ -243,7 +242,7 @@ def decode_row(mechanism: str, row) -> tuple:
         if c == STATUS_ABSENT:
             break
         if c == STATUS_BOT:
-            out.append("bot")
+            out.append(BOT_KEY)
         elif with_gap:
             out.append((names[c & 3], c >> 2))
         else:
@@ -306,11 +305,11 @@ def _column_keys(mechanism: str, status: np.ndarray, gaps, gap_ndigits: int | No
     n = status.shape[1]
     status_cols = status.T.tolist()
     if mechanism == SVT_CLASSIC:
-        cols = [["top" if s >= STATUS_TOP else "bot" for s in sc] for sc in status_cols]
+        cols = [[TOP_KEY if s >= STATUS_TOP else BOT_KEY for s in sc] for sc in status_cols]
     else:
         names = _TOP_NAMES[mechanism]
         cols = [
-            [(names[s], g) if s >= STATUS_TOP else "bot" for s, g in zip(sc, gc)]
+            [(names[s], g) if s >= STATUS_TOP else BOT_KEY for s, g in zip(sc, gc)]
             for sc, gc in zip(status_cols, _gap_columns(status, gaps, gap_ndigits))
         ]
     absent = status == STATUS_ABSENT

@@ -22,7 +22,6 @@ from gapsvt import (
     svt_gap_run,
 )
 from gapsvt.alignments import Mutation
-from gapsvt.core import BOT, top_gap
 
 
 def zero_paired(n):
@@ -37,7 +36,7 @@ def adaptive_run(w, budget, tape, side=Side.D):
 
 class TestIndexSets:
     def test_plain_tops(self):
-        omega_answers = (top_gap(1), BOT, top_gap(3))
+        omega_answers = (("plain", 1), "bot", ("plain", 3))
         from gapsvt import OutputSequence
 
         sets = index_sets(OutputSequence(omega_answers))
@@ -47,7 +46,7 @@ class TestIndexSets:
     def test_adaptive_branches(self):
         from gapsvt import OutputSequence
 
-        omega = OutputSequence((top_gap(6, Branch.FIRST), BOT, top_gap(0.5, Branch.SECOND)))
+        omega = OutputSequence((("first", 6), "bot", ("second", 0.5)))
         sets = index_sets(omega)
         assert sets.top_first == {0}
         assert sets.top_second == {2}
@@ -55,14 +54,14 @@ class TestIndexSets:
     def test_all_bot(self):
         from gapsvt import OutputSequence
 
-        sets = index_sets(OutputSequence((BOT, BOT)))
+        sets = index_sets(OutputSequence(("bot", "bot")))
         assert sets.top_first == frozenset() and sets.top_second == frozenset()
 
     @given(st.lists(st.sampled_from([None, Branch.FIRST, Branch.SECOND]), max_size=12))
     def test_branch_sets_partition_the_positives(self, branches):
         from gapsvt import OutputSequence
 
-        answers = tuple(BOT if b is None else top_gap(1.5, b) for b in branches)
+        answers = tuple("bot" if b is None else (b.value, 1.5) for b in branches)
         sets = index_sets(OutputSequence(answers))
         assert not sets.top_first & sets.top_second
         assert sets.top_first | sets.top_second == {i for i, b in enumerate(branches) if b is not None}
@@ -83,7 +82,7 @@ class TestAlignSvtGap:
         w = Workload.from_values([(1, 1), (2, 2)], 4, 1, 1.0)
         tape = NoiseTape(0.5, (0.25, -0.75))
         omega = svt_gap_run(w, tape, Side.D)
-        assert all(not a.top for a in omega)
+        assert all(a == "bot" for a in omega)
         aligned = align_svt_gap(tape, omega, w)
         assert aligned.threshold_noise == tape.threshold_noise + 1
         assert aligned.per_query == tape.per_query
@@ -110,7 +109,7 @@ class TestAlignSvtGap:
         from gapsvt import OutputSequence
 
         with pytest.raises(LayoutMismatch):
-            align_svt_gap(zero_paired(1), OutputSequence((BOT,)), w)
+            align_svt_gap(zero_paired(1), OutputSequence(("bot",)), w)
 
 
 class TestAlignAdaptive:
@@ -130,7 +129,7 @@ class TestAlignAdaptive:
         budget = budget_split_adaptive(1.0, 1)
         tape = zero_paired(1)
         omega, _ = adaptive_run(w, budget, tape, Side.D)
-        assert omega.answers[0].branch is Branch.SECOND
+        assert omega.answers[0][0] == "second"
         aligned = align_adaptive(tape, omega, w)
         assert aligned.per_query == ((0, 2),)
         again, _ = adaptive_run(w, budget, aligned, Side.DPRIME)
@@ -141,7 +140,7 @@ class TestAlignAdaptive:
         budget = budget_split_adaptive(1.0, 1)
         tape = NoiseTape(0.5, ((0.1, -0.2), (0.3, 0.4)), TapeLayout.PAIRED)
         omega, _ = adaptive_run(w, budget, tape, Side.D)
-        assert all(not a.top for a in omega)
+        assert all(a == "bot" for a in omega)
         aligned = align_adaptive(tape, omega, w)
         assert aligned.threshold_noise == tape.threshold_noise + 1
         assert aligned.per_query == tape.per_query
@@ -220,8 +219,8 @@ class TestShiftStructure:
         from gapsvt import OutputSequence
 
         deltas = (1, -1, 0)
-        a = OutputSequence((top_gap(3), BOT, top_gap(0)))
-        b = OutputSequence((top_gap(7), BOT, top_gap(2)))  # same index sets
+        a = OutputSequence((("plain", 3), "bot", ("plain", 0)))
+        b = OutputSequence((("plain", 7), "bot", ("plain", 2)))  # same index sets
         sa = shift_for_output(a, deltas, TapeLayout.SINGLE)
         sb = shift_for_output(b, deltas, TapeLayout.SINGLE)
         assert sa.flat() == sb.flat() == (1, 2, 0, 1)
@@ -229,7 +228,7 @@ class TestShiftStructure:
     def test_mutations_change_the_shift(self):
         from gapsvt import OutputSequence
 
-        omega = OutputSequence((top_gap(1),))
+        omega = OutputSequence((("plain", 1),))
         deltas = (1,)
         base = shift_for_output(omega, deltas, TapeLayout.SINGLE)
         t = shift_for_output(omega, deltas, TapeLayout.SINGLE, Mutation.THRESHOLD_SHIFT)
@@ -241,7 +240,7 @@ class TestShiftStructure:
     def test_drop_second_branch_mutation(self):
         from gapsvt import OutputSequence
 
-        omega = OutputSequence((top_gap(1, Branch.SECOND),))
+        omega = OutputSequence((("second", 1),))
         deltas = (1,)
         base = shift_for_output(omega, deltas, TapeLayout.PAIRED)
         dropped = shift_for_output(omega, deltas, TapeLayout.PAIRED, Mutation.DROP_SECOND_BRANCH)

@@ -81,7 +81,7 @@ class TestRunCommand:
             record = json.loads(line)
             again = sample_run(record["mechanism"], w, Side.DPRIME, record["seed"])[0].output
             emitted = [
-                {"gap": a.gap, "branch": a.branch.value} if a.top else {"bot": True}
+                {"bot": True} if a == "bot" else {"gap": a[1], "branch": a[0]}
                 for a in again
             ]
             assert emitted == record["answers"]
@@ -690,6 +690,20 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert "adaptive mechanism requires workload.sigma" in err
+
+    def test_all_suites_read_the_workload_file_once(self, capsys, workload_file, monkeypatch):
+        payload = {"pairs": [[1, 0]], "threshold": 0, "k": 1, "epsilon": 1.0, "noise": "dlap"}
+        path = workload_file(payload)
+        reads = []
+        load = cli.load_workload_file
+        monkeypatch.setattr(cli, "load_workload_file", lambda p: reads.append(p) or load(p))
+        argv = ["verify", "--mechanism", "svt-gap", "--trials", "200", "--seed", "1", "--workload", path, "--suite"]
+        code, out, _ = run_cli(capsys, argv + ["all"])
+        assert code == 0 and reads == [path]
+        suites = [r["suite"] for r in json.loads(out)["suites"]]
+        assert suites == ["align", "cost", "structural", "dp-exact", "dp-mc"]
+        code, _, _ = run_cli(capsys, argv + ["align"])
+        assert code == 0 and reads == [path]
 
     def test_dp_mc_suite(self, capsys):
         code, out, _ = run_cli(

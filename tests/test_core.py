@@ -78,6 +78,13 @@ class TestCheckWorkload:
             (Workload.from_values([(1, 1), (math.inf, math.inf)], 0, 1, 1.0), "pairs[1][0]"),
             (Workload.from_values([(1, math.nan)], 0, 1, 1.0), "pairs[0][1]"),
             (Workload.from_values([(10**400, 10**400)], 0, 1, 1.0), "pairs[0][0]"),
+            (Workload.from_values([(1, 1)], None, 1, 1.0), "threshold"),
+            (Workload.from_values([(1, 1)], 0, 1, None), "epsilon"),
+            (Workload.from_values([(1, 1)], "0", 1, 1.0), "threshold"),
+            (Workload.from_values([(1, 1)], 0, 1, 1.0, sigma="2"), "sigma"),
+            (Workload.from_values([(1, 1), (1, "1")], 0, 1, 1.0), "pairs[1][1]"),
+            (Workload.from_values([(1, 1)], 0, "1", 1.0), "k"),
+            (Workload.from_values([(1, 1)], 0, math.nan, 1.0), "k"),
         ],
     )
     def test_non_finite_number_named(self, w, field):
@@ -87,6 +94,13 @@ class TestCheckWorkload:
     def test_bad_k_and_sigma(self):
         with pytest.raises(NonPositiveBudget):
             check_workload(Workload.from_values([(1, 1)], 0, 0, 1.0))
+        for k in (1.5, 2.0, True, np.float64(2)):
+            with pytest.raises(DomainError, match="'k' must be an integer"):
+                check_workload(Workload.from_values([(1, 0)] * 4, -50, k, 1.0))
+        assert check_workload(Workload.from_values([(1, 1)], 0, np.int64(2), 1.0)).k == 2
+        for k in (1.5, True, "2"):
+            with pytest.raises(DomainError, match="'k' must be an integer"):
+                Workload.from_json_dict({"pairs": [[1, 0]], "threshold": 0, "k": k, "epsilon": 1.0})
         with pytest.raises(NonPositiveBudget):
             check_workload(Workload.from_values([(1, 1)], 0, 1, 1.0, sigma=-0.5))
 

@@ -29,7 +29,6 @@ from gapsvt import (
     svt_classic_run,
     svt_gap_run,
 )
-from gapsvt.core import BOT, top_gap, top_marker
 from gapsvt.verifier import WorkloadGenSpec
 
 
@@ -94,6 +93,19 @@ class TestBudgetSplits:
         with pytest.raises(NonPositiveBudget):
             budget_split_adaptive(-2.0, 1)
 
+    @pytest.mark.parametrize("split", [budget_split_svt, budget_split_adaptive])
+    def test_non_integer_k_rejected(self, split):
+        """A non-integer k would leave the exact rationals, and 2.0 or True
+        must not hit the cached split of 2 or 1."""
+        assert split(1.0, 2) is split(1.0, 2) and split(1.0, 1).epsilon0 == Fraction(1, 2)
+        for k in (1.5, 2.5, 2.0, True):
+            with pytest.raises(DomainError, match="k must be an integer"):
+                split(1.0, k)
+        assert split(1.0, np.int64(2)) == split(1.0, 2)
+        w = Workload.from_values([(1, 0)] * 4, 0, 2.5, 1.0, sigma=1)
+        with pytest.raises(DomainError):
+            run_mechanism(ADAPTIVE_GAP, w, zero_paired(4))
+
     def test_noise_spec_is_built_once_per_kind(self):
         b = budget_split_svt(1.0, 1)
         assert b.noise_spec(NoiseKind.DLAP) is b.noise_spec(NoiseKind.DLAP)
@@ -123,27 +135,27 @@ class TestSvtGapRun:
     def test_zero_noise_trace(self):
         w = Workload.from_values([(5, 4), (3, 3), (7, 7)], 4, 2, 1.0)
         out = svt_gap_run(w, zero_single(3))
-        assert out.answers == (top_gap(1), BOT, top_gap(3))
+        assert out.answers == (("plain", 1), "bot", ("plain", 3))
 
     def test_stops_after_kth_top(self):
         w = Workload.from_values([(5, 4), (3, 3), (7, 7)], 4, 1, 1.0)
         out = svt_gap_run(w, zero_single(3))
-        assert out.answers == (top_gap(1),)
+        assert out.answers == (("plain", 1),)
 
     def test_threshold_noise_enters_gap(self):
         w = Workload.from_values([(5, 5)], 4, 1, 1.0)
         out = svt_gap_run(w, NoiseTape(-2, (0,)))
-        assert out.answers == (top_gap(3),)
+        assert out.answers == (("plain", 3),)
 
     def test_same_draw_decides_and_is_released(self):
         w = Workload.from_values([(5, 5)], 4, 1, 1.0)
         out = svt_gap_run(w, NoiseTape(0.0, (0.5,)))
-        assert out.answers[0].gap == pytest.approx(1.5)
+        assert out.answers[0] == ("plain", pytest.approx(1.5))
 
     def test_side_selector(self):
         w = Workload.from_values([(5, 4.5)], 4.8, 1, 1.0)
-        assert svt_gap_run(w, zero_single(1), Side.D).answers[0].top
-        assert not svt_gap_run(w, zero_single(1), Side.DPRIME).answers[0].top
+        assert svt_gap_run(w, zero_single(1), Side.D).answers[0] != "bot"
+        assert svt_gap_run(w, zero_single(1), Side.DPRIME).answers[0] == "bot"
 
     def test_tape_exhausted(self):
         w = Workload.from_values([(5, 4), (6, 6)], 4, 2, 1.0)
@@ -153,18 +165,18 @@ class TestSvtGapRun:
     def test_boundary_is_inclusive(self):
         w = Workload.from_values([(4, 4)], 4, 1, 1.0)
         out = svt_gap_run(w, zero_single(1))
-        assert out.answers == (top_gap(0),)
+        assert out.answers == (("plain", 0),)
 
 
 class TestSvtClassicRun:
     def test_zero_noise_trace(self):
         w = Workload.from_values([(5, 4), (3, 3), (7, 7)], 4, 2, 1.0)
         out = svt_classic_run(w, zero_single(3))
-        assert out.answers == (top_marker(), BOT, top_marker())
+        assert out.answers == ("top", "bot", "top")
 
     def test_k_one(self):
         w = Workload.from_values([(5, 4), (3, 3), (7, 7)], 4, 1, 1.0)
-        assert svt_classic_run(w, zero_single(3)).answers == (top_marker(),)
+        assert svt_classic_run(w, zero_single(3)).answers == ("top",)
 
     def test_coupling_with_gap_variant(self):
         rng = np.random.default_rng(2024)
@@ -187,21 +199,21 @@ class TestAdaptiveRun:
         w = Workload.from_values([(10, 9)], 4, 1, 1.0, sigma=2)
         budget = budget_split_adaptive(1.0, 1)
         out, ledger = adaptive_run(w, budget, zero_paired(1))
-        assert out.answers == (top_gap(6, Branch.FIRST),)
+        assert out.answers == (("first", 6),)
         assert ledger.running_cost == Fraction(3, 4)  # 1/2 + 2 * 1/8
 
     def test_second_branch(self):
         w = Workload.from_values([(5, 4)], 4, 1, 1.0, sigma=2)
         budget = budget_split_adaptive(1.0, 1)
         out, ledger = adaptive_run(w, budget, zero_paired(1))
-        assert out.answers == (top_gap(1, Branch.SECOND),)
+        assert out.answers == (("second", 1),)
         assert ledger.running_cost == Fraction(1)
 
     def test_below_threshold_processes_everything(self):
         w = Workload.from_values([(0, 1), (0, 0)], 4, 1, 1.0, sigma=2)
         budget = budget_split_adaptive(1.0, 1)
         out, ledger = adaptive_run(w, budget, zero_paired(2))
-        assert out.answers == (BOT, BOT)
+        assert out.answers == ("bot", "bot")
         assert ledger.running_cost == Fraction(1, 2)
 
     def test_guard_boundary_is_strict(self):
@@ -211,7 +223,7 @@ class TestAdaptiveRun:
         budget = budget_split_adaptive(1.0, 2)
         out, ledger = adaptive_run(w, budget, zero_paired(3))
         assert len(out) == 2
-        assert [a.branch for a in out] == [Branch.SECOND, Branch.SECOND]
+        assert [a[0] for a in out] == ["second", "second"]
         assert ledger.running_cost == Fraction(1)
 
     def test_sigma_required(self):
@@ -233,7 +245,7 @@ class TestAdaptiveRun:
         w = Workload.from_values([(10, 9)], 4, 1, 1.0, sigma=2)
         budget = budget_split_adaptive(1.0, 1)
         out, _ = adaptive_run(w, budget, NoiseTape(0, ((0, -50),), TapeLayout.PAIRED))
-        assert out.answers == (top_gap(6, Branch.FIRST),)
+        assert out.answers == (("first", 6),)
 
 
 def _guard_budgets():
@@ -291,7 +303,7 @@ class TestAdaptiveGuard:
         n = len(values)
         w = Workload.from_values([(v, v) for v in values], 4, 1, float(budget.epsilon), sigma=sigma)
         out, ledger = adaptive_run(w, budget, NoiseTape(threshold_noise, tuple(draws[:n]), TapeLayout.PAIRED))
-        branches = [a.branch for a in out.answers if a is not BOT]
+        branches = [a[0] for a in out.answers if a != "bot"]
         for i in range(len(out)):
             before = [e for e in ledger.events if e.index < i]
             assert ledger.cost_at(len(before)) <= budget.guard_limit, i
@@ -392,20 +404,20 @@ class TestSampleRun:
         for seed in range(10**5):
             out = sampled_output(SVT_GAP, w, Side.D, seed)
             assert out.top_count() <= w.k
-            assert all(a.gap >= 0 for a in out if a.top)
+            assert all(a[1] >= 0 for a in out if a != "bot")
             outa = sampled_output(ADAPTIVE_GAP, wa, Side.D, seed)
             for a in outa:
-                if a.top:
-                    assert a.gap >= 0
-                    if a.branch is Branch.FIRST:
-                        assert a.gap >= wa.sigma
+                if a != "bot":
+                    assert a[1] >= 0
+                    if a[0] == "first":
+                        assert a[1] >= wa.sigma
 
     def test_discrete_kind(self):
         w = Workload.from_values([(5, 4)], 4, 1, 1.0)
         out = sampled_output(SVT_GAP, w, Side.D, seed=5, kind=NoiseKind.DLAP)
         for a in out:
-            if a.top:
-                assert float(a.gap).is_integer()
+            if a != "bot":
+                assert float(a[1]).is_integer()
 
 
 @given(
@@ -422,7 +434,7 @@ def test_top_count_and_gap_invariants(n, k, seed):
     tape = NoiseTape(float(rng.normal()), tuple(rng.normal(size=n)))
     out = svt_gap_run(w, tape)
     assert out.top_count() <= k
-    assert all(a.gap >= 0 for a in out if a.top)
+    assert all(a[1] >= 0 for a in out if a != "bot")
     assert len(out) <= n
     if out.top_count() == k:
-        assert out.answers[-1].top
+        assert out.answers[-1] != "bot"

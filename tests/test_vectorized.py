@@ -74,7 +74,7 @@ def test_exhaustive_small_box_agreement(mechanism, side):
             eta0 = np.array([c[0] for c in combos], dtype=np.int64)
             xis = np.array([[c[1 + 2 * i] for i in range(n)] for c in combos], dtype=np.int64)
             etas = np.array([[c[2 + 2 * i] for i in range(n)] for c in combos], dtype=np.int64)
-            got = batch_canonical(mechanism, w, side, budget, eta0, (xis, etas))
+            draws = (xis, etas)
             tapes = [
                 NoiseTape(c[0], tuple((c[1 + 2 * i], c[2 + 2 * i]) for i in range(n)), TapeLayout.PAIRED)
                 for c in combos
@@ -82,11 +82,15 @@ def test_exhaustive_small_box_agreement(mechanism, side):
         else:
             combos = list(itertools.product(rng, repeat=1 + n))
             eta0 = np.array([c[0] for c in combos], dtype=np.int64)
-            etaq = np.array([list(c[1:]) for c in combos], dtype=np.int64)
-            got = batch_canonical(mechanism, w, side, budget, eta0, (etaq,))
+            draws = (np.array([list(c[1:]) for c in combos], dtype=np.int64),)
             tapes = [NoiseTape(c[0], tuple(c[1:])) for c in combos]
-        want = per_tape_canonical(mechanism, w, side, budget, tapes)
-        assert got == want
+        status, gaps = run_status_gaps(mechanism, w, side, budget, eta0, draws)
+        outputs = [run_mechanism(mechanism, w, tape, side, budget).output for tape in tapes]
+        want = [out.canonical() for out in outputs]
+        assert canonical_rows(mechanism, status, gaps) == want
+        # per-tape runs emit each answer in key form already, as the decoded code rows are
+        decoded = [decode_row(mechanism, row) for row in encode_int_rows(mechanism, status, gaps).tolist()]
+        assert [out.answers for out in outputs] == want == decoded
 
 
 @pytest.mark.parametrize("mechanism", MECHANISMS)

@@ -51,7 +51,7 @@ from gapsvt import (
 )
 import gapsvt
 from gapsvt import mechanisms, vectorized, verifier
-from gapsvt.core import Branch, NoiseSpec, top_gap
+from gapsvt.core import NoiseSpec
 from gapsvt.verifier import generate_workload, trial_rng
 
 
@@ -407,7 +407,7 @@ class TestLedgerDrills:
 
     def test_query_processed_past_the_guard(self):
         # an output that answers the third query after the guard should have stopped the run
-        output = OutputSequence((*self._real_output(), top_gap(1, Branch.SECOND)))
+        output = OutputSequence((*self._real_output(), ("second", 1)))
         assert _ledger_verdict(self._real(), output) == (
             "query 2 was processed with running cost 7/8 above the guard limit"
         )
