@@ -22,6 +22,7 @@ from .mechanisms import (
     MECHANISMS,
     budget_split_adaptive,
     budget_split_svt,
+    check_workload_for,
     default_budget,
     run_mechanism,
     sample_run,
@@ -184,19 +185,17 @@ def cmd_verify(args) -> int:
     trial_suites = tuple(s for s in suites if s in TRIAL_SUITES)
     # the distribution suites share one read of the workload file, which the trial suites do not read
     loaded = load_workload_file(args.workload) if args.workload and suites != trial_suites else None
+    if loaded is not None:  # refused before the trial suites run, not after
+        if "dp-exact" in suites and loaded[1] is not NoiseKind.DLAP:
+            raise DomainError("dp-exact needs a workload file with noise='dlap'")
+        check_workload_for(args.mechanism, loaded[0])
     reports = []
     if trial_suites:
         plan = TrialPlan(args.mechanism, trials=args.trials, master_seed=args.seed, mutation=mutation)
         combined = run_trial_suites(plan, trial_suites)
         reports.extend(combined[s] for s in trial_suites)
     if "dp-exact" in suites:
-        if loaded is not None:
-            w, kind = loaded
-            if kind is not NoiseKind.DLAP:
-                raise DomainError("dp-exact needs a workload file with noise='dlap'")
-            instances = [w]
-        else:
-            instances = default_enumeration_instances(args.mechanism)[:4]
+        instances = [loaded[0]] if loaded else default_enumeration_instances(args.mechanism)[:4]
         reports.extend(check_dp_exact(args.mechanism, w)[0] for w in instances)
     if "dp-mc" in suites:
         w, kind = loaded or (default_enumeration_instances(args.mechanism)[0], NoiseKind.DLAP)

@@ -504,7 +504,7 @@ def _structural_trial(mechanism, rng, w, budget, spec, tape, forward):
         failure = f"consumed {forward.consumed} draws, expected {expected_draws}"
     elif any(type(a) is tuple and a[1] < 0 for a in omega):
         failure = "negative gap released"
-    elif mechanism == ADAPTIVE_GAP and any(a[0] == _FIRST_KEY and a[1] < w.sigma for a in omega if a != BOT_KEY):
+    elif mechanism == ADAPTIVE_GAP and any(type(a) is tuple and a[0] == _FIRST_KEY and a[1] < w.sigma for a in omega):
         failure = "first-branch gap below sigma"
     elif mechanism != ADAPTIVE_GAP and omega.top_count() > w.k:
         failure = f"{omega.top_count()} positive answers with k={w.k}"

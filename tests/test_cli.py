@@ -705,6 +705,14 @@ class TestVerifyCommand:
         code, _, _ = run_cli(capsys, argv + ["align"])
         assert code == 0 and reads == [path]
 
+    @pytest.mark.parametrize("edit, message", [({"noise": "laplace"}, "noise='dlap'"), ({"sigma": None}, "requires workload.sigma")])
+    def test_all_suites_refuse_the_workload_before_the_trials_run(self, capsys, workload_file, monkeypatch, edit, message):
+        payload = {"pairs": [[1, 0]], "threshold": 0, "k": 1, "epsilon": 1.0, "sigma": 1, "noise": "dlap", **edit}
+        monkeypatch.setattr(cli, "run_trial_suites", lambda *args: pytest.fail("the trial suites ran"))
+        argv = ["verify", "--suite", "all", "--mechanism", "adaptive-gap", "--workload", workload_file(payload)]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "") and message in err
+
     def test_dp_mc_suite(self, capsys):
         code, out, _ = run_cli(
             capsys,
