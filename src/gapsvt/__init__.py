@@ -50,7 +50,6 @@ from .verifier import (
     OutputDistribution,
     TrialPlan,
     Witness,
-    WorkloadGenSpec,
     check_alignment_soundness,
     check_dp_exact,
     default_enumeration_instances,

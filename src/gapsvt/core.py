@@ -133,8 +133,9 @@ class Workload:
     @classmethod
     def from_json_dict(cls, data) -> "Workload":
         """Inverse of ``to_json_dict`` for any decoded JSON value: a field
-        missing, unknown or of the wrong type is a ``DomainError`` naming it,
-        and the workload must pass ``check_workload``."""
+        missing or unknown, or a ``pairs`` entry that is no pair, is a
+        ``DomainError`` naming it, and the workload must pass
+        ``check_workload``, which refuses a value of the wrong type."""
         if not isinstance(data, dict):
             raise DomainError("workload file must contain a JSON object")
         unknown = sorted(set(data) - {"pairs", "threshold", "k", "epsilon", "sigma"})
@@ -147,20 +148,9 @@ class Workload:
         if not isinstance(pairs, list):
             raise DomainError("field 'pairs' must be an array of [qD, qDprime] pairs")
         for i, entry in enumerate(pairs):
-            if not isinstance(entry, (list, tuple)) or len(entry) != 2 or not all(map(_number, entry)):
+            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
                 raise DomainError(f"field 'pairs' entry {i} must be a pair of numbers")
-        for name in ("threshold", "epsilon"):
-            if not _number(data[name]):
-                raise DomainError(f"field {name!r} must be a number")
-        sigma = data.get("sigma")
-        if sigma is not None and not _number(sigma):
-            raise DomainError("field 'sigma' must be a number")
-        return check_workload(cls.from_values(pairs, data["threshold"], data["k"], data["epsilon"], sigma))
-
-
-def _number(x) -> bool:
-    """A JSON number: an int or a float, not a bool."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+        return check_workload(cls.from_values(pairs, data["threshold"], data["k"], data["epsilon"], data.get("sigma")))
 
 
 def _integer(x) -> bool:
@@ -178,17 +168,17 @@ def _finite(x) -> bool:
 
 def _bad_field(w: Workload) -> str | None:
     """The message naming the first field of ``w`` the gate refuses, if any:
-    ``k`` must be an integer but not a bool, ``sigma`` None or a finite
-    number, and every other number finite."""
+    ``k`` must be an integer, ``sigma`` None or a finite number, and every
+    other number finite; no field may be a bool."""
     if not _integer(w.k):
         return f"field 'k' must be an integer, got {w.k!r}"
     for name in ("threshold", "epsilon", "sigma"):
         x = getattr(w, name)
-        if not (x is None and name == "sigma" or _finite(x)):
+        if not (x is None and name == "sigma" or _finite(x) and type(x) is not bool):
             return f"field {name!r} must be a finite number"
     for i, pair in enumerate(zip(w.d, w.dprime)):
         for j, x in enumerate(pair):
-            if not _finite(x):
+            if not (_finite(x) and type(x) is not bool):
                 return f"field 'pairs[{i}][{j}]' must be a finite number"
     return None
 
@@ -197,10 +187,10 @@ def check_workload(w: Workload) -> Workload:
     """Gate every consumer of a workload behind the structural invariants.
 
     Raises the first violation found; returns the workload unchanged when it
-    is valid so call sites can chain on it.  ``k`` must be an integer, not a
-    bool, and every other number a finite float, ``sigma`` alone may be
-    None: NaN, infinities, ints beyond the float range and values that are
-    no number are rejected with the field named.  A workload that passed
+    is valid so call sites can chain on it.  ``k`` must be an integer and
+    every other number a finite float, ``sigma`` alone may be None: bools,
+    NaN, infinities, ints beyond the float range and values that are no
+    number are rejected with the field named.  A workload that passed
     once is frozen, so it is not checked again.
     """
     if w._checked:
@@ -210,14 +200,11 @@ def check_workload(w: Workload) -> Workload:
     if len(w.dprime) != len(w.d):
         raise DomainError(f"workload sides hold {len(w.d)} and {len(w.dprime)} values")
     isfinite = math.isfinite
-    try:  # fast path; any field it does not pass takes the named walk
+    try:  # fast path, one pass over the numbers; any it does not pass takes the named walk
         valid = (
             type(w.k) is int
-            and isfinite(w.threshold)
-            and isfinite(w.epsilon)
-            and (w.sigma is None or isfinite(w.sigma))
-            and all(map(isfinite, w.d))
-            and all(map(isfinite, w.dprime))
+            and (w.sigma is None or type(w.sigma) is not bool and isfinite(w.sigma))
+            and all(type(x) is not bool and isfinite(x) for x in (w.threshold, w.epsilon, *w.d, *w.dprime))
         )
     except (OverflowError, TypeError):
         valid = False
@@ -404,8 +391,9 @@ class NoiseTape:
 
 
 def _finite_number(x) -> bool:
-    """A JSON number a tape can hold: not a bool, and finite as a float."""
-    return _number(x) and _finite(x)
+    """A JSON number a tape can hold: an int or a float, not a bool, and
+    finite as a float."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and _finite(x)
 
 
 # ---------------------------------------------------------------------------

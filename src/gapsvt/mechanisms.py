@@ -105,8 +105,7 @@ class SvtBudget(_RoleBudget):
         for name in ("epsilon0", "epsilon1", "epsilon"):
             if getattr(self, name) <= 0:
                 raise NonPositiveBudget(f"{name} must be positive")
-        if self.k < 1:
-            raise NonPositiveBudget(f"k must be >= 1, got {self.k}")
+        _positive_count(self.k)
 
     def identity_holds(self) -> bool:
         return self.epsilon0 + 2 * self.k * self.epsilon1 == self.epsilon

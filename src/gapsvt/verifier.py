@@ -98,6 +98,18 @@ WILSON_Z = 6.0  # Monte Carlo falsifier: z of the Wilson intervals around each o
 # step, about (phi - 1) * 2**128.  A power of two would leave the low half of
 # the 128-bit state equal in every trial, and the trials' first draws correlated.
 TRIAL_JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
+# The trial generator's fixed traffic, so that a seed and a trial index name
+# one workload: n and k from the inclusive ranges GEN_N and GEN_K, values in
+# [0, GEN_VALUE_HI] and sigma in [0, GEN_SIGMA_HI), their integers in the
+# integer modes; a trial whose mode uniform is below GEN_BOUNDARY is a
+# boundary trial, one below GEN_REAL a real-valued one, the rest integer ones.
+GEN_N = (1, 6)
+GEN_K = (1, 3)
+GEN_EPSILONS = (0.5, 1.0, 2.0)
+GEN_VALUE_HI = 20
+GEN_SIGMA_HI = 4
+GEN_BOUNDARY = 0.25
+GEN_REAL = 0.625  # 0.25 + 0.75 / 2: half of the non-boundary trials
 
 # module aliases: a member lookup on an Enum class costs several times a global's
 _SINGLE = TapeLayout.SINGLE
@@ -110,61 +122,10 @@ _DLAP, _LAPLACE = NoiseKind.DLAP, NoiseKind.LAPLACE
 
 
 @dataclass(frozen=True)
-class WorkloadGenSpec:
-    """Ranges for randomized workload generation.
-
-    A quarter of the workloads (by default) are boundary cases: integer
-    values straddling the threshold with deltas pinned to +-1, where the
-    cost and alignment inequalities are tight.  ``real_fraction`` of the
-    rest use real-valued queries and continuous noise; the remainder are
-    integer-valued with integer noise so outputs can be compared exactly.
-    ``n_range`` and ``k_range`` are inclusive, and so are the integer
-    values of ``value_range``; a real sigma lies in ``sigma_range`` and an
-    integer one is an integer of it, the upper end excluded.
-    """
-
-    n_range: tuple = (1, 6)
-    value_range: tuple = (0.0, 20.0)
-    k_range: tuple = (1, 3)
-    epsilons: tuple = (0.5, 1.0, 2.0)
-    sigma_range: tuple = (0.0, 4.0)
-    boundary_fraction: float = 0.25
-    real_fraction: float = 0.5  # of the non-boundary trials
-
-    def __post_init__(self):
-        """Each field is checked once here, so a bad one is a ``DomainError``
-        naming it, not an error of whichever trial first draws from it."""
-        eps = self.epsilons
-        eps_ok = isinstance(eps, (tuple, list)) and len(eps) > 0 and all(_real(e) and e > 0 for e in eps)
-        for name, ok, want in (
-            ("n_range", _is_range(self.n_range, _integer, 1), "integers 1 <= lo <= hi"),
-            ("k_range", _is_range(self.k_range, _integer, 1), "integers 1 <= lo <= hi"),
-            ("value_range", _is_range(self.value_range, _real), "finite numbers lo <= hi"),
-            ("sigma_range", _is_range(self.sigma_range, _real), "finite numbers lo <= hi"),
-            ("epsilons", eps_ok, "positive finite numbers, at least one"),
-            ("boundary_fraction", _real(self.boundary_fraction) and 0 <= self.boundary_fraction <= 1, "a number in [0, 1]"),
-            ("real_fraction", _real(self.real_fraction) and 0 <= self.real_fraction <= 1, "a number in [0, 1]"),
-        ):
-            if not ok:
-                raise DomainError(f"{name} must be {want}, got {getattr(self, name)!r}")
-
-
-def _real(x) -> bool:
-    """A finite real number, numpy's included, but not a bool."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and _finite(x)
-
-
-def _is_range(pair, number, least=-math.inf) -> bool:
-    """A pair ``(lo, hi)`` of ``number``s with ``least <= lo <= hi``."""
-    return isinstance(pair, (tuple, list)) and len(pair) == 2 and all(map(number, pair)) and least <= pair[0] <= pair[1]
-
-
-@dataclass(frozen=True)
 class TrialPlan:
     mechanism: str
     trials: int
     master_seed: int
-    gen: WorkloadGenSpec = WorkloadGenSpec()
     mutation: Mutation | None = None
 
     def __post_init__(self):
@@ -210,48 +171,41 @@ def _pick(u: float, lo: int, count: int) -> int:
 
 
 def generate_workload(plan: TrialPlan, rng: np.random.Generator) -> tuple[Workload, NoiseKind]:
-    """One workload and its noise kind from one block of ``6 + 2 *
-    n_range[1]`` uniforms, whatever the mode and length: ``u[0:6]`` pick n,
-    k, epsilon, the mode, the threshold and sigma, and ``u[6 + 2j]`` and
-    ``u[7 + 2j]`` the value on D and the delta of pair j."""
-    g = plan.gen
-    n_lo, n_hi = g.n_range
-    u = rng.random(6 + 2 * n_hi).tolist()
-    n = _pick(u[0], n_lo, n_hi - n_lo + 1)
-    k = _pick(u[1], g.k_range[0], g.k_range[1] - g.k_range[0] + 1)
-    epsilon = float(g.epsilons[_pick(u[2], 0, len(g.epsilons))])
-    lo, hi = g.value_range
+    """One workload and its noise kind from one block of 18 uniforms,
+    whatever the mode and length: ``u[0:6]`` pick n, k, epsilon, the mode,
+    the threshold and sigma, and ``u[6 + 2j]`` and ``u[7 + 2j]`` the value
+    on D and the delta of pair j.
+
+    A quarter of the workloads are boundary cases: integer values
+    straddling the threshold with deltas pinned to +-1, where the cost and
+    alignment inequalities are tight.  Half of the rest use real-valued
+    queries and continuous noise; the remainder are integer-valued with
+    integer noise so outputs can be compared exactly."""
+    u = rng.random(6 + 2 * GEN_N[1]).tolist()
+    n = _pick(u[0], GEN_N[0], GEN_N[1] - GEN_N[0] + 1)
+    k = _pick(u[1], GEN_K[0], GEN_K[1] - GEN_K[0] + 1)
+    epsilon = GEN_EPSILONS[_pick(u[2], 0, len(GEN_EPSILONS))]
     mode = u[3]
-    boundary = mode < g.boundary_fraction
-    real = not boundary and mode < g.boundary_fraction + (1 - g.boundary_fraction) * g.real_fraction
+    real = GEN_BOUNDARY <= mode < GEN_REAL
     values = u[6 : 6 + 2 * n : 2]
     deltas = u[7 : 7 + 2 * n : 2]
     if real:
-        span = hi - lo
-        threshold = lo + span * u[4]
-        d = [lo + span * a for a in values]
+        threshold = GEN_VALUE_HI * u[4]
+        d = [GEN_VALUE_HI * a for a in values]
         dprime = [vd - (2.0 * b - 1.0) for vd, b in zip(d, deltas)]
         kind = _LAPLACE
     else:
-        v_lo, v_count = int(lo), int(hi) - int(lo) + 1
-        threshold = _pick(u[4], v_lo, v_count)
-        if boundary:
+        threshold = _pick(u[4], 0, GEN_VALUE_HI + 1)
+        if mode < GEN_BOUNDARY:
             d = [_pick(a, threshold - 1, 3) for a in values]  # straddle the threshold
             dprime = [vd - (1 if b < 0.5 else -1) for vd, b in zip(d, deltas)]
         else:
-            d = [_pick(a, v_lo, v_count) for a in values]
+            d = [_pick(a, 0, GEN_VALUE_HI + 1) for a in values]
             dprime = [vd - _pick(b, -1, 3) for vd, b in zip(d, deltas)]
         kind = _DLAP
     sigma = None
     if plan.mechanism == ADAPTIVE_GAP:
-        sigma_lo, sigma_hi = g.sigma_range
-        if real:
-            sigma = sigma_lo + (sigma_hi - sigma_lo) * u[5]
-        else:
-            first, count = math.ceil(sigma_lo), math.ceil(sigma_hi) - math.ceil(sigma_lo)
-            if count < 1:
-                raise DomainError(f"sigma_range {g.sigma_range} holds no integer sigma")
-            sigma = _pick(u[5], first, count)
+        sigma = GEN_SIGMA_HI * u[5] if real else _pick(u[5], 0, GEN_SIGMA_HI)
     w = Workload(tuple(d), tuple(dprime), threshold, k, epsilon, sigma)
     return check_workload(w), kind
 

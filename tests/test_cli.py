@@ -215,6 +215,12 @@ BAD_WITNESS_INPUTS = {
     "string-epsilon": ("svt-gap", {"epsilon": "1"}, {}, "'epsilon'"),
     "bool-k": ("svt-gap", {"k": True}, {}, "'k'"),
     "string-sigma": ("adaptive-gap", {"sigma": "1"}, {}, "'sigma'"),
+    "string-pair-value": ("svt-gap", {"pairs": [[1, 0], ["0", 1]]}, {}, "pairs[1][0]"),
+    # JSON true and false are numbers to Python; the workload gate refuses them
+    "bool-threshold": ("svt-gap", {"threshold": False}, {}, "'threshold'"),
+    "bool-epsilon": ("svt-gap", {"epsilon": True}, {}, "'epsilon'"),
+    "bool-sigma": ("adaptive-gap", {"sigma": True}, {}, "'sigma'"),
+    "bool-pair-value": ("adaptive-gap", {"pairs": [[1, False], [0, 1]]}, {}, "pairs[0][1]"),
     "missing-k": ("svt-gap", {"k": DROP}, {}, "'k'"),
     "unknown-workload-field": ("svt-gap", {"note": 1}, {}, "'note'"),
     "workload-not-an-object": ("adaptive-gap", {"whole": [[1, 0]]}, {}, "JSON object"),

@@ -85,11 +85,18 @@ class TestCheckWorkload:
             (Workload.from_values([(1, 1), (1, "1")], 0, 1, 1.0), "pairs[1][1]"),
             (Workload.from_values([(1, 1)], 0, "1", 1.0), "k"),
             (Workload.from_values([(1, 1)], 0, math.nan, 1.0), "k"),
+            (Workload.from_values([(True, False)], False, 1, True, sigma=True), "threshold"),
+            (Workload.from_values([(1, 1)], 0, 1, True), "epsilon"),
+            (Workload.from_values([(1, 1)], 0, 1, 1.0, sigma=False), "sigma"),
+            (Workload.from_values([(False, 0)], 0, 1, 1.0), "pairs[0][0]"),
+            (Workload.from_values([(1, 1), (1, True)], 0, 1, 1.0), "pairs[1][1]"),
         ],
     )
     def test_non_finite_number_named(self, w, field):
         with pytest.raises(DomainError, match=re.escape(repr(field))):
             check_workload(w)
+        with pytest.raises(DomainError, match=re.escape(repr(field))):
+            Workload.from_json_dict(w.to_json_dict())
 
     def test_bad_k_and_sigma(self):
         with pytest.raises(NonPositiveBudget):

@@ -29,7 +29,8 @@ from gapsvt import (
     svt_classic_run,
     svt_gap_run,
 )
-from gapsvt.verifier import WorkloadGenSpec
+from gapsvt.mechanisms import SvtBudget
+from gapsvt.verifier import GEN_EPSILONS, GEN_K
 
 
 def zero_single(n):
@@ -105,6 +106,11 @@ class TestBudgetSplits:
         w = Workload.from_values([(1, 0)] * 4, 0, 2.5, 1.0, sigma=1)
         with pytest.raises(DomainError):
             run_mechanism(ADAPTIVE_GAP, w, zero_paired(4))
+
+    @pytest.mark.parametrize("k", [1.5, True])
+    def test_direct_svt_budget_refuses_non_integer_k(self, k):
+        with pytest.raises(DomainError, match="k must be an integer"):
+            SvtBudget(Fraction(1, 2), Fraction(1, 6), Fraction(1), k)
 
     def test_noise_spec_is_built_once_per_kind(self):
         b = budget_split_svt(1.0, 1)
@@ -251,12 +257,7 @@ class TestAdaptiveRun:
 def _guard_budgets():
     """The default splits at the trial generator's (epsilon, k), and direct
     budgets whose pieces have unrelated denominators."""
-    gen = WorkloadGenSpec()
-    budgets = [
-        budget_split_adaptive(eps, k)
-        for eps in gen.epsilons
-        for k in range(gen.k_range[0], gen.k_range[1] + 1)
-    ]
+    budgets = [budget_split_adaptive(eps, k) for eps in GEN_EPSILONS for k in range(GEN_K[0], GEN_K[1] + 1)]
     budgets += [
         AdaptiveBudget(Fraction(1, 3), Fraction(1, 7), Fraction(1, 5), Fraction(2)),
         AdaptiveBudget(Fraction(2, 9), Fraction(1, 11), Fraction(3, 13), Fraction(5, 3)),
