@@ -36,15 +36,15 @@ print(f"identity eps0 + 2k*eps1 = {b.epsilon0 + 2 * w.k * b.epsilon1}")
 
 print("\n== zero-noise traces are hand-checkable ==")
 zero = NoiseTape(0, (0, 0, 0, 0, 0))
-print("gap variant:    ", svt_gap_run(w, zero, Side.D).answers)
-print("classic variant:", svt_classic_run(w, zero, Side.D).answers)
+print("gap variant:    ", svt_gap_run(w, zero, Side.D))
+print("classic variant:", svt_classic_run(w, zero, Side.D))
 print("(the classic variant is the gap variant with gaps erased)")
 
 print("\n== real noise, still deterministic given the seed ==")
 for seed in (1, 2, 1):
     result, _ = sample_run(SVT_GAP, w, Side.D, seed)
     out = result.output
-    print(f"seed={seed}: {out.answers}")
+    print(f"seed={seed}: {out}")
 
 print("\n== adaptive variant: two attempts per query ==")
 wa = Workload.from_values([(10, 9), (5, 4), (0, 1)], 4, 1, 1.0, sigma=2)
@@ -53,7 +53,7 @@ print(f"eps0={budget.epsilon0} eps1={budget.epsilon1} eps2={budget.epsilon2}")
 tape = NoiseTape(0, ((0, 0), (0, 0), (0, 0)), TapeLayout.PAIRED)
 result = run_mechanism(ADAPTIVE_GAP, wa, tape, Side.D, budget)
 out, ledger = result.output, result.ledger
-print("answers:", out.answers)
+print("answers:", out)
 print("ledger events:", [(e.index, e.branch.value, str(e.increment)) for e in ledger.events])
 print(f"final cost {ledger.running_cost} <= epsilon {wa.epsilon}")
 print("a first-branch answer (margin >= sigma) costs half a second-branch one,")

@@ -18,7 +18,6 @@ from .core import (
     NoiseKind,
     NoiseSpec,
     NoiseTape,
-    OutputSequence,
     Side,
     TapeLayout,
     Workload,

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import BOT_KEY, Branch, NoiseTape, OutputSequence, TapeLayout, Workload
+from .core import BOT_KEY, Branch, NoiseTape, TapeLayout, Workload
 from .errors import LayoutMismatch
 from .mechanisms import AdaptiveBudget, SvtBudget
 
@@ -38,9 +38,9 @@ class IndexSets:
     top_second: frozenset  # adaptive second-branch positives
 
 
-def index_sets(omega: OutputSequence) -> IndexSets:
+def index_sets(omega: tuple) -> IndexSets:
     first, second = [], []
-    for i, a in enumerate(omega.answers):
+    for i, a in enumerate(omega):
         if a != BOT_KEY:
             (second if type(a) is tuple and a[0] == _SECOND_KEY else first).append(i)
     return IndexSets(frozenset(first), frozenset(second))
@@ -59,7 +59,7 @@ MUTATED_THRESHOLD_SHIFT = 2.0  # the threshold-shift mutation's constant; the so
 
 
 def shift_for_output(
-    omega: OutputSequence, deltas, layout: TapeLayout, mutation: Mutation | None = None
+    omega: tuple, deltas, layout: TapeLayout, mutation: Mutation | None = None
 ) -> NoiseTape:
     """Build the shift vector from the output's index sets and the deltas,
     as a tape of shifts over the layout's noise roles.
@@ -87,7 +87,7 @@ def shift_for_output(
     return NoiseTape.from_flat(shift, layout)
 
 
-def align_svt_gap(tape: NoiseTape, omega: OutputSequence, w: Workload, mutation: Mutation | None = None) -> NoiseTape:
+def align_svt_gap(tape: NoiseTape, omega: tuple, w: Workload, mutation: Mutation | None = None) -> NoiseTape:
     """Rewrite a single-layout tape so the run on the other side reproduces
     ``omega``: threshold draw up by one, positive-answer draws up by
     ``1 + delta_i``, everything else untouched.  A paired tape raises
@@ -95,7 +95,7 @@ def align_svt_gap(tape: NoiseTape, omega: OutputSequence, w: Workload, mutation:
     return tape.shifted_by(shift_for_output(omega, w.deltas(), _SINGLE, mutation))
 
 
-def align_adaptive(tape: NoiseTape, omega: OutputSequence, w: Workload, mutation: Mutation | None = None) -> NoiseTape:
+def align_adaptive(tape: NoiseTape, omega: tuple, w: Workload, mutation: Mutation | None = None) -> NoiseTape:
     """Paired-layout rewrite: first-branch positives shift their first draw,
     second-branch positives their second draw, both by ``1 + delta_i``.  A
     single-layout tape raises LayoutMismatch."""

@@ -31,7 +31,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import chain
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -62,7 +62,7 @@ class TapeLayout(str, Enum):
 
 
 # module aliases: a member lookup on an Enum class costs several times a global's
-_D, _SINGLE = Side.D, TapeLayout.SINGLE
+_D, _DPRIME, _SINGLE = Side.D, Side.DPRIME, TapeLayout.SINGLE
 
 
 class NoiseKind(str, Enum):
@@ -107,7 +107,12 @@ class Workload:
         return len(self.d)
 
     def values(self, side: Side) -> tuple:
-        return self.d if side is _D else self.dprime
+        """The values of ``side``; its string value or any other is a ``DomainError``."""
+        if side is _D:
+            return self.d
+        if side is _DPRIME:
+            return self.dprime
+        raise DomainError(f"side must be a Side, got {side!r}")
 
     def deltas(self) -> tuple:
         """``d[i] - dprime[i]`` per query, computed on each call."""
@@ -228,47 +233,27 @@ def check_workload(w: Workload) -> Workload:
 # The one encoding of an answer, which per-tape runs emit and every
 # distribution key, witness and CLI record reads: BOT_KEY below the
 # threshold, TOP_KEY for a classic ``svt`` positive, and ``(branch, gap)``
-# for a gap positive, ``branch`` a ``Branch`` value.
+# for a gap positive, ``branch`` a ``Branch`` value.  A run's output is the
+# tuple of its answers.
 BOT_KEY = "bot"
 TOP_KEY = "top"
 
 
-@dataclass(frozen=True)
-class OutputSequence:
-    """Variable-length sequence of per-query answers in key form."""
-
-    answers: tuple
-
-    def __len__(self) -> int:
-        return len(self.answers)
-
-    def __iter__(self) -> Iterator:
-        return iter(self.answers)
-
-    def __getitem__(self, i: int):
-        return self.answers[i]
-
-    def top_count(self) -> int:
-        return len(self.answers) - self.answers.count(BOT_KEY)
-
-    def erase_gaps(self) -> "OutputSequence":
-        return OutputSequence(tuple([a if a == BOT_KEY else TOP_KEY for a in self.answers]))
-
-    def canonical(self, gap_ndigits: int | None = None) -> tuple:
-        """The answers as a distribution key: each gap rounded to
-        ``gap_ndigits`` digits when given (so that float gaps collide
-        deterministically), and an integral float gap written as an ``int``."""
-        out = []
-        for a in self.answers:
-            if type(a) is tuple:
-                branch, g = a
-                if gap_ndigits is not None:
-                    g = round(g, gap_ndigits)
-                if isinstance(g, float) and g.is_integer():
-                    g = int(g)
-                a = (branch, g)
-            out.append(a)
-        return tuple(out)
+def canonical(answers: tuple, gap_ndigits: int | None = None) -> tuple:
+    """A run's answers as a distribution key: each gap rounded to
+    ``gap_ndigits`` digits when given (so that float gaps collide
+    deterministically), and an integral float gap written as an ``int``."""
+    out = []
+    for a in answers:
+        if type(a) is tuple:
+            branch, g = a
+            if gap_ndigits is not None:
+                g = round(g, gap_ndigits)
+            if isinstance(g, float) and g.is_integer():
+                g = int(g)
+            a = (branch, g)
+        out.append(a)
+    return tuple(out)
 
 
 @dataclass(frozen=True)

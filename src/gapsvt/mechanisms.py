@@ -22,7 +22,6 @@ from .core import (
     NoiseKind,
     NoiseSpec,
     NoiseTape,
-    OutputSequence,
     Side,
     TapeLayout,
     Workload,
@@ -257,13 +256,13 @@ class CostLedger:
         return self.events[step - 1].running_cost if step else self.initial
 
 
-def svt_gap_run(w: Workload, tape: NoiseTape, side: Side = Side.D) -> OutputSequence:
+def svt_gap_run(w: Workload, tape: NoiseTape, side: Side = Side.D) -> tuple:
     """Report which queries clear the noisy threshold, with the positive
     answers carrying their noisy margin; stops after the k-th positive."""
     return run_mechanism(SVT_GAP, w, tape, side).output
 
 
-def svt_classic_run(w: Workload, tape: NoiseTape, side: Side = Side.D) -> OutputSequence:
+def svt_classic_run(w: Workload, tape: NoiseTape, side: Side = Side.D) -> tuple:
     """Same loop as svt_gap_run but positives are bare markers (no margin)."""
     return run_mechanism(SVT_CLASSIC, w, tape, side).output
 
@@ -290,7 +289,7 @@ def _svt_run(w: Workload, tape: NoiseTape, side: Side, with_gap: bool):
     else:
         if len(draws) <= len(values):
             raise TapeExhausted(f"tape has only {len(tape)} per-query entries")
-    return OutputSequence(tuple(answers)), consumed
+    return tuple(answers), consumed
 
 
 def _adaptive_run(w: Workload, budget: AdaptiveBudget, tape: NoiseTape, side: Side):
@@ -335,14 +334,14 @@ def _adaptive_run(w: Workload, budget: AdaptiveBudget, tape: NoiseTape, side: Si
         if len(flat) < 1 + 2 * len(values):
             raise TapeExhausted(f"tape has only {len(tape)} per-query entries")
     ledger = CostLedger(budget.epsilon0, budget.cost_after(j1, j2), events)
-    return OutputSequence(tuple(answers)), ledger, consumed
+    return tuple(answers), ledger, consumed
 
 
 @dataclass(frozen=True)
 class RunResult:
     """One mechanism run plus the instrumentation the verifier needs."""
 
-    output: OutputSequence
+    output: tuple  # the answers, one per query read
     consumed: int  # scalar tape draws actually read, threshold included
     ledger: CostLedger | None = None
 

@@ -318,7 +318,7 @@ def _column_keys(mechanism: str, status: np.ndarray, gaps, gap_ndigits: int | No
 
 
 def canonical_rows(mechanism: str, status, gaps, gap_ndigits: int | None = None) -> list:
-    """The key ``OutputSequence.canonical(gap_ndigits)`` gives for every row.
+    """The key ``core.canonical(answers, gap_ndigits)`` gives for every row.
 
     Keys are built a column at a time: one list of answer keys per column
     (gaps as ``_gap_columns`` rounds them), zipped into row tuples and each

@@ -45,16 +45,17 @@ from .core import _draw as _draw_block  # the one noise sampler; the benchmark t
 from .core import (
     _DRAW_BLOCK,
     BOT_KEY,
+    TOP_KEY,
     Branch,
     NoiseKind,
     NoiseSpec,
     NoiseTape,
-    OutputSequence,
     Side,
     TapeLayout,
     Workload,
     _finite,
     _integer,
+    canonical,
     check_workload,
     discrete_laplace_box,
     discrete_laplace_pmf,
@@ -133,6 +134,8 @@ class TrialPlan:
             raise DomainError(f"unknown mechanism {self.mechanism!r}")
         _check_int("trials", self.trials)
         _check_int("master_seed", self.master_seed, least=0)
+        if self.mutation is not None and not isinstance(self.mutation, Mutation):
+            raise DomainError(f"field 'mutation' must be a Mutation or None, got {self.mutation!r}")
 
 
 def _check_int(name: str, value, least: int = 1) -> None:
@@ -253,11 +256,11 @@ class PrivacyReport:
         return asdict(self)
 
 
-def outputs_equal(a: OutputSequence, b: OutputSequence, exact: bool) -> bool:
+def outputs_equal(a: tuple, b: tuple, exact: bool) -> bool:
+    if exact:
+        return a == b
     if len(a) != len(b):
         return False
-    if exact:
-        return a.answers == b.answers
     for x, y in zip(a, b):
         if type(x) is tuple and type(y) is tuple:
             if x[0] != y[0] or abs(x[1] - y[1]) > GAP_TOL:
@@ -380,8 +383,8 @@ def _record_failure(report, plan, check, idx, orientation, w, noise, tape, detai
             orientation=orientation,
             workload=w.to_json_dict(),
             tape=tape.to_json_dict(),
-            expected=None if expected is None else expected.canonical(),
-            got=got.canonical(),
+            expected=None if expected is None else canonical(expected),
+            got=canonical(got),
             detail=detail,
             mutation=plan.mutation.value if plan.mutation else None,
         )
@@ -395,7 +398,7 @@ def check_alignment_soundness(plan: TrialPlan) -> PrivacyReport:
     return run_trial_suites(plan, ("align",))["align"]
 
 
-def _verify_ledger(budget: AdaptiveBudget, omega: OutputSequence, ledger, sets) -> str | None:
+def _verify_ledger(budget: AdaptiveBudget, omega: tuple, ledger, sets) -> str | None:
     """Exact re-derivation of the adaptive ledger from the output and its
     index sets ``sets``.
 
@@ -416,7 +419,7 @@ def _verify_ledger(budget: AdaptiveBudget, omega: OutputSequence, ledger, sets) 
     events = ledger.events
     running = eps0
     step = 0
-    for i, a in enumerate(omega.answers):
+    for i, a in enumerate(omega):
         if running > limit:
             return f"query {i} was processed with running cost {Fraction(running, d)} above the guard limit"
         if a == BOT_KEY:
@@ -460,8 +463,8 @@ def _structural_trial(mechanism, rng, w, budget, spec, tape, forward):
         failure = "negative gap released"
     elif mechanism == ADAPTIVE_GAP and any(type(a) is tuple and a[0] == _FIRST_KEY and a[1] < w.sigma for a in omega):
         failure = "first-branch gap below sigma"
-    elif mechanism != ADAPTIVE_GAP and omega.top_count() > w.k:
-        failure = f"{omega.top_count()} positive answers with k={w.k}"
+    elif mechanism != ADAPTIVE_GAP and len(omega) - omega.count(BOT_KEY) > w.k:
+        failure = f"{len(omega) - omega.count(BOT_KEY)} positive answers with k={w.k}"
     if failure is None:
         # countability witness: same index sets on a fresh tape => same shift
         shift = shift_for_output(omega, w.deltas(), layout)
@@ -477,7 +480,7 @@ def _structural_trial(mechanism, rng, w, budget, spec, tape, forward):
         gap_out = omega if mechanism == SVT_GAP else svt_gap_run(w, tape, Side.D)
         classic_out = omega if mechanism == SVT_CLASSIC else svt_classic_run(w, tape, Side.D)
         checks += 1
-        if gap_out.erase_gaps() != classic_out:
+        if tuple([a if a == BOT_KEY else TOP_KEY for a in gap_out]) != classic_out:
             failure = "gap run with gaps erased differs from the classic run"
     return checks, failure
 
@@ -709,8 +712,7 @@ def _enumerate_per_tape(mechanism, w, side, budget, axes) -> dict:
         for ax_i, ci in enumerate(combo):
             weight *= pmf_lists[ax_i][ci]
         tape = NoiseTape.from_flat([value_lists[ax_i][ci] for ax_i, ci in enumerate(combo)], budget.layout)
-        omega = run_mechanism(mechanism, w, tape, side, budget).output
-        key = omega.canonical()
+        key = canonical(run_mechanism(mechanism, w, tape, side, budget).output)
         masses[key] = masses.get(key, 0.0) + weight
     return masses
 
@@ -892,8 +894,8 @@ def mc_output_dist(
     by ``canonical_rows``, a column at a time, with gaps rounded to
     ``GAP_NDIGITS`` digits exactly as ``round`` does, and counted by one
     ``Counter.update`` per sub-block; that ``Counter`` is ``meta["counts"]``.
-    ``samples`` and ``chunk`` are integers >= 1 and ``seed`` is one that
-    ``seeded_rng`` takes, or it is a ``DomainError``.
+    ``side`` is a ``Side``, ``kind`` a ``NoiseKind``, ``samples`` and ``chunk``
+    integers >= 1 and ``seed`` one ``seeded_rng`` takes, or a ``DomainError``.
 
     ``scale_epsilon_factor`` is a self-test hook: it rescales the noise as
     if the budget were ``factor * epsilon`` while everything else (including
@@ -903,6 +905,9 @@ def mc_output_dist(
     (``NonPositiveBudget``).
     """
     check_workload_for(mechanism, w)
+    w.values(side)  # refuses a side that is no Side before any draw
+    if not isinstance(kind, NoiseKind):
+        raise DomainError(f"kind must be a NoiseKind, got {kind!r}")
     _check_int("samples", samples)
     _check_int("chunk", chunk)
     if not (_finite(scale_epsilon_factor) and _finite(w.epsilon * scale_epsilon_factor)):
@@ -980,8 +985,10 @@ def _paired(a: _CodeRows, b: _CodeRows) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 
 def tv_distance(a: OutputDistribution, b: OutputDistribution) -> float:
-    """Total variation over the union of outputs, with unassigned (tail)
-    mass treated as one extra bucket."""
+    """Total variation over the union of outputs of one mechanism, with
+    unassigned (tail) mass treated as one extra bucket."""
+    if a.mechanism != b.mechanism:
+        raise DomainMismatch(f"distributions from {a.mechanism!r} vs {b.mechanism!r}")
     _, ma, mb = _joined(a.masses, b.masses)
     s = sum(np.abs(ma - mb).tolist())  # the builtin sum, in key order, for the same last bits
     s += abs(a.truncation_loss - b.truncation_loss)

@@ -22,6 +22,7 @@ from gapsvt import (
     svt_gap_run,
 )
 from gapsvt.alignments import Mutation
+from gapsvt.core import canonical
 
 
 def zero_paired(n):
@@ -37,32 +38,24 @@ def adaptive_run(w, budget, tape, side=Side.D):
 class TestIndexSets:
     def test_plain_tops(self):
         omega_answers = (("plain", 1), "bot", ("plain", 3))
-        from gapsvt import OutputSequence
-
-        sets = index_sets(OutputSequence(omega_answers))
+        sets = index_sets(omega_answers)
         assert sets.top_first == {0, 2}
         assert sets.top_second == frozenset()
 
     def test_adaptive_branches(self):
-        from gapsvt import OutputSequence
-
-        omega = OutputSequence((("first", 6), "bot", ("second", 0.5)))
+        omega = (("first", 6), "bot", ("second", 0.5))
         sets = index_sets(omega)
         assert sets.top_first == {0}
         assert sets.top_second == {2}
 
     def test_all_bot(self):
-        from gapsvt import OutputSequence
-
-        sets = index_sets(OutputSequence(("bot", "bot")))
+        sets = index_sets(("bot", "bot"))
         assert sets.top_first == frozenset() and sets.top_second == frozenset()
 
     @given(st.lists(st.sampled_from([None, Branch.FIRST, Branch.SECOND]), max_size=12))
     def test_branch_sets_partition_the_positives(self, branches):
-        from gapsvt import OutputSequence
-
         answers = tuple("bot" if b is None else (b.value, 1.5) for b in branches)
-        sets = index_sets(OutputSequence(answers))
+        sets = index_sets(answers)
         assert not sets.top_first & sets.top_second
         assert sets.top_first | sets.top_second == {i for i, b in enumerate(branches) if b is not None}
         assert sets.top_second == {i for i, b in enumerate(branches) if b is Branch.SECOND}
@@ -100,16 +93,14 @@ class TestAlignSvtGap:
             delta = tuple(
                 round(b - a, 9) for a, b in zip(tape.flat(), aligned.flat())
             )
-            shifts.setdefault(omega.canonical(6), set()).add(delta)
+            shifts.setdefault(canonical(omega, 6), set()).add(delta)
         assert len(shifts) > 1
         assert all(len(v) == 1 for v in shifts.values())
 
     def test_layout_mismatch(self):
         w = Workload.from_values([(1, 1)], 0, 1, 1.0)
-        from gapsvt import OutputSequence
-
         with pytest.raises(LayoutMismatch):
-            align_svt_gap(zero_paired(1), OutputSequence(("bot",)), w)
+            align_svt_gap(zero_paired(1), ("bot",), w)
 
 
 class TestAlignAdaptive:
@@ -129,7 +120,7 @@ class TestAlignAdaptive:
         budget = budget_split_adaptive(1.0, 1)
         tape = zero_paired(1)
         omega, _ = adaptive_run(w, budget, tape, Side.D)
-        assert omega.answers[0][0] == "second"
+        assert omega[0][0] == "second"
         aligned = align_adaptive(tape, omega, w)
         assert aligned.per_query == ((0, 2),)
         again, _ = adaptive_run(w, budget, aligned, Side.DPRIME)
@@ -216,19 +207,15 @@ class TestShiftStructure:
         assert all(isinstance(v, int) for v in aligned.per_query)
 
     def test_shift_depends_only_on_index_sets_and_deltas(self):
-        from gapsvt import OutputSequence
-
         deltas = (1, -1, 0)
-        a = OutputSequence((("plain", 3), "bot", ("plain", 0)))
-        b = OutputSequence((("plain", 7), "bot", ("plain", 2)))  # same index sets
+        a = (("plain", 3), "bot", ("plain", 0))
+        b = (("plain", 7), "bot", ("plain", 2))  # same index sets
         sa = shift_for_output(a, deltas, TapeLayout.SINGLE)
         sb = shift_for_output(b, deltas, TapeLayout.SINGLE)
         assert sa.flat() == sb.flat() == (1, 2, 0, 1)
 
     def test_mutations_change_the_shift(self):
-        from gapsvt import OutputSequence
-
-        omega = OutputSequence((("plain", 1),))
+        omega = (("plain", 1),)
         deltas = (1,)
         base = shift_for_output(omega, deltas, TapeLayout.SINGLE)
         t = shift_for_output(omega, deltas, TapeLayout.SINGLE, Mutation.THRESHOLD_SHIFT)
@@ -238,9 +225,7 @@ class TestShiftStructure:
         assert q.flat() == (1, 1)
 
     def test_drop_second_branch_mutation(self):
-        from gapsvt import OutputSequence
-
-        omega = OutputSequence((("second", 1),))
+        omega = (("second", 1),)
         deltas = (1,)
         base = shift_for_output(omega, deltas, TapeLayout.PAIRED)
         dropped = shift_for_output(omega, deltas, TapeLayout.PAIRED, Mutation.DROP_SECOND_BRANCH)

@@ -384,6 +384,9 @@ def test_workload_stores_one_value_tuple_per_side():
     w = Workload.from_values([(5, 4), (3, 3), (7, 8)], 4, 1, 1.0)
     assert w.d == (5, 3, 7) and w.dprime == (4, 3, 8)
     assert w.values(Side.D) is w.d and w.values(Side.DPRIME) is w.dprime
+    for side in ("d", "dprime", 0):
+        with pytest.raises(DomainError, match=f"side must be a Side, got {side!r}"):
+            w.values(side)
     assert w.deltas() == (1, 0, -1)
     s = w.swapped()
     assert (s.d, s.dprime) == (w.dprime, w.d) and s.deltas() == (-1, 0, 1)

@@ -29,6 +29,7 @@ from gapsvt import (
     svt_classic_run,
     svt_gap_run,
 )
+from gapsvt.core import canonical
 from gapsvt.mechanisms import SvtBudget
 from gapsvt.verifier import GEN_EPSILONS, GEN_K
 
@@ -141,27 +142,27 @@ class TestSvtGapRun:
     def test_zero_noise_trace(self):
         w = Workload.from_values([(5, 4), (3, 3), (7, 7)], 4, 2, 1.0)
         out = svt_gap_run(w, zero_single(3))
-        assert out.answers == (("plain", 1), "bot", ("plain", 3))
+        assert out == (("plain", 1), "bot", ("plain", 3))
 
     def test_stops_after_kth_top(self):
         w = Workload.from_values([(5, 4), (3, 3), (7, 7)], 4, 1, 1.0)
         out = svt_gap_run(w, zero_single(3))
-        assert out.answers == (("plain", 1),)
+        assert out == (("plain", 1),)
 
     def test_threshold_noise_enters_gap(self):
         w = Workload.from_values([(5, 5)], 4, 1, 1.0)
         out = svt_gap_run(w, NoiseTape(-2, (0,)))
-        assert out.answers == (("plain", 3),)
+        assert out == (("plain", 3),)
 
     def test_same_draw_decides_and_is_released(self):
         w = Workload.from_values([(5, 5)], 4, 1, 1.0)
         out = svt_gap_run(w, NoiseTape(0.0, (0.5,)))
-        assert out.answers[0] == ("plain", pytest.approx(1.5))
+        assert out[0] == ("plain", pytest.approx(1.5))
 
     def test_side_selector(self):
         w = Workload.from_values([(5, 4.5)], 4.8, 1, 1.0)
-        assert svt_gap_run(w, zero_single(1), Side.D).answers[0] != "bot"
-        assert svt_gap_run(w, zero_single(1), Side.DPRIME).answers[0] == "bot"
+        assert svt_gap_run(w, zero_single(1), Side.D)[0] != "bot"
+        assert svt_gap_run(w, zero_single(1), Side.DPRIME)[0] == "bot"
 
     def test_tape_exhausted(self):
         w = Workload.from_values([(5, 4), (6, 6)], 4, 2, 1.0)
@@ -171,18 +172,18 @@ class TestSvtGapRun:
     def test_boundary_is_inclusive(self):
         w = Workload.from_values([(4, 4)], 4, 1, 1.0)
         out = svt_gap_run(w, zero_single(1))
-        assert out.answers == (("plain", 0),)
+        assert out == (("plain", 0),)
 
 
 class TestSvtClassicRun:
     def test_zero_noise_trace(self):
         w = Workload.from_values([(5, 4), (3, 3), (7, 7)], 4, 2, 1.0)
         out = svt_classic_run(w, zero_single(3))
-        assert out.answers == ("top", "bot", "top")
+        assert out == ("top", "bot", "top")
 
     def test_k_one(self):
         w = Workload.from_values([(5, 4), (3, 3), (7, 7)], 4, 1, 1.0)
-        assert svt_classic_run(w, zero_single(3)).answers == ("top",)
+        assert svt_classic_run(w, zero_single(3)) == ("top",)
 
     def test_coupling_with_gap_variant(self):
         rng = np.random.default_rng(2024)
@@ -197,7 +198,7 @@ class TestSvtClassicRun:
                 1.0,
             )
             tape = NoiseTape(float(rng.normal()), tuple(rng.normal(size=n)))
-            assert svt_gap_run(w, tape).erase_gaps() == svt_classic_run(w, tape)
+            assert tuple(a if a == "bot" else "top" for a in svt_gap_run(w, tape)) == svt_classic_run(w, tape)
 
 
 class TestAdaptiveRun:
@@ -205,21 +206,21 @@ class TestAdaptiveRun:
         w = Workload.from_values([(10, 9)], 4, 1, 1.0, sigma=2)
         budget = budget_split_adaptive(1.0, 1)
         out, ledger = adaptive_run(w, budget, zero_paired(1))
-        assert out.answers == (("first", 6),)
+        assert out == (("first", 6),)
         assert ledger.running_cost == Fraction(3, 4)  # 1/2 + 2 * 1/8
 
     def test_second_branch(self):
         w = Workload.from_values([(5, 4)], 4, 1, 1.0, sigma=2)
         budget = budget_split_adaptive(1.0, 1)
         out, ledger = adaptive_run(w, budget, zero_paired(1))
-        assert out.answers == (("second", 1),)
+        assert out == (("second", 1),)
         assert ledger.running_cost == Fraction(1)
 
     def test_below_threshold_processes_everything(self):
         w = Workload.from_values([(0, 1), (0, 0)], 4, 1, 1.0, sigma=2)
         budget = budget_split_adaptive(1.0, 1)
         out, ledger = adaptive_run(w, budget, zero_paired(2))
-        assert out.answers == ("bot", "bot")
+        assert out == ("bot", "bot")
         assert ledger.running_cost == Fraction(1, 2)
 
     def test_guard_boundary_is_strict(self):
@@ -251,7 +252,7 @@ class TestAdaptiveRun:
         w = Workload.from_values([(10, 9)], 4, 1, 1.0, sigma=2)
         budget = budget_split_adaptive(1.0, 1)
         out, _ = adaptive_run(w, budget, NoiseTape(0, ((0, -50),), TapeLayout.PAIRED))
-        assert out.answers == (("first", 6),)
+        assert out == (("first", 6),)
 
 
 def _guard_budgets():
@@ -304,7 +305,7 @@ class TestAdaptiveGuard:
         n = len(values)
         w = Workload.from_values([(v, v) for v in values], 4, 1, float(budget.epsilon), sigma=sigma)
         out, ledger = adaptive_run(w, budget, NoiseTape(threshold_noise, tuple(draws[:n]), TapeLayout.PAIRED))
-        branches = [a[0] for a in out.answers if a != "bot"]
+        branches = [a[0] for a in out if a != "bot"]
         for i in range(len(out)):
             before = [e for e in ledger.events if e.index < i]
             assert ledger.cost_at(len(before)) <= budget.guard_limit, i
@@ -381,6 +382,24 @@ class TestRunMechanism:
         out2, _ = adaptive_run(w, budget, truncated)
         assert out2 == out
 
+    @pytest.mark.parametrize("mechanism", MECHANISMS)
+    def test_a_run_returns_its_answers_as_a_tuple(self, mechanism):
+        w = Workload.from_values([(5, 4), (3, 4)], 4, 2, 1.0, sigma=1)
+        tape = zero_paired(2) if mechanism == ADAPTIVE_GAP else zero_single(2)
+        out = run_mechanism(mechanism, w, tape).output
+        assert type(out) is tuple and len(out) == 2
+        if mechanism != ADAPTIVE_GAP:
+            run = svt_gap_run if mechanism == SVT_GAP else svt_classic_run
+            assert type(run(w, tape)) is tuple and run(w, tape) == out
+
+    @pytest.mark.parametrize("mechanism", MECHANISMS)
+    @pytest.mark.parametrize("side", ["d", "dprime"])
+    def test_a_side_given_as_its_string_value_is_a_domain_error(self, mechanism, side):
+        w = Workload.from_values([(5, 4), (3, 4)], 4, 1, 1.0, sigma=1)
+        tape = zero_paired(2) if mechanism == ADAPTIVE_GAP else zero_single(2)
+        with pytest.raises(DomainError, match=f"side must be a Side, got {side!r}"):
+            run_mechanism(mechanism, w, tape, side)
+
 
 def sampled_output(mechanism, w, side, seed, kind=NoiseKind.LAPLACE):
     return sample_run(mechanism, w, side, seed, kind)[0].output
@@ -395,7 +414,7 @@ class TestSampleRun:
 
     def test_seeds_differ(self):
         w = Workload.from_values([(5, 4), (3, 3)], 4, 1, 1.0)
-        outs = {sampled_output(SVT_GAP, w, Side.D, seed=s).canonical(9) for s in range(64)}
+        outs = {canonical(sampled_output(SVT_GAP, w, Side.D, seed=s), 9) for s in range(64)}
         assert len(outs) > 1
 
     @pytest.mark.slow
@@ -404,7 +423,7 @@ class TestSampleRun:
         wa = Workload.from_values([(5, 4), (4, 5)], 4, 1, 1.0, sigma=1.5)
         for seed in range(10**5):
             out = sampled_output(SVT_GAP, w, Side.D, seed)
-            assert out.top_count() <= w.k
+            assert len(out) - out.count("bot") <= w.k
             assert all(a[1] >= 0 for a in out if a != "bot")
             outa = sampled_output(ADAPTIVE_GAP, wa, Side.D, seed)
             for a in outa:
@@ -434,8 +453,8 @@ def test_top_count_and_gap_invariants(n, k, seed):
     w = Workload.from_values([(v, v - d) for v, d in zip(values, deltas)], 0.0, k, 1.0)
     tape = NoiseTape(float(rng.normal()), tuple(rng.normal(size=n)))
     out = svt_gap_run(w, tape)
-    assert out.top_count() <= k
+    assert len(out) - out.count("bot") <= k
     assert all(a[1] >= 0 for a in out if a != "bot")
     assert len(out) <= n
-    if out.top_count() == k:
-        assert out.answers[-1] != "bot"
+    if len(out) - out.count("bot") == k:
+        assert out[-1] != "bot"

@@ -27,7 +27,6 @@ from gapsvt import (
     NonPositiveBudget,
     NoiseTape,
     OutputDistribution,
-    OutputSequence,
     SVT_CLASSIC,
     SVT_GAP,
     Side,
@@ -50,7 +49,7 @@ from gapsvt import (
 )
 import gapsvt
 from gapsvt import mechanisms, vectorized, verifier
-from gapsvt.core import NoiseSpec
+from gapsvt.core import NoiseSpec, canonical
 from gapsvt.verifier import (
     GEN_BOUNDARY,
     GEN_EPSILONS,
@@ -375,14 +374,14 @@ class TestLedgerDrills:
 
     def test_query_processed_past_the_guard(self):
         # an output that answers the third query after the guard should have stopped the run
-        output = OutputSequence((*self._real_output(), ("second", 1)))
+        output = (*self._real_output(), ("second", 1))
         assert _ledger_verdict(self._real(), output) == (
             "query 2 was processed with running cost 7/8 above the guard limit"
         )
 
     @staticmethod
     def _real_output():
-        return _adaptive_ledger_case()[3].output.answers
+        return _adaptive_ledger_case()[3].output
 
 
 class TestEnumeration:
@@ -812,6 +811,11 @@ class TestPrivacyLoss:
         q = OutputDistribution(ADAPTIVE_GAP, "dprime", {"a": 1.0}, 0.0)
         with pytest.raises(DomainMismatch):
             max_privacy_loss(p, q)
+        with pytest.raises(DomainMismatch):
+            tv_distance(p, q)
+        w = Workload.from_values([(1, 0)], 0, 1, 1.0)
+        with pytest.raises(DomainMismatch):
+            tv_distance(enumerate_output_dist(SVT_CLASSIC, w), enumerate_output_dist(SVT_GAP, w))
 
     def test_one_sided_outputs_are_material(self):
         p = OutputDistribution(SVT_GAP, "d", {"a": 0.9, "b": 0.1}, 1e-9)
@@ -1205,7 +1209,7 @@ class TestMonteCarlo:
                 tapes = [NoiseTape(e, tuple(q)) for e, q in zip(eta0, etaq)]
             for tape in tapes:
                 result = run_mechanism(mechanism, w, tape, Side.D, budget)
-                keys.append(result.output.canonical(verifier.GAP_NDIGITS))
+                keys.append(canonical(result.output, verifier.GAP_NDIGITS))
         assert [repr(kc) for kc in dist.meta["counts"].items()] == [repr(kc) for kc in Counter(keys).items()]
         assert dist.meta["noise"] == "laplace"
 
@@ -1466,6 +1470,26 @@ _W_INT = Workload.from_values([(1, 0), (0, 1)], 0, 1, 1.0)
     ],
 )
 def test_malformed_counts_and_seeds_are_domain_errors(named, call):
+    with pytest.raises(DomainError, match=re.escape(named)):
+        call()
+
+
+@pytest.mark.parametrize(
+    "named, call",
+    [
+        pytest.param("kind", lambda: mc_output_dist(SVT_GAP, _W_INT, Side.D, 100, seed=1, kind="dlap"), id="mc kind='dlap'"),
+        pytest.param("kind", lambda: mc_privacy_estimate(SVT_GAP, _W_INT, 10**4, seed=1, kind="dlap"), id="estimate kind='dlap'"),
+        pytest.param("side", lambda: mc_output_dist(SVT_GAP, _W_INT, "d", 100, seed=1), id="mc side='d'"),
+        pytest.param("side", lambda: enumerate_output_dist(SVT_GAP, _W_INT, "d"), id="enumerate side='d'"),
+        pytest.param("mutation", lambda: TrialPlan(SVT_GAP, 2000, 1, mutation="threshold-shift"), id="mutation='threshold-shift'"),
+    ],
+)
+def test_enum_values_given_as_strings_are_domain_errors_before_any_draw(named, call, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew noise before refusing the argument")
+
+    monkeypatch.setattr(verifier, "_draw_block", no_draw)
+    monkeypatch.setattr(verifier, "draw_tape", no_draw)
     with pytest.raises(DomainError, match=re.escape(named)):
         call()
 
