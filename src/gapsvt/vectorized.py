@@ -35,10 +35,12 @@ distinct rows once more; the chunk size alone fixes the draw order, and so
 the results.
 
 Real-valued outputs cannot be int-encoded; ``canonical_rows`` gives them
-the per-tape canonical keys instead.  It works a column at a time: numpy
-rounds each gap column (Python's ``round`` takes the few elements near a
-decimal tie), one list comprehension builds the column's answer keys, and
-the rows are zipped from the columns.
+the per-tape canonical keys instead.  It works a column at a time: the
+column starts as ``BOT_KEY`` in every row, numpy rounds the gaps of its
+released answers alone (Python's ``round`` takes the few near a decimal
+tie), only those answers' keys are built into it, and the rows are zipped
+from the columns.  Monte Carlo calls it on whole sub-blocks for the gap
+mechanisms, and for ``svt`` on one status row per distinct row.
 """
 
 from __future__ import annotations
@@ -250,8 +252,8 @@ def decode_row(mechanism: str, row) -> tuple:
     return tuple(out)
 
 
-def _round_gaps(top: np.ndarray, gaps: np.ndarray, ndigits: int) -> np.ndarray:
-    """``round(g, ndigits)`` of every float gap where ``top`` holds.
+def _round_gaps(gaps: np.ndarray, ndigits: int) -> np.ndarray:
+    """``round(g, ndigits)`` of every gap in the float array ``gaps``.
 
     numpy scales by ``10**ndigits``, takes ``rint`` and scales back.  That
     equals Python's correctly rounded ``round`` wherever the scaled value
@@ -269,64 +271,52 @@ def _round_gaps(top: np.ndarray, gaps: np.ndarray, ndigits: int) -> np.ndarray:
             # not shown to be more than 2 ulp from a tie: this takes in
             # every |y| >= 2**50, and inf and NaN by the negation
             slow = ~(0.5 - np.abs(y - r) > 2 * np.spacing(np.abs(y)))
-        slow &= top
     else:
-        out, slow = gaps.copy(), top
-    for i, j in zip(*np.nonzero(slow)):
-        out[i, j] = round(float(gaps[i, j]), ndigits)
+        out, slow = gaps.copy(), np.ones(len(gaps), dtype=bool)
+    for i in np.flatnonzero(slow).tolist():
+        out[i] = round(float(gaps[i]), ndigits)
     return out
 
 
-def _gap_columns(status: np.ndarray, gaps, ndigits: int | None):
-    """Each column of ``gaps`` in turn as a list of the numbers the keys
-    hold: ``round(g, ndigits)``, then ``int`` where a rounded float is
-    integral."""
-    g = np.asarray(gaps)
-    if g.dtype.kind != "f":
-        for col in g.T.tolist():
-            yield col if ndigits is None or ndigits >= 0 else [round(v, ndigits) for v in col]
-        return
-    top = status >= STATUS_TOP
-    g = g.astype(np.float64)
+def _released_gaps(gaps: np.ndarray, ndigits: int | None) -> list:
+    """The numbers the keys of the released answers with these gaps hold:
+    ``round(g, ndigits)``, then ``int`` where a rounded float is integral."""
+    if gaps.dtype.kind != "f":
+        return gaps.tolist() if ndigits is None or ndigits >= 0 else [round(v, ndigits) for v in gaps.tolist()]
+    g = gaps.astype(np.float64)
     if ndigits is not None:
-        g = _round_gaps(top, g, ndigits)
+        g = _round_gaps(g, ndigits)
+    out = g.tolist()
     integral = np.floor(g) == g
     integral &= np.isfinite(g)
-    integral &= top
-    for j in range(g.shape[1]):
-        col = g[:, j].tolist()
-        for i in np.flatnonzero(integral[:, j]).tolist():
-            col[i] = int(col[i])
-        yield col
-
-
-def _column_keys(mechanism: str, status: np.ndarray, gaps, gap_ndigits: int | None) -> list:
-    """``canonical_rows`` without the ``svt`` grouping."""
-    n = status.shape[1]
-    status_cols = status.T.tolist()
-    if mechanism == SVT_CLASSIC:
-        cols = [[TOP_KEY if s >= STATUS_TOP else BOT_KEY for s in sc] for sc in status_cols]
-    else:
-        names = _TOP_NAMES[mechanism]
-        cols = [
-            [(names[s], g) if s >= STATUS_TOP else BOT_KEY for s, g in zip(sc, gc)]
-            for sc, gc in zip(status_cols, _gap_columns(status, gaps, gap_ndigits))
-        ]
-    absent = status == STATUS_ABSENT
-    lengths = np.where(absent.any(axis=1), absent.argmax(axis=1), n).tolist()
-    return [row[:length] for row, length in zip(zip(*cols), lengths)]
+    for i in np.flatnonzero(integral).tolist():
+        out[i] = int(out[i])
+    return out
 
 
 def canonical_rows(mechanism: str, status, gaps, gap_ndigits: int | None = None) -> list:
     """The key ``core.canonical(answers, gap_ndigits)`` gives for every row.
 
-    Keys are built a column at a time: one list of answer keys per column
-    (gaps as ``_gap_columns`` rounds them), zipped into row tuples and each
-    cut at its first ``STATUS_ABSENT``.  ``svt`` keys carry no gaps, so its
-    rows are grouped by ``int_row_keys`` and only the distinct keys built."""
+    Keys are built a column at a time: each column starts as ``BOT_KEY`` in
+    every row, and only its released answers (``status >= STATUS_TOP``) get
+    their keys, with gaps as ``_released_gaps`` rounds them; no other gap
+    is read.  The columns are zipped into row tuples, each cut at its first
+    ``STATUS_ABSENT``."""
     status = np.asarray(status)
-    if mechanism == SVT_CLASSIC and len(status):
-        inverse, rows = key_groups(int_row_keys(status))
-        keys = _column_keys(mechanism, status[rows], None, None)
-        return [keys[i] for i in inverse.tolist()]
-    return _column_keys(mechanism, status, gaps, gap_ndigits)
+    rows, n = status.shape
+    names = _TOP_NAMES[mechanism]
+    cols = []
+    for j in range(n):
+        at = np.flatnonzero(status[:, j] >= STATUS_TOP)
+        col = [BOT_KEY] * rows
+        if mechanism == SVT_CLASSIC:
+            for i in at.tolist():
+                col[i] = TOP_KEY
+        else:
+            released = _released_gaps(np.asarray(gaps)[at, j], gap_ndigits)
+            for i, s, g in zip(at.tolist(), status[at, j].tolist(), released):
+                col[i] = (names[s], g)
+        cols.append(col)
+    absent = status == STATUS_ABSENT
+    lengths = np.where(absent.any(axis=1), absent.argmax(axis=1), n).tolist()
+    return [row[:length] for row, length in zip(zip(*cols), lengths)]

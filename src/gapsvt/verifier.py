@@ -557,12 +557,14 @@ class _CodeRows:
 class OutputDistribution:
     """Probability mass per canonical output, plus unassigned tail mass.
 
-    ``masses`` maps each output's canonical key to its mass.  The exact
-    oracle passes a ``_CodeRows`` instead, kept as ``rows``, and the dict is
-    built from it on the first read of ``masses``, in the oracle's output
-    order, with the masses bit for bit; ``max_privacy_loss`` pairs two sides
-    of one lattice by position, so a check builds no key but those it
-    reports.  ``rows`` is None for a dict."""
+    ``masses`` maps each output's canonical key to its mass.  It is built on
+    its first read where it is not passed.  The exact oracle passes a
+    ``_CodeRows`` instead, kept as ``rows``, and the dict is built from it in
+    the oracle's output order, with the masses bit for bit;
+    ``max_privacy_loss`` pairs two sides of one lattice by position, so a
+    check builds no key but those it reports.  ``rows`` is None otherwise.
+    Monte Carlo passes None, and the dict is ``meta["counts"]`` over
+    ``meta["samples"]``, in the order of the counts."""
 
     def __init__(self, mechanism: str, side: str, masses, truncation_loss: float, meta: dict | None = None):
         self.mechanism = mechanism
@@ -574,9 +576,12 @@ class OutputDistribution:
 
     @property
     def masses(self) -> dict:
-        if self._masses is None:
+        if self._masses is None and self.rows is not None:
             at = np.flatnonzero(self.rows.mass > 0.0)
             self._masses = dict(zip(self.rows.keys(at), self.rows.mass[at].tolist()))
+        elif self._masses is None:  # Monte Carlo
+            samples = self.meta["samples"]
+            self._masses = {k: c / samples for k, c in self.meta["counts"].items()}
         return self._masses
 
     def total_mass(self) -> float:
@@ -891,9 +896,14 @@ def mc_output_dist(
     must fit int64, so each chunk is held to the exact oracle's range, with
     the chunk's largest draws as the noise box: past it is a
     ``DomainError``, not a code that wraps.  Real-valued outputs are keyed
-    by ``canonical_rows``, a column at a time, with gaps rounded to
-    ``GAP_NDIGITS`` digits exactly as ``round`` does, and counted by one
-    ``Counter.update`` per sub-block; that ``Counter`` is ``meta["counts"]``.
+    by ``canonical_rows``, a column at a time, with released gaps rounded
+    to ``GAP_NDIGITS`` digits exactly as ``round`` does.  The gap
+    mechanisms' keys are counted by one ``Counter.update`` per sub-block;
+    ``svt``'s status rows are grouped first, each distinct row keyed once
+    and its count added in the rows' first-occurrence order, so the counts
+    keep the order of a per-row count.  That ``Counter`` is
+    ``meta["counts"]``; ``masses``, the counts over ``samples``, is built
+    from it on its first read.
     ``side`` is a ``Side``, ``kind`` a ``NoiseKind``, ``samples`` and ``chunk``
     integers >= 1 and ``seed`` one ``seeded_rng`` takes, or a ``DomainError``.
 
@@ -935,6 +945,14 @@ def mc_output_dist(
                 codes = encode_int_rows(mechanism, status, gaps)
                 inverse, key_rows = key_groups(int_row_keys(codes))
                 parts.append((codes[key_rows], np.bincount(inverse)))
+            elif mechanism == SVT_CLASSIC:  # no gaps: one key per distinct status row
+                inverse, key_rows = key_groups(int_row_keys(status))
+                first = np.full(len(key_rows), len(inverse))
+                np.minimum.at(first, inverse, np.arange(len(inverse)))
+                order = np.argsort(first)  # the rows' first-occurrence order, as a per-row count would insert them
+                tally = np.bincount(inverse)[order].tolist()
+                for key, c in zip(canonical_rows(mechanism, status[first[order]], None), tally):
+                    counts[key] += c
             else:
                 counts.update(canonical_rows(mechanism, status, gaps, GAP_NDIGITS))
         if len(parts) > 1:  # the chunk's distinct rows, grouped once more in key order
@@ -947,11 +965,10 @@ def mc_output_dist(
             for row, c in zip(codes.tolist(), tally.tolist()):
                 counts[decode_row(mechanism, row)] += c
         done += rows
-    masses = {k: c / samples for k, c in counts.items()}
     return OutputDistribution(
         mechanism,
         side.value,
-        masses,
+        None,
         truncation_loss=0.0,
         meta={"samples": samples, "counts": counts, "noise": kind.value},
     )

@@ -328,12 +328,15 @@ def test_canonical_rows_rounds_like_round_per_row(mechanism, ndigits):
     gaps = np.asfortranarray(g[: len(g) // 4 * 4].reshape(-1, 4))
     status = rng.integers(0, 4 if mechanism == ADAPTIVE_GAP else 3, size=gaps.shape).astype(np.uint8)
     status.ravel()[:n_special] = STATUS_TOP  # every special value is released
-    gaps[status < STATUS_TOP] = 0  # the kernels' contract
+    released = status >= STATUS_TOP
+    want = _round_reference(mechanism, status, np.where(released, gaps, 0.0), ndigits)  # the kernels' contract
+    # no gap below STATUS_TOP is read: NaN and inf there change no key
+    gaps[~released] = rng.choice([np.nan, np.inf, -np.inf], size=np.count_nonzero(~released))
     got = canonical_rows(mechanism, status, gaps, gap_ndigits=ndigits)
-    want = _round_reference(mechanism, status, gaps, ndigits)
     assert len(got) == len(status)
     assert [repr(k) for k in got] == [repr(k) for k in want]
     # integer gaps, as integer tapes give them
-    int_gaps = np.where(status >= STATUS_TOP, rng.integers(-(10**6), 10**6, size=gaps.shape), 0)
+    int_gaps = rng.integers(-(10**6), 10**6, size=gaps.shape)
+    want = _round_reference(mechanism, status, np.where(released, int_gaps, 0), ndigits)
     got = canonical_rows(mechanism, status, int_gaps, gap_ndigits=ndigits)
-    assert [repr(k) for k in got] == [repr(k) for k in _round_reference(mechanism, status, int_gaps, ndigits)]
+    assert [repr(k) for k in got] == [repr(k) for k in want]

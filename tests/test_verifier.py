@@ -1085,8 +1085,9 @@ class TestMonteCarlo:
             (SVT_GAP, Workload.from_values([(3, 2), (1, 0), (0, 1), (2, 2), (5, 4), (0, 0)], 1, 2, 0.3), NoiseKind.DLAP),
             (SVT_GAP, _W_REAL, NoiseKind.LAPLACE),
             (SVT_CLASSIC, _W_REAL, NoiseKind.LAPLACE),
+            (ADAPTIVE_GAP, _MC_LAPLACE[ADAPTIVE_GAP], NoiseKind.LAPLACE),
         ],
-        ids=["svt-gap", "svt", "adaptive-gap", "svt-gap rank step", "svt-gap n=6 k=2", "svt-gap laplace", "svt laplace"],
+        ids=["svt-gap", "svt", "adaptive-gap", "svt-gap rank step", "svt-gap n=6 k=2", "svt-gap laplace", "svt laplace", "adaptive-gap laplace"],
     )
     def test_sub_blocks_merge_bit_for_bit(self, mechanism, w, kind, monkeypatch):
         """A chunk runs the kernel and keying ``_DRAW_BLOCK`` rows at a time.
@@ -1185,10 +1186,16 @@ class TestMonteCarlo:
         with pytest.raises(DomainError, match="noise role 'threshold' has epsilon 5e-321"):
             mc_output_dist(SVT_GAP, w, Side.D, 100, seed=1, kind=kind)
 
+    @pytest.mark.parametrize("sub_block", [None, 400], ids=["one sub-block a chunk", "400-row sub-blocks"])
     @pytest.mark.parametrize("mechanism", MECHANISMS)
-    def test_laplace_counts_equal_per_tape_runs(self, mechanism):
+    def test_laplace_counts_equal_per_tape_runs(self, mechanism, sub_block, monkeypatch):
         """Real-valued keys, their types, counts and order match per-tape runs
-        of the same draws, rebuilt chunk by chunk as mc_output_dist draws them."""
+        of the same draws, rebuilt chunk by chunk as mc_output_dist draws them.
+        With 400-row sub-blocks, each 1100-row chunk is keyed and counted in
+        three parts, and the counts still hold the per-tape first-occurrence
+        order across them."""
+        if sub_block is not None:
+            monkeypatch.setattr(verifier, "_DRAW_BLOCK", sub_block)
         w = _MC_LAPLACE[mechanism]
         samples, chunk, seed = 3000, 1100, (6, 1)
         dist = mc_output_dist(mechanism, w, Side.D, samples, seed, kind=NoiseKind.LAPLACE, chunk=chunk)
@@ -1279,6 +1286,36 @@ class TestMonteCarlo:
         report = mc_privacy_estimate(SVT_GAP, w, 10**5, seed=21)
         assert report.passed
         assert "heuristic" in report.notes["method"]
+
+    @pytest.mark.parametrize("real", [False, True], ids=["integer", "real"])
+    @pytest.mark.parametrize("kind", [NoiseKind.DLAP, NoiseKind.LAPLACE])
+    @pytest.mark.parametrize("mechanism", MECHANISMS)
+    def test_masses_are_the_counts_over_the_samples(self, mechanism, kind, real):
+        """Monte Carlo builds ``masses`` on its first read, from the counts,
+        in their order and with the same floats."""
+        w = _MC_LAPLACE[mechanism] if real else dict(_MC_CASES[:3])[mechanism]
+        dist = mc_output_dist(mechanism, w, Side.D, 3000, seed=(4, 2), kind=kind, chunk=1100)
+        assert dist.rows is None
+        assert list(dist.masses.items()) == [(k, c / 3000) for k, c in dist.meta["counts"].items()]
+        assert dist.masses is dist.masses
+
+    @pytest.mark.parametrize(
+        "kind, factor, samples, checks, max_log_ratio, first_flagged",
+        [
+            (NoiseKind.LAPLACE, 1.0, 10**4, 18515, 0.06732016409944783, None),
+            (NoiseKind.LAPLACE, 2.0, 10**4, 19510, 0.06927412588340541, None),
+            (NoiseKind.DLAP, 2.0, 3 * 10**5, 76, 1.9694406464655074, [["bot", "bot", ["plain", 4]], 3962, 952]),
+        ],
+        ids=["laplace", "laplace 2x drill", "dlap 2x drill"],
+    )
+    def test_estimate_reports_are_pinned(self, kind, factor, samples, checks, max_log_ratio, first_flagged):
+        """Literal reports on the ``demos/04`` workload, from the counts and
+        from the masses built from them."""
+        w = Workload.from_values([(5, 6), (5, 6), (8, 7)], 4, 1, 1.0)
+        report = mc_privacy_estimate(SVT_GAP, w, samples, seed=21, kind=kind, scale_epsilon_factor=factor)
+        assert (report.checks_run, report.max_log_ratio) == (checks, max_log_ratio)
+        assert (report.notes["flagged"] or [None])[0] == first_flagged
+        assert report.verdict == ("pass" if first_flagged is None else "fail")
 
     @pytest.mark.slow
     def test_doubled_noise_scales_are_flagged(self):
